@@ -1,14 +1,15 @@
 (** Domain pool: a pool of OCaml 5 domains draining a shared task counter
-    over an array of independent tasks. Shared by the model-checking
-    frontier ([Cas_mc.Frontier]) and the compiler's parallel per-module
-    builds ([Cas_compiler.Driver.compile_all]).
+    over an array of independent tasks. Used by the compiler's parallel
+    per-module builds ([Cas_compiler.Driver.compile_all]) and the
+    linker's per-module re-validation; the model checker's work-stealing
+    frontier ([Cas_mc.Frontier]) takes only [default_jobs] from here.
 
     [jobs = 1] is the deterministic fallback: tasks run sequentially, in
     order, on the calling domain — no domain is spawned and results are
     bit-for-bit reproducible. With [jobs > 1] tasks are claimed with an
     atomic fetch-and-add (a degenerate work-stealing deque: one shared
     bottom), which is ample at the tens-of-tasks granularity the callers
-    produce (DPOR subtree roots, BFS frontier chunks, compilation units). *)
+    produce (compilation units, linked modules). *)
 
 let default_jobs () = max 1 (Domain.recommended_domain_count () - 1)
 
@@ -167,20 +168,3 @@ module Persistent = struct
       in
       wait ()
 end
-
-(** Split a list into at most [n] contiguous chunks of near-equal size
-    (for level-synchronous sharded BFS). *)
-let split n l =
-  let len = List.length l in
-  if len = 0 then []
-  else begin
-    let n = max 1 (min n len) in
-    let size = (len + n - 1) / n in
-    let rec go acc cur k = function
-      | [] -> List.rev (List.rev cur :: acc)
-      | x :: rest ->
-        if k = size then go (List.rev cur :: acc) [ x ] 1 rest
-        else go acc (x :: cur) (k + 1) rest
-    in
-    go [] [] 0 l
-  end

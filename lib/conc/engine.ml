@@ -121,20 +121,28 @@ let selection_system : World.t Cas_mc.Mcsys.t =
   }
 
 (** Engine-selected reachability from a loaded world. [visit] fires once
-    per distinct world; with [Dpor]/[Dpor_par] the visited worlds are a
-    representative subset keyed without the scheduler choice, so [visit]
-    must compute [cur]-independent, order-insensitive facts (the race
-    predictor is both). *)
-let explore ?(engine = Naive) ?jobs ?max_worlds ?recorder (w0 : World.t)
-    ~(visit : World.t -> unit) : Cas_mc.Stats.t =
+    per distinct world, with the transitions the engine explores out of
+    it (scheduler-explicit ones under [Naive], the selection view's
+    under [Dpor]/[Dpor_par]); with the DPOR engines the visited worlds
+    are a representative subset keyed without the scheduler choice, so
+    [visit] must compute [cur]-independent, order-insensitive facts (the
+    race predictor is both). *)
+let explore_trans ?(engine = Naive) ?jobs ?max_worlds ?recorder (w0 : World.t)
+    ~(visit : World.t -> World.t Cas_mc.Mcsys.trans list -> unit) :
+    Cas_mc.Stats.t =
   match engine with
   | Naive ->
-    Cas_mc.Engine.reachable ~engine ?jobs ?max_worlds ?recorder
+    Cas_mc.Engine.reachable_trans ~engine ?jobs ?max_worlds ?recorder
       (Explore.to_mc (Explore.world_system Preemptive.steps))
       (Gsem.initials w0) ~visit
   | Dpor | Dpor_par ->
-    Cas_mc.Engine.reachable ~engine ?jobs ?max_worlds ?recorder
+    Cas_mc.Engine.reachable_trans ~engine ?jobs ?max_worlds ?recorder
       selection_system [ w0 ] ~visit
+
+(** [explore_trans] for a visitor that needs only the world. *)
+let explore ?engine ?jobs ?max_worlds ?recorder w0 ~visit =
+  explore_trans ?engine ?jobs ?max_worlds ?recorder w0
+    ~visit:(fun w _ -> visit w)
 
 (** Engine-selected trace enumeration from a loaded world. *)
 let traces ?(engine = Naive) ?jobs ?max_steps ?max_paths ?recorder

@@ -85,7 +85,8 @@ let to_mc (sys : 'w system) : 'w Cas_mc.Mcsys.t =
 let reachable_gen ?max_worlds ?recorder (sys : 'w system)
     (initials : 'w list) ~(visit : 'w -> unit) : stats =
   stats_of_mc
-    (Cas_mc.Naive.reachable ?max_worlds ?recorder (to_mc sys) initials ~visit)
+    (Cas_mc.Naive.reachable ?max_worlds ?recorder (to_mc sys) initials
+       ~visit:(fun w _ -> visit w))
 
 (* ------------------------------------------------------------------ *)
 (* Trace enumeration                                                   *)

@@ -79,14 +79,59 @@ let predict_np ?(region_bound = 1000) (w : World.t) (tid : int) :
     run w Footprint.empty region_bound;
     !preds
 
-(** Does world [w] predict a data race (the Race rule of Fig. 9)? Returns
-    the witnessing threads and footprints if so. [predictor] selects
-    single-step prediction (preemptive DRF) or region prediction
-    (NPDRF). *)
-let race_witness ?(predictor = fun w t -> predict w t) (w : World.t) :
+(** Predictions of thread [tid] read off one of its transitions in the
+    selection view ([Engine.selection_system]), for a thread outside
+    atomic blocks: an abort predicts nothing (as [World.local_preds]
+    drops abort-bound steps); a step into an atomic block — the only
+    step that sets the thread's bit — already carries the block's
+    accumulated footprint, which is Predict-1; any other non-empty
+    footprint is Predict-0. *)
+let prediction_of_trans tid (t : World.t Cas_mc.Mcsys.trans) :
+    prediction option =
+  match t.Cas_mc.Mcsys.target with
+  | Cas_mc.Mcsys.Abort -> None
+  | Cas_mc.Mcsys.Next w' ->
+    if World.dbit w' tid then Some (t.Cas_mc.Mcsys.fp, true)
+    else if Footprint.is_empty t.Cas_mc.Mcsys.fp then None
+    else Some (t.Cas_mc.Mcsys.fp, false)
+
+(** [predict] of every live thread of [w], in [World.live_tids] order,
+    read off [trans]: the transitions the selection view takes out of
+    [w], which list each schedulable thread's local steps in ascending
+    thread order. When no thread holds the atomic bit every live thread
+    is schedulable, so this equals [predict] thread by thread without
+    stepping anything; otherwise only the holder is schedulable and the
+    others' steps are not in [trans], so it falls back to [predict]. *)
+let predictions_of_trans (w : World.t)
+    (trans : World.t Cas_mc.Mcsys.trans list) : (int * prediction list) list
+    =
+  let live = World.live_tids w in
+  if List.exists (World.dbit w) live then
+    List.map (fun t -> (t, predict w t)) live
+  else
+    let rec per_thread tids trans =
+      match tids with
+      | [] -> []
+      | tid :: rest ->
+        let rec take acc = function
+          | (t : World.t Cas_mc.Mcsys.trans) :: more
+            when t.Cas_mc.Mcsys.tid = tid ->
+            take
+              (match prediction_of_trans tid t with
+              | Some p -> p :: acc
+              | None -> acc)
+              more
+          | more -> (List.rev acc, more)
+        in
+        let ps, more = take [] trans in
+        (tid, ps) :: per_thread rest more
+    in
+    per_thread live trans
+
+(** The first conflicting pair of predictions of two distinct threads,
+    in thread order, then prediction order. *)
+let first_race (preds : (int * prediction list) list) :
     (int * prediction * int * prediction) option =
-  let tids = World.live_tids w in
-  let preds = List.map (fun t -> (t, predictor w t)) tids in
   let rec pairs = function
     | [] -> None
     | (t1, p1) :: rest ->
@@ -107,6 +152,14 @@ let race_witness ?(predictor = fun w t -> predict w t) (w : World.t) :
       (match hit with Some _ -> hit | None -> pairs rest)
   in
   pairs preds
+
+(** Does world [w] predict a data race (the Race rule of Fig. 9)? Returns
+    the witnessing threads and footprints if so. [predictor] selects
+    single-step prediction (preemptive DRF) or region prediction
+    (NPDRF). *)
+let race_witness ?(predictor = fun w t -> predict w t) (w : World.t) :
+    (int * prediction * int * prediction) option =
+  first_race (List.map (fun t -> (t, predictor w t)) (World.live_tids w))
 
 let races (w : World.t) = Option.is_some (race_witness w)
 let races_np (w : World.t) =
@@ -166,6 +219,40 @@ let check ?(max_worlds = 200_000) ?predictor ?recorder (step : Gsem.stepf)
     engine_stats = None;
   }
 
+(** The race predictor as a visitor of the selection view's
+    exploration ([Cas_mc.Engine.reachable_trans] over
+    [Engine.selection_system], or a re-keyed copy of it): it reads each
+    visited world's predictions off the transitions the engine hands
+    it, and keeps the candidate with the smallest [witness_key] over
+    *all* racy worlds, not the first one visited — under [dpor-par]
+    the visit order depends on domain scheduling, and first-hit would
+    make the reported witness (and everything downstream: capture,
+    replay, shrink) flap across [--jobs] values. The second component
+    turns the exploration's statistics into the report. *)
+let witness_visitor () :
+    (World.t -> World.t Cas_mc.Mcsys.trans list -> unit)
+    * (Cas_mc.Stats.t -> drf_report) =
+  let best = ref None in
+  let visit w trans =
+    match first_race (predictions_of_trans w trans) with
+    | None -> ()
+    | Some wt -> (
+      let key = witness_key w wt in
+      match !best with
+      | Some (key', _, _) when key' <= key -> ()
+      | _ -> best := Some (key, wt, w))
+  in
+  let report st =
+    {
+      drf = !best = None;
+      witness = Option.map (fun (_, wt, _) -> wt) !best;
+      witness_world = Option.map (fun (_, _, w) -> w) !best;
+      stats = Explore.stats_of_mc st;
+      engine_stats = Some st;
+    }
+  in
+  (visit, report)
+
 (** DRF(P) with a selectable exploration engine: [Naive] is [check] on
     the scheduler-explicit preemptive graph; the DPOR engines run the
     race predictor over the reduced thread-selection view (the predictor
@@ -175,29 +262,9 @@ let drf ?max_worlds ?(engine = Engine.Naive) ?jobs ?recorder w0 =
   match engine with
   | Engine.Naive -> check ?max_worlds ?recorder Preemptive.steps w0
   | Engine.Dpor | Engine.Dpor_par ->
-    (* Keep the candidate with the smallest [witness_key] over *all* racy
-       worlds, not the first one visited: under [dpor-par] the visit
-       order depends on domain scheduling, first-hit would make the
-       reported witness (and everything downstream: capture, replay,
-       shrink) flap across [--jobs] values. *)
-    let best = ref None in
-    let st =
-      Engine.explore ~engine ?jobs ?max_worlds ?recorder w0 ~visit:(fun w ->
-          match race_witness w with
-          | None -> ()
-          | Some wt ->
-            let key = witness_key w wt in
-            (match !best with
-            | Some (key', _, _) when key' <= key -> ()
-            | _ -> best := Some (key, wt, w)))
-    in
-    {
-      drf = !best = None;
-      witness = Option.map (fun (_, wt, _) -> wt) !best;
-      witness_world = Option.map (fun (_, _, w) -> w) !best;
-      stats = Explore.stats_of_mc st;
-      engine_stats = Some st;
-    }
+    let visit, report = witness_visitor () in
+    report
+      (Engine.explore_trans ~engine ?jobs ?max_worlds ?recorder w0 ~visit)
 
 let npdrf ?max_worlds w0 =
   check ?max_worlds

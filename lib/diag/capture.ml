@@ -25,13 +25,14 @@ type race_capture = {
 
 (** Run the race predictor over the selection view with a recorder
     attached, and reconstruct the schedule to the minimal racy world.
-    All three engines explore the same selection system here (the naive
-    engine's historical scheduler-explicit view carries no thread ids,
-    which a schedule needs). *)
+    The predictor is [Race.witness_visitor], the one [Race.drf] runs
+    under the DPOR engines, reading predictions off the transitions the
+    engine explores. All three engines explore the same selection
+    system here (the naive engine's historical scheduler-explicit view
+    carries no thread ids, which a schedule needs). *)
 let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
     (w0 : Cas_conc.World.t) : race_capture =
   let recorder = Cas_mc.Recorder.create () in
-  let best = ref None in
   (* witness step digests are [Sem.digest] of the recorder's child keys,
      so capture must explore under the full fingerprint strings, not the
      engines' fixed-width hash keys — recorded witnesses stay stable
@@ -42,30 +43,14 @@ let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
       Cas_mc.Mcsys.fingerprint = Cas_conc.World.fingerprint_nocur;
     }
   in
-  let st =
-    Cas_mc.Engine.reachable ~engine ?jobs ?max_worlds ~recorder sys [ w0 ]
-      ~visit:(fun w ->
-        match Cas_conc.Race.race_witness w with
-        | None -> ()
-        | Some wt ->
-          let key = Cas_conc.Race.witness_key w wt in
-          (match !best with
-          | Some (key', _, _) when key' <= key -> ()
-          | _ -> best := Some (key, wt, w)))
+  let visit, report = Cas_conc.Race.witness_visitor () in
+  let r =
+    report
+      (Cas_mc.Engine.reachable_trans ~engine ?jobs ?max_worlds ~recorder sys
+         [ w0 ] ~visit)
   in
-  let report witness witness_world =
-    {
-      Cas_conc.Race.drf = witness = None;
-      witness;
-      witness_world;
-      stats = Cas_conc.Explore.stats_of_mc st;
-      engine_stats = Some st;
-    }
-  in
-  match !best with
-  | None ->
-    { rc_report = report None None; rc_steps = []; rc_verdict = None }
-  | Some (_, ((t1, _, t2, _) as wt), w) ->
+  match (r.Cas_conc.Race.witness, r.Cas_conc.Race.witness_world) with
+  | Some (t1, _, t2, _), Some w ->
     let steps =
       match
         Cas_mc.Recorder.path recorder
@@ -87,10 +72,11 @@ let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
           path
     in
     {
-      rc_report = report (Some wt) (Some w);
+      rc_report = r;
       rc_steps = steps;
       rc_verdict = Some (Witness.Vrace (t1, t2));
     }
+  | _ -> { rc_report = r; rc_steps = []; rc_verdict = None }
 
 (* ------------------------------------------------------------------ *)
 (* Schedule search on the uniform view                                 *)

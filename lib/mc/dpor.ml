@@ -39,6 +39,14 @@
     join; verdict and witness selection stay deterministic via the
     min-[witness_key] reduction in [Cas_conc.Race].
 
+    Bookkeeping per visit is one state-table lookup ([Store]): the
+    slot that says whether the world is new also memoizes its
+    transition groups, computed once, when the world is admitted, and
+    handed to [on_world] so the visitor never steps the world again.
+    Each frame carries per-thread footprint summaries of its path
+    ([f_hist]), so race reversal scans the path only when some other
+    thread's history actually conflicts with the pending step.
+
     Soundness precondition (see DESIGN.md "Exploration engines"): the
     reduction preserves the set of event traces, abort reachability,
     and race-predictor verdicts. State-space *cycles* (spin loops) are
@@ -73,27 +81,28 @@ type 'w group = {
   g_obs : bool;
 }
 
-let group_by_tid (trans : 'w Mcsys.trans list) : 'w group list =
-  let tbl : (int, 'w Mcsys.trans list ref) Hashtbl.t = Hashtbl.create 8 in
-  let order = ref [] in
-  List.iter
-    (fun (t : 'w Mcsys.trans) ->
-      match Hashtbl.find_opt tbl t.Mcsys.tid with
-      | None ->
-        Hashtbl.add tbl t.Mcsys.tid (ref [ t ]);
-        order := t.Mcsys.tid :: !order
-      | Some r -> r := t :: !r)
-    trans;
-  List.rev_map
-    (fun tid ->
-      let ts = List.rev !(Hashtbl.find tbl tid) in
-      {
-        g_tid = tid;
-        g_trans = ts;
-        g_fp = Footprint.union_all (List.map (fun t -> t.Mcsys.fp) ts);
-        g_obs = List.exists Mcsys.is_obs ts;
-      })
-    !order
+(** Groups in order of each thread's first transition, transitions in
+    their original order within a group. Systems list a thread's
+    transitions mostly contiguously, so one partition per thread is
+    linear in practice and allocates no table. *)
+let rec group_by_tid (trans : 'w Mcsys.trans list) : 'w group list =
+  match trans with
+  | [] -> []
+  | t :: _ ->
+    let tid = t.Mcsys.tid in
+    let ts, rest =
+      List.partition (fun (u : 'w Mcsys.trans) -> u.Mcsys.tid = tid) trans
+    in
+    {
+      g_tid = tid;
+      g_trans = ts;
+      g_fp =
+        List.fold_left
+          (fun acc (u : 'w Mcsys.trans) -> Footprint.union acc u.Mcsys.fp)
+          Footprint.empty ts;
+      g_obs = List.exists Mcsys.is_obs ts;
+    }
+    :: group_by_tid rest
 
 (** Is thread [g]'s next step (at the current world) dependent with the
     executed transition [t]? *)
@@ -101,57 +110,6 @@ let dep_group (g : 'w group) (t : 'w Mcsys.trans) =
   g.g_tid = t.Mcsys.tid
   || Footprint.conflict g.g_fp t.Mcsys.fp
   || (g.g_obs && Mcsys.is_obs t)
-
-(* ------------------------------------------------------------------ *)
-(* Transition-group memo                                               *)
-(* ------------------------------------------------------------------ *)
-
-(** DPOR revisits a state along many schedule prefixes (the tree is
-    sized by paths, not states), and every visit re-runs [Mcsys.trans]
-    — the semantics — to rebuild the same groups. Groups are immutable
-    once built (frames are separate records), so they are shared across
-    revisits, keyed by the state fingerprint the visitor computed
-    anyway. Sharded like [Store]; bounded by the world capacity — past
-    it revisits fall back to stepping. *)
-module Gcache = struct
-  let shards = 64
-
-  type 'w t = {
-    tbls : (string, 'w group list) Hashtbl.t array;
-    locks : Mutex.t array;
-    count : int Atomic.t;
-    capacity : int;
-  }
-
-  let create ~capacity () =
-    {
-      tbls = Array.init shards (fun _ -> Hashtbl.create 64);
-      locks = Array.init shards (fun _ -> Mutex.create ());
-      count = Atomic.make 0;
-      capacity;
-    }
-
-  let find_or_add t key compute =
-    let i = Hashtbl.hash key land (shards - 1) in
-    let tbl = t.tbls.(i) and lock = t.locks.(i) in
-    Mutex.lock lock;
-    let hit = Hashtbl.find_opt tbl key in
-    Mutex.unlock lock;
-    match hit with
-    | Some gs -> gs
-    | None ->
-      (* compute outside the lock: a racing duplicate is benign *)
-      let gs = compute () in
-      if Atomic.get t.count < t.capacity then begin
-        Mutex.lock lock;
-        if not (Hashtbl.mem tbl key) then begin
-          Hashtbl.add tbl key gs;
-          Atomic.incr t.count
-        end;
-        Mutex.unlock lock
-      end;
-      gs
-end
 
 (* ------------------------------------------------------------------ *)
 (* Sleep sets                                                          *)
@@ -174,7 +132,8 @@ let survives_sleep (s : slept) (t : 'w Mcsys.trans) =
 
 (** One step of a wakeup sequence: the thread-granular dependence
     summary of an executed transition (or of a pending group's next
-    step, for the final element). *)
+    step, for the final element). Path summaries use the same shape
+    for the union of a thread's transitions. *)
 type vstep = { v_tid : int; v_fp : Footprint.t; v_obs : bool }
 
 let vstep_of_trans (t : 'w Mcsys.trans) =
@@ -187,6 +146,42 @@ let vdep a b =
   a.v_tid = b.v_tid
   || Footprint.conflict a.v_fp b.v_fp
   || (a.v_obs && b.v_obs)
+
+(* ------------------------------------------------------------------ *)
+(* Path summaries                                                      *)
+(* ------------------------------------------------------------------ *)
+
+(** A frame's path summaries: for each thread that has executed, one
+    [vstep] whose footprint and observability are the union of that
+    thread's transitions on the path. Conflict distributes over union,
+    so a pending group depends on some transition of thread [h] on the
+    path iff it depends on [h]'s summary: race reversal consults the
+    summaries first and scans the path only when one of them says a
+    dependent transition exists. *)
+let extend_hist (hs : vstep list) (t : 'w Mcsys.trans) =
+  let tid = t.Mcsys.tid and fp = t.Mcsys.fp and obs = Mcsys.is_obs t in
+  match List.find_opt (fun h -> h.v_tid = tid) hs with
+  | Some h when Footprint.subset fp h.v_fp && (h.v_obs || not obs) ->
+    hs (* unchanged: frames share it *)
+  | Some _ ->
+    List.map
+      (fun h ->
+        if h.v_tid = tid then
+          { h with v_fp = Footprint.union h.v_fp fp; v_obs = h.v_obs || obs }
+        else h)
+      hs
+  | None ->
+    if Footprint.is_empty fp && not obs then hs
+    else { v_tid = tid; v_fp = fp; v_obs = obs } :: hs
+
+(** Does some other thread's history hold a transition [g]'s next step
+    depends on? Exactly when [race_reversal]'s path scan would find one. *)
+let history_conflicts (hs : vstep list) (g : 'w group) =
+  List.exists
+    (fun h ->
+      h.v_tid <> g.g_tid
+      && (Footprint.conflict g.g_fp h.v_fp || (g.g_obs && h.v_obs)))
+    hs
 
 (* ------------------------------------------------------------------ *)
 (* Frames: shared exploration-tree nodes                               *)
@@ -207,7 +202,9 @@ type 'w frame = {
   f_path : ('w frame * 'w Mcsys.trans) list;
       (** schedule to here, newest first: each element pairs an executed
           transition with the frame it was taken {e from} (pre(S, i)) *)
-  f_events : Event.t list;  (** reversed event trace to here *)
+  f_hist : vstep list;  (** per-thread summaries of [f_path] *)
+  f_events : Event.t list;
+      (** reversed event trace to here; [] when traces are not kept *)
   f_on_path : SSet.t;  (** fingerprints on the path, including this *)
   f_depth : int;
   f_sleep : slept list;  (** sleep set this frame was entered with *)
@@ -235,10 +232,15 @@ let flush_batch = 256
 type 'w state = {
   sys : 'w Mcsys.t;
   cfg : cfg;
-  store : Store.t;
-  gcache : 'w Gcache.t;
+  store : 'w group list Store.t;
+      (** each admitted world's slot memoizes its transition groups:
+          DPOR revisits a state along many schedule prefixes (the tree
+          is sized by paths, not states), and groups are immutable once
+          built, so every revisit — and every cut rescue — reads them
+          from the slot instead of re-running the semantics *)
   recorder : Recorder.t option;
-  on_world : 'w -> unit;
+  on_world : 'w -> 'w Mcsys.trans list -> unit;
+  collect : bool;  (** keep event traces *)
   emit : Trace.t -> unit;
   paths : int Atomic.t;  (** flushed path count (budget arbiter) *)
   abort : bool Atomic.t;
@@ -262,16 +264,33 @@ let over_budget rs (ws : wstats) =
   end
   else false
 
+(** Record an execution ending in [status] after the reversed event
+    trace [events] — reversed only when traces are kept. *)
+let emit rs events status =
+  if rs.collect then rs.emit (List.rev events, status)
+
+(** A world's transition groups: from its table slot, computed and
+    memoized there on first need ([slot] is [None] for a world the full
+    table refused, whose groups are recomputed at every visit). *)
+let groups_of rs slot w =
+  match Option.bind slot Store.get with
+  | Some gs -> gs
+  | None ->
+    let gs = group_by_tid (rs.sys.Mcsys.trans w) in
+    Option.iter (fun sl -> Store.fill sl gs) slot;
+    gs
+
 (* ------------------------------------------------------------------ *)
 (* Source-set coverage                                                 *)
 (* ------------------------------------------------------------------ *)
 
-(** Is [q] a weak initial of wakeup sequence [v] at frame [fk]?
-    [q ∈ WI(v)] iff [v]'s first step of thread [q] is not preceded in
-    [v] by a dependent step (so [v ≃ q·v']), or [q] does not occur in
-    [v] at all and its next step at [fk] is independent with every step
-    of [v] (so [q] commutes past all of [v]). *)
-let weak_initial fk (v : vstep list) q =
+(** Is [q] a weak initial of wakeup sequence [v] at a frame whose
+    pending groups are [groups]? [q ∈ WI(v)] iff [v]'s first step of
+    thread [q] is not preceded in [v] by a dependent step (so
+    [v ≃ q·v']), or [q] does not occur in [v] at all and its next step
+    at the frame is independent with every step of [v] (so [q] commutes
+    past all of [v]). *)
+let weak_initial groups (v : vstep list) q =
   let rec first_of earlier = function
     | [] -> None
     | s :: rest ->
@@ -280,11 +299,19 @@ let weak_initial fk (v : vstep list) q =
   match first_of [] v with
   | Some (s, earlier) -> not (List.exists (fun e -> vdep e s) earlier)
   | None -> (
-    match List.find_opt (fun g -> g.g_tid = q) fk.f_groups with
+    match List.find_opt (fun g -> g.g_tid = q) groups with
     | None -> false
     | Some gq ->
       let sq = vstep_of_group gq in
       not (List.exists (fun s -> vdep sq s) v))
+
+(** Some weak initial of [v] is already a branch or asleep at [fk] —
+    the source-set condition under which inserting [v] is redundant.
+    Caller holds [fk.f_lock]. *)
+let covered_locked fk v =
+  let wi q = weak_initial fk.f_groups v q in
+  List.exists (fun (c : child) -> wi c.c_tid) fk.f_children
+  || List.exists (fun (s : slept) -> wi s.s_tid) fk.f_sleep
 
 (* ------------------------------------------------------------------ *)
 (* The exploration core                                                *)
@@ -321,12 +348,7 @@ and insert_wakeup rs fk (v : vstep list) wc =
   | [] -> ()
   | hd :: _ ->
     Mutex.lock fk.f_lock;
-    let covered q = weak_initial fk v q in
-    let blocked =
-      List.exists (fun (c : child) -> covered c.c_tid) fk.f_children
-      || List.exists (fun (s : slept) -> covered s.s_tid) fk.f_sleep
-    in
-    if not blocked then begin
+    if not (covered_locked fk v) then begin
       if ISet.mem hd.v_tid fk.f_enabled then
         spawn_locked rs fk hd.v_tid
           (List.map (fun s -> s.v_tid) (List.tl v))
@@ -350,52 +372,56 @@ and insert_wakeup rs fk (v : vstep list) wc =
     through its own earlier steps (program order makes the pair
     race-adjacent only if no such chain exists — reversing a
     happens-before edge is not a race, and inserting it is exactly the
-    redundant work the old engine's sleep sets then blocked). *)
+    redundant work the old engine's sleep sets then blocked). The path
+    summaries decide, without scanning the path, whether any such [e]
+    exists. *)
 and race_reversal rs frame (g : 'w group) wc =
-  match
-    List.find_opt
-      (fun ((_, tk) : 'w frame * 'w Mcsys.trans) ->
-        tk.Mcsys.tid <> g.g_tid && dep_group g tk)
-      frame.f_path
-  with
-  | None -> ()
-  | Some (fk, tk) ->
-    (* transitions executed after [tk], oldest first *)
-    let suffix =
-      let rec go acc = function
-        | ((f', _) as entry) :: rest ->
-          if f' == fk then acc else go (entry :: acc) rest
-        | [] -> acc
+  if history_conflicts frame.f_hist g then
+    match
+      List.find_opt
+        (fun ((_, tk) : 'w frame * 'w Mcsys.trans) ->
+          tk.Mcsys.tid <> g.g_tid && dep_group g tk)
+        frame.f_path
+    with
+    | None -> ()
+    | Some (fk, tk) ->
+      (* transitions executed after [tk], oldest first *)
+      let suffix =
+        let rec go acc = function
+          | ((f', _) as entry) :: rest ->
+            if f' == fk then acc else go (entry :: acc) rest
+          | [] -> acc
+        in
+        go [] frame.f_path
       in
-      go [] frame.f_path
-    in
-    let e = vstep_of_trans tk in
-    let after = ref [ e ] in
-    let race = ref true in
-    let notdep =
-      List.filter_map
-        (fun ((_, t') : 'w frame * 'w Mcsys.trans) ->
-          let s = vstep_of_trans t' in
-          if List.exists (fun a -> vdep a s) !after then begin
-            after := s :: !after;
-            if s.v_tid = g.g_tid then race := false;
-            None
-          end
-          else Some s)
-        suffix
-    in
-    if !race then insert_wakeup rs fk (notdep @ [ vstep_of_group g ]) wc
+      let e = vstep_of_trans tk in
+      let after = ref [ e ] in
+      let race = ref true in
+      let notdep =
+        List.filter_map
+          (fun ((_, t') : 'w frame * 'w Mcsys.trans) ->
+            let s = vstep_of_trans t' in
+            if List.exists (fun a -> vdep a s) !after then begin
+              after := s :: !after;
+              if s.v_tid = g.g_tid then race := false;
+              None
+            end
+            else Some s)
+          suffix
+      in
+      if !race then insert_wakeup rs fk (notdep @ [ vstep_of_group g ]) wc
 
 (** Cut rescue. The soundness argument needs *maximal* executions: a
     thread whose pending transitions never conflict with anything
     executed would otherwise never be scheduled, and cutting a branch
     at a cycle (one thread spinning) or at the depth bound ends it
     while other threads are still enabled — their subtrees would be
-    lost, not reduced. So at every cut, each still-pending thread is
-    re-enabled at the most recent frame that could have scheduled it
-    (unless already a branch or asleep there — asleep means an older
-    sibling explored it, and maximality flows through that subtree). *)
-and rescue rs path w wc =
+    lost, not reduced. So at every cut, each still-pending thread
+    (a group of the cut world) is re-enabled at the most recent frame
+    that could have scheduled it (unless already a branch or asleep
+    there — asleep means an older sibling explored it, and maximality
+    flows through that subtree). *)
+and rescue rs path groups wc =
   List.iter
     (fun g ->
       match
@@ -411,15 +437,11 @@ and rescue rs path w wc =
            ⟨g⟩ already a branch or asleep here means the commuting
            class is reached through that thread (being one is how the
            rescued branch would otherwise end sleep-set-blocked) *)
-        let v = [ vstep_of_group g ] in
         Mutex.lock f.f_lock;
-        let covered q = weak_initial f v q in
-        if
-          (not (List.exists (fun (c : child) -> covered c.c_tid) f.f_children))
-          && not (List.exists (fun (s : slept) -> covered s.s_tid) f.f_sleep)
-        then spawn_locked rs f g.g_tid [] wc;
+        if not (covered_locked f [ vstep_of_group g ]) then
+          spawn_locked rs f g.g_tid [] wc;
         Mutex.unlock f.f_lock)
-    (group_by_tid (rs.sys.Mcsys.trans w))
+    groups
 
 (** Run one branch: thread [tid]'s transitions out of [frame], guided
     by the rest of the wakeup sequence, sleeping [sleep]. *)
@@ -436,69 +458,85 @@ and branch rs frame tid guide sleep wc =
           match t.Mcsys.target with
           | Mcsys.Abort ->
             Atomic.set rs.abort true;
-            rs.emit (List.rev frame.f_events, Trace.SAbort)
+            emit rs frame.f_events Trace.SAbort
           | Mcsys.Next w' ->
-            let sleep' = List.filter (fun s -> survives_sleep s t) sleep in
-            let events' =
-              match t.Mcsys.label with
-              | Mcsys.Levt e -> e :: frame.f_events
-              | Mcsys.Ltau | Mcsys.Lsw -> frame.f_events
+            let sleep' =
+              if List.for_all (fun s -> survives_sleep s t) sleep then sleep
+              else List.filter (fun s -> survives_sleep s t) sleep
             in
-            visit rs
-              ~via:(frame.f_fp, t)
-              ((frame, t) :: frame.f_path)
-              frame.f_on_path w' events' sleep'
-              (frame.f_depth + 1)
-              guide wc)
+            visit rs (Some (frame, t)) w' sleep' guide wc)
         g.g_trans
 
-(** Visit world [w] reached over [path] (newest first). [via] is the
-    edge that led here (parent fingerprint and executed transition),
-    recorded against this world's fingerprint — which is computed here
-    anyway for the store, so recording costs no extra fingerprints.
-    [guide] is the rest of the wakeup sequence being replayed; an empty
-    (or diverged) guide means free exploration: schedule the first
-    non-sleeping thread, and let race reversals spawn the rest. *)
-and visit rs ?via path on_path w events sleep depth guide wc =
+(** Visit world [w], reached from [parent] — the frame it was stepped
+    from and the executed transition — or an initial world when
+    [parent] is [None]. The edge is recorded against this world's
+    fingerprint, which is computed here anyway for the table, so
+    recording costs no extra fingerprints. [guide] is the rest of the
+    wakeup sequence being replayed; an empty (or diverged) guide means
+    free exploration: schedule the first non-sleeping thread, and let
+    race reversals spawn the rest. *)
+and visit rs parent w sleep guide wc =
   let ws = wstats_of rs wc in
   if over_budget rs ws then ()
   else begin
     let wfp = rs.sys.Mcsys.fingerprint w in
-    (match Store.add rs.store wfp with
-    | `New ->
-      (* first admission: record the spanning-tree edge that led here
-         (the parent is already recorded — it was admitted, and so
-         recorded, before any task could descend through it) *)
-      (match (rs.recorder, via) with
-      | Some r, Some (parent, (t : 'w Mcsys.trans)) ->
-        Recorder.record r ~parent
-          {
-            Recorder.r_tid = t.Mcsys.tid;
-            r_label = t.Mcsys.label;
-            r_fp = t.Mcsys.fp;
-          }
-          ~child:wfp
-      | _ -> ());
-      rs.on_world w
-    | `Seen -> ()
-    | `Full -> Atomic.set rs.incomplete true);
-    if rs.sys.Mcsys.all_done w then rs.emit (List.rev events, Trace.SDone)
+    let done_ = rs.sys.Mcsys.all_done w in
+    let slot =
+      match Store.add rs.store wfp with
+      | `New slot ->
+        (* first admission: record the spanning-tree edge that led here
+           (the parent is already recorded — it was admitted, and so
+           recorded, before any task could descend through it), then
+           hand the world and its transitions to the visitor, memoizing
+           them for every later visit *)
+        (match (rs.recorder, parent) with
+        | Some r, Some (f, (t : 'w Mcsys.trans)) ->
+          Recorder.record r ~parent:f.f_fp
+            {
+              Recorder.r_tid = t.Mcsys.tid;
+              r_label = t.Mcsys.label;
+              r_fp = t.Mcsys.fp;
+            }
+            ~child:wfp
+        | _ -> ());
+        if done_ then rs.on_world w []
+        else begin
+          let trans = rs.sys.Mcsys.trans w in
+          Store.fill slot (group_by_tid trans);
+          rs.on_world w trans
+        end;
+        Some slot
+      | `Seen slot -> Some slot
+      | `Full ->
+        Atomic.set rs.incomplete true;
+        None
+    in
+    let path, hist, events, on_path, depth =
+      match parent with
+      | None -> ([], [], [], SSet.empty, 0)
+      | Some (f, t) ->
+        ( (f, t) :: f.f_path,
+          extend_hist f.f_hist t,
+          (match t.Mcsys.label with
+          | Mcsys.Levt e when rs.collect -> e :: f.f_events
+          | Mcsys.Levt _ | Mcsys.Ltau | Mcsys.Lsw -> f.f_events),
+          f.f_on_path,
+          f.f_depth + 1 )
+    in
+    if done_ then emit rs events Trace.SDone
     else if depth >= rs.cfg.max_depth then begin
       Atomic.set rs.incomplete true;
-      rescue rs path w wc;
-      rs.emit (List.rev events, Trace.SCut)
+      rescue rs path (groups_of rs slot w) wc;
+      emit rs events Trace.SCut
     end
     else if SSet.mem wfp on_path then begin
       (* a cycle on the current schedule: the continuation diverges *)
-      rescue rs path w wc;
-      rs.emit (List.rev events, Trace.SCut)
+      rescue rs path (groups_of rs slot w) wc;
+      emit rs events Trace.SCut
     end
     else begin
-      let groups =
-        Gcache.find_or_add rs.gcache wfp (fun () ->
-            group_by_tid (rs.sys.Mcsys.trans w))
-      in
-      if groups = [] then rs.emit (List.rev events, Trace.SCut)
+      let groups = groups_of rs slot w in
+      if groups = [] then emit rs events Trace.SCut
       else begin
         let enabled =
           List.fold_left (fun s g -> ISet.add g.g_tid s) ISet.empty groups
@@ -509,6 +547,7 @@ and visit rs ?via path on_path w events sleep depth guide wc =
             f_groups = groups;
             f_enabled = enabled;
             f_path = path;
+            f_hist = hist;
             f_events = events;
             f_on_path = SSet.add wfp on_path;
             f_depth = depth;
@@ -519,23 +558,17 @@ and visit rs ?via path on_path w events sleep depth guide wc =
         in
         (* every pending thread may reverse a race with the history *)
         List.iter (fun g -> race_reversal rs frame g wc) groups;
-        let sleep_tids =
-          List.fold_left (fun s q -> ISet.add q.s_tid s) ISet.empty sleep
-        in
+        let asleep tid = List.exists (fun s -> s.s_tid = tid) sleep in
         let first =
           match guide with
           | gt :: grest
             when List.exists (fun g -> g.g_tid = gt) groups
-                 && not (ISet.mem gt sleep_tids) ->
+                 && not (asleep gt) ->
             Some (gt, grest)
           | _ -> (
             (* guide done, diverged, or put to sleep by a sibling that
                beat it here: free exploration (guides only steer) *)
-            match
-              List.find_opt
-                (fun g -> not (ISet.mem g.g_tid sleep_tids))
-                groups
-            with
+            match List.find_opt (fun g -> not (asleep g.g_tid)) groups with
             | Some g0 -> Some (g0.g_tid, [])
             | None -> None)
         in
@@ -573,43 +606,48 @@ let root_width (sys : 'w Mcsys.t) (initials : 'w list) =
       if sys.Mcsys.all_done w0 then s
       else
         List.fold_left
-          (fun s g -> ISet.add g.g_tid s)
-          s
-          (group_by_tid (sys.Mcsys.trans w0)))
+          (fun s (t : 'w Mcsys.trans) -> ISet.add t.Mcsys.tid s)
+          s (sys.Mcsys.trans w0))
     ISet.empty initials
   |> ISet.cardinal
 
 (** Run the DPOR engine. [collect] selects trace accumulation (trace
     enumeration) vs. pure reachability; [on_world] is called once per
-    distinct world (under a lock when [jobs > 1], so race-predictor
-    reductions stay race-free; their verdict must not depend on call
-    order — [Cas_conc.Race] reduces by min [witness_key]). *)
+    distinct world with the transitions the engine explores out of it
+    ([] for a world where every thread is done), computed once and
+    shared with the exploration. Under [jobs > 1] it runs under a lock,
+    so race-predictor reductions stay race-free; their verdict must not
+    depend on call order — [Cas_conc.Race] reduces by min
+    [witness_key]. *)
 let run ?(jobs = 1) ?(collect = true) ?(cfg = default_cfg) ?recorder
-    (sys : 'w Mcsys.t) (initials : 'w list) ~(on_world : 'w -> unit) :
+    (sys : 'w Mcsys.t) (initials : 'w list)
+    ~(on_world : 'w -> 'w Mcsys.trans list -> unit) :
     Trace.result * Stats.t =
   let t0 = Unix.gettimeofday () *. 1e9 in
   let jobs = max 1 jobs in
   let jobs = if jobs > 1 && root_width sys initials <= 1 then 1 else jobs in
   let parallel = jobs > 1 in
-  let store = Store.create ~shards:64 ~capacity:cfg.max_worlds () in
+  let store =
+    Store.create ~shards:(if parallel then 8 * jobs else 1)
+      ~capacity:cfg.max_worlds ()
+  in
   let traces = ref Trace.Set.empty in
   let tlock = Mutex.create () in
   let wlock = Mutex.create () in
   let emit tr =
-    if collect then
-      if parallel then begin
-        Mutex.lock tlock;
-        traces := Trace.Set.add tr !traces;
-        Mutex.unlock tlock
-      end
-      else traces := Trace.Set.add tr !traces
+    if parallel then begin
+      Mutex.lock tlock;
+      traces := Trace.Set.add tr !traces;
+      Mutex.unlock tlock
+    end
+    else traces := Trace.Set.add tr !traces
   in
   let on_world =
-    if parallel then fun w ->
+    if parallel then fun w trans ->
       Mutex.lock wlock;
       Fun.protect
         ~finally:(fun () -> Mutex.unlock wlock)
-        (fun () -> on_world w)
+        (fun () -> on_world w trans)
     else on_world
   in
   let rs =
@@ -617,9 +655,9 @@ let run ?(jobs = 1) ?(collect = true) ?(cfg = default_cfg) ?recorder
       sys;
       cfg;
       store;
-      gcache = Gcache.create ~capacity:cfg.max_worlds ();
       recorder;
       on_world;
+      collect;
       emit;
       paths = Atomic.make 0;
       abort = Atomic.make false;
@@ -635,7 +673,7 @@ let run ?(jobs = 1) ?(collect = true) ?(cfg = default_cfg) ?recorder
         (match rs.recorder with
         | Some r -> Recorder.root r (sys.Mcsys.fingerprint w0)
         | None -> ());
-        visit rs [] SSet.empty w0 [] [] 0 [] wc)
+        visit rs None w0 [] [] wc)
       initials
   in
   let steals = Frontier.run_stealing ~jobs roots in

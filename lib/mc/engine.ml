@@ -32,19 +32,27 @@ let resolve_jobs = function
   | None -> Frontier.default_jobs ()
 
 (** Reachability with the selected engine; [visit] fires once per
-    distinct world (hold no assumption on visit order across engines). *)
-let reachable ?(engine = Naive) ?jobs ?(max_worlds = 200_000) ?recorder
-    (sys : 'w Mcsys.t) (initials : 'w list) ~(visit : 'w -> unit) : Stats.t =
+    distinct world (hold no assumption on visit order across engines),
+    with the transitions the engine explores out of it — computed once
+    and shared with the exploration, so a visitor that needs a world's
+    successors (the race predictor) reads them instead of stepping the
+    world again. *)
+let reachable_trans ?(engine = Naive) ?jobs ?(max_worlds = 200_000) ?recorder
+    (sys : 'w Mcsys.t) (initials : 'w list)
+    ~(visit : 'w -> 'w Mcsys.trans list -> unit) : Stats.t =
   match engine with
   | Naive -> Naive.reachable ~max_worlds ?recorder sys initials ~visit
-  | Dpor ->
+  | Dpor | Dpor_par ->
     let cfg = { Dpor.default_cfg with Dpor.max_worlds } in
-    snd (Dpor.run ~collect:false ~cfg ?recorder sys initials ~on_world:visit)
-  | Dpor_par ->
-    let cfg = { Dpor.default_cfg with Dpor.max_worlds } in
+    let jobs = if engine = Dpor then 1 else resolve_jobs jobs in
     snd
-      (Dpor.run ~jobs:(resolve_jobs jobs) ~collect:false ~cfg ?recorder sys
-         initials ~on_world:visit)
+      (Dpor.run ~jobs ~collect:false ~cfg ?recorder sys initials
+         ~on_world:visit)
+
+(** [reachable_trans] for a visitor that needs only the world. *)
+let reachable ?engine ?jobs ?max_worlds ?recorder sys initials ~visit =
+  reachable_trans ?engine ?jobs ?max_worlds ?recorder sys initials
+    ~visit:(fun w _ -> visit w)
 
 (** Trace enumeration with the selected engine. *)
 let traces ?(engine = Naive) ?jobs ?(max_steps = 4000)
@@ -58,4 +66,4 @@ let traces ?(engine = Naive) ?jobs ?(max_steps = 4000)
     in
     let jobs = if engine = Dpor then 1 else resolve_jobs jobs in
     Dpor.run ~jobs ~collect:true ~cfg ?recorder sys initials
-      ~on_world:ignore
+      ~on_world:(fun _ _ -> ())

@@ -1,19 +1,10 @@
-(** Parallel frontier schedulers for the exploration engines.
+(** The work-stealing scheduler behind the DPOR engine.
 
-    Two schedulers live here:
-
-    - [run]/[split]: the historical batch entry points (a fixed task
-      array drained by a domain pool), still used by the naive BFS
-      engine's level-synchronous sharding. Mechanics in [Cas_base.Pool].
-
-    - [run_stealing]: the work-stealing scheduler behind the DPOR
-      engine. Each domain owns a {!Cas_base.Deque} (Chase–Lev) of
-      exploration tasks. A running task pushes the branches it creates
-      onto its own deque (LIFO, so each domain stays depth-first inside
-      its subtree); a dry domain steals from victims oldest-first, i.e.
-      the task closest to the root — the largest stealable subtree.
-      This replaces the root-split frontier whose domains idled once
-      their one subtree drained.
+    Each domain owns a {!Cas_base.Deque} (Chase–Lev) of exploration
+    tasks. A running task pushes the branches it creates onto its own
+    deque (LIFO, so each domain stays depth-first inside its subtree); a
+    dry domain steals from victims oldest-first, i.e. the task closest
+    to the root — the largest stealable subtree.
 
     Termination uses a global pending-task count: [push] increments it
     before the task becomes visible, and a worker decrements it only
@@ -23,13 +14,6 @@
     bails out, and the first exception is re-raised on the caller. *)
 
 let default_jobs = Cas_base.Pool.default_jobs
-
-(** Run every task, returning results in task order. *)
-let run ~jobs (tasks : (unit -> 'a) list) : 'a list =
-  Cas_base.Pool.run ~jobs tasks
-
-(** Split a list into at most [n] contiguous chunks of near-equal size. *)
-let split n l = Cas_base.Pool.split n l
 
 (** Worker context: a task runs on exactly one worker and uses its
     context to push children ({!push}) and to index per-worker state

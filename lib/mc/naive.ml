@@ -14,96 +14,56 @@ let now_ns () = Unix.gettimeofday () *. 1e9
 (* ------------------------------------------------------------------ *)
 
 (** Breadth-first reachability; [visit] is called once per distinct
-    world. With [jobs > 1] the BFS is level-synchronous and sharded: each
-    frontier level is split across the domain pool and the sharded store
-    arbitrates duplicates ([visit] is then serialized under a lock, and
-    visit *order* is not deterministic — verdicts computed from visits
-    must be order-insensitive). *)
-let reachable ?(jobs = 1) ?(max_worlds = 200_000) ?recorder
-    (sys : 'w Mcsys.t) (initials : 'w list) ~(visit : 'w -> unit) : Stats.t =
+    world, with the transitions the search follows out of it. *)
+let reachable ?(max_worlds = 200_000) ?recorder (sys : 'w Mcsys.t)
+    (initials : 'w list) ~(visit : 'w -> 'w Mcsys.trans list -> unit) :
+    Stats.t =
   let t0 = now_ns () in
   let store = Store.create ~capacity:max_worlds () in
-  let transitions = Atomic.make 0 in
-  let abort = Atomic.make false in
-  (* the frontier carries each world's fingerprint (computed when it was
+  let transitions = ref 0 in
+  let abort = ref false in
+  let queue = Queue.create () in
+  (* the queue carries each world's fingerprint (computed when it was
      admitted to the store) so neither visiting nor edge recording ever
      recomputes one *)
-  let expand (w, wfp) =
-    (* successors of a visited world, deduplicated through the store *)
-    List.filter_map
-      (fun (tr : 'w Mcsys.trans) ->
-        Atomic.incr transitions;
-        match tr.Mcsys.target with
-        | Mcsys.Abort ->
-          Atomic.set abort true;
-          None
-        | Mcsys.Next w' ->
-          let cfp = sys.Mcsys.fingerprint w' in
-          if Store.add store cfp = `New then begin
-            (match recorder with
-            | None -> ()
-            | Some r ->
-              Recorder.record r ~parent:wfp
-                {
-                  Recorder.r_tid = tr.Mcsys.tid;
-                  r_label = tr.Mcsys.label;
-                  r_fp = tr.Mcsys.fp;
-                }
-                ~child:cfp);
-            Some (w', cfp)
-          end
-          else None)
-      (sys.Mcsys.trans w)
-  in
-  let root fp =
-    match recorder with None -> () | Some r -> Recorder.root r fp
-  in
-  let admit w =
+  let admit ?edge w =
     let fp = sys.Mcsys.fingerprint w in
-    if Store.add store fp = `New then begin
-      root fp;
-      Some (w, fp)
-    end
-    else None
+    match Store.add store fp with
+    | `New _ ->
+      (match (recorder, edge) with
+      | None, _ -> ()
+      | Some r, None -> Recorder.root r fp
+      | Some r, Some (parent, (tr : 'w Mcsys.trans)) ->
+        Recorder.record r ~parent
+          {
+            Recorder.r_tid = tr.Mcsys.tid;
+            r_label = tr.Mcsys.label;
+            r_fp = tr.Mcsys.fp;
+          }
+          ~child:fp);
+      Queue.add (w, fp) queue
+    | `Seen _ | `Full -> ()
   in
-  if jobs <= 1 then begin
-    let queue = Queue.create () in
+  List.iter (fun w -> admit w) initials;
+  while not (Queue.is_empty queue) do
+    let w, wfp = Queue.pop queue in
+    let trans = sys.Mcsys.trans w in
+    visit w trans;
     List.iter
-      (fun w -> Option.iter (fun p -> Queue.add p queue) (admit w))
-      initials;
-    while not (Queue.is_empty queue) do
-      let ((w, _) as p) = Queue.pop queue in
-      visit w;
-      List.iter (fun p' -> Queue.add p' queue) (expand p)
-    done
-  end
-  else begin
-    let vlock = Mutex.create () in
-    let frontier = ref (List.filter_map admit initials) in
-    while !frontier <> [] do
-      let next =
-        Frontier.run ~jobs
-          (List.map
-             (fun chunk () ->
-               List.concat_map
-                 (fun ((w, _) as p) ->
-                   Mutex.lock vlock;
-                   Fun.protect ~finally:(fun () -> Mutex.unlock vlock)
-                     (fun () -> visit w);
-                   expand p)
-                 chunk)
-             (Frontier.split jobs !frontier))
-      in
-      frontier := List.concat next
-    done
-  end;
+      (fun (tr : 'w Mcsys.trans) ->
+        incr transitions;
+        match tr.Mcsys.target with
+        | Mcsys.Abort -> abort := true
+        | Mcsys.Next w' -> admit ~edge:(wfp, tr) w')
+      trans
+  done;
   {
-    (Stats.zero ~engine:(if jobs <= 1 then "naive" else "naive-par")) with
+    (Stats.zero ~engine:"naive") with
     Stats.worlds = Store.distinct store;
-    transitions = Atomic.get transitions;
+    transitions = !transitions;
     store_hits = Store.hits store;
     truncated = Store.truncated store;
-    abort_reachable = Atomic.get abort;
+    abort_reachable = !abort;
     wall_ns = now_ns () -. t0;
   }
 

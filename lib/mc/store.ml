@@ -1,20 +1,26 @@
-(** Canonical state store: a sharded hash table keyed by world
-    fingerprint, with hit/miss/truncation accounting.
+(** Canonical state table: a sharded hash table keyed by world
+    fingerprint, with hit/miss/truncation accounting, whose slot for
+    each admitted world holds a value the engine memoizes for it — the
+    DPOR engine keeps the world's transition groups there, so a visit
+    costs one hash and one lock for both the seen-check and the
+    transition lookup.
 
     Sharding serves the parallel frontier scheduler: each shard carries
     its own lock — and its own hit counter, folded on read — so domains
-    insert concurrently with contention only on colliding shards. The global capacity is enforced with an atomic
-    counter read under only the *shard* lock, so the cap is approximate
-    under parallel insertion — but boundedly so. Precise over-admission
-    bound: with [D] domains racing, at most [capacity + D - 1] keys are
-    ever admitted. Proof sketch: an admission requires observing
-    [count < capacity] before its own [incr]; once some [incr] makes
-    [count = capacity] the counter never decreases, so every admission
-    after that point must have loaded [count] before that [incr]
-    committed — and at most [D - 1] *other* domains can each hold one
-    such stale in-flight load (one insertion per domain at a time, each
-    load is consumed by its own [incr]). Hence over-admission < D, it
-    only affects where truncation is reported, never soundness.
+    insert concurrently with contention only on colliding shards. A
+    sequential run uses one shard. The global capacity is enforced with
+    an atomic counter read under only the *shard* lock, so the cap is
+    approximate under parallel insertion — but boundedly so. Precise
+    over-admission bound: with [D] domains racing, at most
+    [capacity + D - 1] keys are ever admitted. Proof sketch: an
+    admission requires observing [count < capacity] before its own
+    [incr]; once some [incr] makes [count = capacity] the counter never
+    decreases, so every admission after that point must have loaded
+    [count] before that [incr] committed — and at most [D - 1] *other*
+    domains can each hold one such stale in-flight load (one insertion
+    per domain at a time, each load is consumed by its own [incr]).
+    Hence over-admission < D, it only affects where truncation is
+    reported, never soundness.
 
     The [full] flag is *set-only* ([Atomic.set t.full true] on every
     refusal, no reset path exists), so once any insertion is refused,
@@ -22,58 +28,120 @@
     cannot lose the flag, which [test/test_mc.ml] hammers with a Pool
     of racing inserters. *)
 
-type shard = {
+(** A key's cell in its shard's chained hash table. The cell itself is
+    the slot handed to callers: [value] is the memo, filled at most
+    once by whoever computes it first (a reader that finds it empty
+    computes the value itself — under parallel exploration a racing
+    duplicate of a deterministic computation is benign). Resizing
+    relinks cells in place, so a slot stays valid for the table's
+    lifetime, and a key costs one cell, whether or not its slot is ever
+    filled. *)
+type 'a cell =
+  | Nil
+  | Slot of { key : string; mutable value : 'a option; mutable next : 'a cell }
+
+type 'a slot = 'a cell  (** always a [Slot] *)
+
+type 'a shard = {
   lock : Mutex.t;
-  tbl : (string, unit) Hashtbl.t;
+  mutable buckets : 'a cell array;  (** power-of-two length *)
+  mutable size : int;
   mutable shits : int;
       (** hits on this shard, bumped under [lock] — hits are the common
           case in DPOR revisits, and a single global atomic would be the
           one cacheline every stealing domain fights over *)
 }
 
-type t = {
-  shards : shard array;
+type 'a t = {
+  shards : 'a shard array;
   capacity : int;
   count : int Atomic.t;  (** distinct keys inserted (misses) *)
   full : bool Atomic.t;  (** an insertion was refused *)
 }
 
-let create ?(shards = 16) ~capacity () =
+let create ?(shards = 1) ~capacity () =
   {
     shards =
       Array.init (max 1 shards) (fun _ ->
-          { lock = Mutex.create (); tbl = Hashtbl.create 256; shits = 0 });
+          {
+            lock = Mutex.create ();
+            buckets = Array.make 64 Nil;
+            size = 0;
+            shits = 0;
+          });
     capacity;
     count = Atomic.make 0;
     full = Atomic.make false;
   }
 
-(** Insert a fingerprint. [`New]: first time seen; [`Seen]: already
-    present (a hit); [`Full]: refused, the store reached capacity. *)
-let add t key : [ `New | `Seen | `Full ] =
-  let shard = t.shards.(Hashtbl.hash key mod Array.length t.shards) in
-  Mutex.lock shard.lock;
-  let r =
-    if Hashtbl.mem shard.tbl key then begin
-      shard.shits <- shard.shits + 1;
-      `Seen
-    end
-    else if Atomic.get t.count >= t.capacity then `Full
-    else begin
-      Hashtbl.add shard.tbl key ();
-      Atomic.incr t.count;
-      `New
-    end
+(** One hash per key picks both its shard ([h mod shards]) and its
+    bucket there ([bucket]). *)
+let bucket t h (buckets : 'a cell array) =
+  (h / Array.length t.shards) land (Array.length buckets - 1)
+
+let rec find key = function
+  | Nil -> Nil
+  | Slot s as c -> if String.equal s.key key then c else find key s.next
+
+(* Double the buckets of [sh], relinking every cell in place. *)
+let grow t sh =
+  let fresh = Array.make (2 * Array.length sh.buckets) Nil in
+  let rec move = function
+    | Nil -> ()
+    | Slot s as c ->
+      let next = s.next in
+      let i = bucket t (String.hash s.key) fresh in
+      s.next <- fresh.(i);
+      fresh.(i) <- c;
+      move next
   in
-  Mutex.unlock shard.lock;
-  (match r with `Full -> Atomic.set t.full true | `New | `Seen -> ());
+  Array.iter move sh.buckets;
+  sh.buckets <- fresh
+
+(** Insert a fingerprint. [`New s]: first time seen, [s] is its fresh
+    empty slot; [`Seen s]: already present (a hit), [s] is the slot
+    [`New] returned; [`Full]: refused, the table reached capacity — a
+    refused key gets no slot. *)
+let add t key : [ `New of 'a slot | `Seen of 'a slot | `Full ] =
+  let h = String.hash key in
+  let sh = t.shards.(h mod Array.length t.shards) in
+  Mutex.lock sh.lock;
+  let i = bucket t h sh.buckets in
+  let r =
+    match find key sh.buckets.(i) with
+    | Slot _ as c ->
+      sh.shits <- sh.shits + 1;
+      `Seen c
+    | Nil ->
+      if Atomic.get t.count >= t.capacity then `Full
+      else begin
+        let c = Slot { key; value = None; next = sh.buckets.(i) } in
+        sh.buckets.(i) <- c;
+        sh.size <- sh.size + 1;
+        if sh.size > 2 * Array.length sh.buckets then grow t sh;
+        Atomic.incr t.count;
+        `New c
+      end
+  in
+  Mutex.unlock sh.lock;
+  (match r with `Full -> Atomic.set t.full true | `New _ | `Seen _ -> ());
   r
 
+let get : 'a slot -> 'a option = function Slot s -> s.value | Nil -> None
+
+let fill (c : 'a slot) v =
+  match c with Slot s -> s.value <- Some v | Nil -> ()
+
 let mem t key =
-  let shard = t.shards.(Hashtbl.hash key mod Array.length t.shards) in
-  Mutex.lock shard.lock;
-  let r = Hashtbl.mem shard.tbl key in
-  Mutex.unlock shard.lock;
+  let h = String.hash key in
+  let sh = t.shards.(h mod Array.length t.shards) in
+  Mutex.lock sh.lock;
+  let r =
+    match find key sh.buckets.(bucket t h sh.buckets) with
+    | Slot _ -> true
+    | Nil -> false
+  in
+  Mutex.unlock sh.lock;
   r
 
 let distinct t = Atomic.get t.count

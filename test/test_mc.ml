@@ -83,19 +83,63 @@ let trace_corpus () =
 (* Store unit tests                                                    *)
 (* ------------------------------------------------------------------ *)
 
+let is_new = function `New _ -> true | `Seen _ | `Full -> false
+let is_seen = function `Seen _ -> true | `New _ | `Full -> false
+let is_full = function `Full -> true | `New _ | `Seen _ -> false
+
 let test_store_accounting () =
-  let s = Cas_mc.Store.create ~shards:4 ~capacity:3 () in
-  check tbool "a is new" true (Cas_mc.Store.add s "a" = `New);
-  check tbool "a again is seen" true (Cas_mc.Store.add s "a" = `Seen);
-  check tbool "b is new" true (Cas_mc.Store.add s "b" = `New);
-  check tbool "c is new" true (Cas_mc.Store.add s "c" = `New);
-  check tbool "d hits capacity" true (Cas_mc.Store.add s "d" = `Full);
-  check tbool "a still seen at capacity" true (Cas_mc.Store.add s "a" = `Seen);
+  let s : string Cas_mc.Store.t =
+    Cas_mc.Store.create ~shards:4 ~capacity:3 ()
+  in
+  let a = Cas_mc.Store.add s "a" in
+  check tbool "a is new" true (is_new a);
+  (match a with `New slot -> Cas_mc.Store.fill slot "groups of a" | _ -> ());
+  let a' = Cas_mc.Store.add s "a" in
+  check tbool "a again is seen" true (is_seen a');
+  check tbool "a's seen slot is the one filled at new" true
+    (match a' with
+    | `Seen slot -> Cas_mc.Store.get slot = Some "groups of a"
+    | `New _ | `Full -> false);
+  check tbool "b is new" true (is_new (Cas_mc.Store.add s "b"));
+  check tbool "c is new" true (is_new (Cas_mc.Store.add s "c"));
+  (* the refusal carries no slot by construction: its constructor has
+     no argument, so nothing can be memoized for a refused key *)
+  check tbool "d hits capacity" true (is_full (Cas_mc.Store.add s "d"));
+  check tbool "d stays refused, still without a slot" true
+    (is_full (Cas_mc.Store.add s "d"));
+  check tbool "a still seen at capacity" true
+    (is_seen (Cas_mc.Store.add s "a"));
   check tint "distinct" 3 (Cas_mc.Store.distinct s);
   check tint "hits" 2 (Cas_mc.Store.hits s);
   check tbool "truncated" true (Cas_mc.Store.truncated s);
   check tbool "mem a" true (Cas_mc.Store.mem s "a");
   check tbool "not mem d" false (Cas_mc.Store.mem s "d")
+
+(* A slot is the key's own table cell, relinked in place when a shard
+   grows: slots filled before any number of growths still answer for
+   their keys, on one shard and on several. *)
+let test_store_slots_survive_growth () =
+  List.iter
+    (fun shards ->
+      let s : int Cas_mc.Store.t =
+        Cas_mc.Store.create ~shards ~capacity:5000 ()
+      in
+      for i = 0 to 4999 do
+        match Cas_mc.Store.add s (string_of_int i) with
+        | `New slot -> Cas_mc.Store.fill slot i
+        | `Seen _ | `Full -> Alcotest.failf "key %d not new" i
+      done;
+      check tint (Fmt.str "%d shards: distinct" shards) 5000
+        (Cas_mc.Store.distinct s);
+      for i = 0 to 4999 do
+        match Cas_mc.Store.add s (string_of_int i) with
+        | `Seen slot ->
+          if Cas_mc.Store.get slot <> Some i then
+            Alcotest.failf "%d shards: key %d lost its slot" shards i
+        | `New _ | `Full -> Alcotest.failf "key %d not seen" i
+      done;
+      check tint (Fmt.str "%d shards: hits" shards) 5000 (Cas_mc.Store.hits s))
+    [ 1; 3 ]
 
 (* The capacity cap is approximate under parallel insertion by at most
    D - 1 keys for D racing domains (see [Store]), and the [full] flag is
@@ -104,7 +148,9 @@ let test_store_full_parallel () =
   let jobs = 4 in
   let capacity = 500 in
   for round = 1 to 3 do
-    let s = Cas_mc.Store.create ~capacity () in
+    let s : unit Cas_mc.Store.t =
+      Cas_mc.Store.create ~shards:16 ~capacity ()
+    in
     let tasks =
       List.init jobs (fun d () ->
           for i = 0 to 1999 do
@@ -323,6 +369,35 @@ let test_world_counts_pinned () =
         (worlds Engine.Dpor_par))
     corpus
 
+(* The sequential dpor engine's work counters on the corpus. The state
+   table, the transitions shared with the visitor and the path
+   summaries are bookkeeping: the engine must explore the same tree as
+   without them — every transition, wakeup insertion and store hit —
+   so these values come from the engine that had none of the three. *)
+let test_dpor_counters_pinned () =
+  let corpus =
+    [
+      ("lock-counter", Corpus.lock_counter_prog (), (232, 5, 72));
+      ("lock-counter-3", lock_counter_3_prog (), (872, 21, 511));
+      ("producer-consumer", producer_consumer_prog (), (90, 0, 1));
+      ("prints-2", prints_prog 2, (43, 5, 21));
+      ("prints-3", prints_prog 3, (660, 89, 567));
+      ("racy", Corpus.racy_prog (), (86, 7, 16));
+      ("observer", Corpus.observer_prog (), (29, 2, 0));
+    ]
+  in
+  List.iter
+    (fun (name, p, (transitions, backtracks, store_hits)) ->
+      let st = Engine.explore ~engine:Engine.Dpor (load p) ~visit:ignore in
+      check tint (name ^ ": transitions") transitions
+        st.Cas_mc.Stats.transitions;
+      check tint (name ^ ": wakeup insertions") backtracks
+        st.Cas_mc.Stats.backtracks;
+      check tint (name ^ ": store hits") store_hits st.Cas_mc.Stats.store_hits;
+      check tint (name ^ ": sleep prunings") 0
+        st.Cas_mc.Stats.sleep_prunings)
+    corpus
+
 (* Source-set-filtered wakeup insertion must never steer exploration
    into a sleep-set wall: on the whole corpus, sleep-set-blocked
    explorations (the old engine's pure waste, [Stats.sleep_prunings])
@@ -464,6 +539,8 @@ let () =
       ( "units",
         [
           Alcotest.test_case "store accounting" `Quick test_store_accounting;
+          Alcotest.test_case "store slots survive table growth" `Quick
+            test_store_slots_survive_growth;
           Alcotest.test_case "store full flag under parallel hammering"
             `Quick test_store_full_parallel;
           Alcotest.test_case "engine names" `Quick test_engine_names;
@@ -483,6 +560,8 @@ let () =
           Alcotest.test_case "dpor >=5x on corpus" `Slow test_dpor_reduction;
           Alcotest.test_case "world counts pinned across key change" `Slow
             test_world_counts_pinned;
+          Alcotest.test_case "dpor work counters pinned" `Quick
+            test_dpor_counters_pinned;
           Alcotest.test_case "no sleep-set-blocked exploration" `Slow
             test_no_sleep_blocked;
           Alcotest.test_case "dpor-par short-circuits 1-thread roots" `Quick
