@@ -310,13 +310,9 @@ let fig2 () =
          Test.make ~name:"DRF(target), preemptive"
            (staged (fun () -> Race.drf w_tgt));
          Test.make ~name:"traces source preemptive"
-           (staged (fun () ->
-                Explore.traces ~max_steps:2500 Preemptive.steps
-                  (Gsem.initials w_src)));
+           (staged (fun () -> Engine.traces ~max_steps:2500 w_src));
          Test.make ~name:"traces source non-preemptive"
-           (staged (fun () ->
-                Explore.traces ~max_steps:2500 Nonpreemptive.steps
-                  (Gsem.initials w_src)));
+           (staged (fun () -> Engine.np_traces ~max_steps:2500 w_src));
          Test.make ~name:"whole Fig.2 pipeline"
            (staged (fun () -> Cascompcert.Framework.check_fig2 input));
        ])
@@ -364,17 +360,15 @@ let np_reduction () =
       match World.load p ~args:[] with
       | Error _ -> ()
       | Ok w ->
-        let count step =
-          (Explore.reachable ~max_worlds:400_000 step (Gsem.initials w)
-             ~visit:(fun _ -> ()))
-            .Explore.visited
-        in
         let mc engine =
           (Engine.explore ~engine ~max_worlds:400_000 w ~visit:(fun _ -> ()))
             .Cas_mc.Stats.worlds
         in
-        let pre = count Preemptive.steps in
-        let np = count Nonpreemptive.steps in
+        let pre = mc Engine.Naive in
+        let np =
+          (Engine.np_explore ~max_worlds:400_000 w ~visit:(fun _ -> ()))
+            .Cas_mc.Stats.worlds
+        in
         let dpor = mc Engine.Dpor in
         let dpor_par = mc Engine.Dpor_par in
         record_worlds ~program:name ~engine:"naive" pre;
@@ -408,21 +402,15 @@ let fig3 () =
         Cas_tso.Objsim.check_drf_guarantee ~max_steps:2500 ~clients:[ client ]
           ~pi ~gamma ~entries:[ "inc"; "inc" ] ()
       in
-      let worlds =
+      let explore engine =
         match Cas_tso.Tso.load [ client; pi ] [ "inc"; "inc" ] with
-        | Error _ -> 0
+        | Error _ -> Cas_mc.Stats.zero ~engine:(Engine.to_string engine)
         | Ok w ->
-          (Explore.reachable_gen ~max_worlds:400_000 Cas_tso.Tso.system
-             (Cas_tso.Tso.initials w) ~visit:(fun _ -> ()))
-            .Explore.visited
-      in
-      let dpor_st =
-        match Cas_tso.Tso.load [ client; pi ] [ "inc"; "inc" ] with
-        | Error _ -> Cas_mc.Stats.zero ~engine:"dpor"
-        | Ok w ->
-          Cas_tso.Tso.explore ~engine:Engine.Dpor ~max_worlds:400_000 w
+          Cas_tso.Tso.explore ~engine ~max_worlds:400_000 w
             ~visit:(fun _ -> ())
       in
+      let worlds = (explore Engine.Naive).Cas_mc.Stats.worlds in
+      let dpor_st = explore Engine.Dpor in
       record_worlds ~program:("tso-" ^ name) ~engine:"naive" worlds;
       record_worlds ~program:("tso-" ^ name) ~engine:"dpor"
         dpor_st.Cas_mc.Stats.worlds;
@@ -451,8 +439,7 @@ let fig3 () =
                    | Error _ -> ()
                    | Ok w ->
                      ignore
-                       (Explore.reachable_gen ~max_worlds:400_000
-                          Cas_tso.Tso.system (Cas_tso.Tso.initials w)
+                       (Cas_tso.Tso.explore ~max_worlds:400_000 w
                           ~visit:(fun _ -> ())))))
           variants))
 

@@ -663,7 +663,7 @@ let run_cmd =
         Fmt.epr "load error: %a@." World.pp_load_error e;
         1
       | Ok w ->
-        let tr = Explore.traces Preemptive.steps (Gsem.initials w) in
+        let tr, _ = Engine.traces w in
         Fmt.pr "observable traces (%s):@.%a@."
           (if tr.Explore.complete then "complete" else "bounded")
           Explore.TraceSet.pp tr.Explore.traces;
@@ -682,13 +682,9 @@ let drf_cmd =
      witness.  Steal counts and wall time are deliberately absent —
      three runs of [casc drf --json] at any jobs count must be
      byte-identical, and CI holds us to that. *)
-  let drf_json ~engine (r : Race.drf_report) : Cas_diag.Json.t =
+  let drf_json (r : Race.drf_report) : Cas_diag.Json.t =
     let open Cas_diag.Json in
-    let worlds, engine_s =
-      match r.Race.engine_stats with
-      | Some st -> (st.Cas_mc.Stats.worlds, st.Cas_mc.Stats.engine)
-      | None -> (r.Race.stats.Explore.visited, Engine.to_string engine)
-    in
+    let st = r.Race.engine_stats in
     let witness =
       match (r.Race.witness_world, r.Race.witness) with
       | Some w, Some wt -> Str (Race.witness_key w wt)
@@ -697,8 +693,8 @@ let drf_cmd =
     Obj
       [
         ("drf", Bool r.Race.drf);
-        ("engine", Str engine_s);
-        ("worlds", Int worlds);
+        ("engine", Str st.Cas_mc.Stats.engine);
+        ("worlds", Int st.Cas_mc.Stats.worlds);
         ("witness", witness);
       ]
   in
@@ -716,12 +712,10 @@ let drf_cmd =
     let jobs = validate_jobs jobs in
     let emit r =
       if json then
-        Fmt.pr "%s@." (Cas_diag.Json.to_string (drf_json ~engine r))
+        Fmt.pr "%s@." (Cas_diag.Json.to_string (drf_json r))
       else begin
         Fmt.pr "%a@." Race.pp_drf_report r;
-        Option.iter
-          (fun st -> Fmt.pr "engine: %a@." Cas_mc.Stats.pp st)
-          r.Race.engine_stats
+        Fmt.pr "engine: %a@." Cas_mc.Stats.pp r.Race.engine_stats
       end;
       if r.Race.drf then 0 else 2
     in
@@ -833,21 +827,25 @@ let sim_cmd =
        ~doc:"check the footprint-preserving simulation for every pass")
     Term.(const run $ file_arg $ paranoid_arg)
 
+(** The report of [casc tso]: the TSO traces Lemma 16 was decided on, the
+    engine's accounting of their enumeration, and the verdict. *)
+let print_guarantee (g : Cas_tso.Objsim.guarantee_report) =
+  Fmt.pr "x86-TSO traces (with the TTAS spin lock):@.%a@." Explore.TraceSet.pp
+    g.Cas_tso.Objsim.tso_traces;
+  Fmt.pr "engine: %a@." Cas_mc.Stats.pp g.Cas_tso.Objsim.tso_stats;
+  Fmt.pr "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g
+
 let tso_run_machine ~clients ~entries ~engine ~jobs : int =
   match Cas_tso.Tso.load (clients @ [ Cas_tso.Locks.pi_lock ]) entries with
   | Error e ->
     Fmt.epr "load error: %a@." World.pp_load_error e;
     1
-  | Ok w ->
-    let tr, st = Cas_tso.Tso.mc_traces ~engine ?jobs w in
-    Fmt.pr "x86-TSO traces (with the TTAS spin lock):@.%a@."
-      Explore.TraceSet.pp tr.Explore.traces;
-    if engine <> Engine.Naive then Fmt.pr "engine: %a@." Cas_mc.Stats.pp st;
+  | Ok _ ->
     let g =
       Cas_tso.Objsim.check_drf_guarantee ~engine ?jobs ~clients
         ~pi:Cas_tso.Locks.pi_lock ~gamma:(Cimp.gamma_lock ()) ~entries ()
     in
-    Fmt.pr "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g;
+    print_guarantee g;
     if g.Cas_tso.Objsim.holds then 0 else 2
 
 let tso_cmd =
@@ -880,15 +878,11 @@ let tso_cmd =
         Fmt.epr "load error: %a@." World.pp_load_error e;
         1
       | Ok w ->
-        let tr, st = Cas_tso.Tso.mc_traces ~engine ?jobs w in
-        Fmt.pr "x86-TSO traces (with the TTAS spin lock):@.%a@."
-          Explore.TraceSet.pp tr.Explore.traces;
-        if engine <> Engine.Naive then Fmt.pr "engine: %a@." Cas_mc.Stats.pp st;
         let g =
           Cas_tso.Objsim.check_drf_guarantee ~engine ?jobs ~clients:[ asm ]
             ~pi:Cas_tso.Locks.pi_lock ~gamma:(Cimp.gamma_lock ()) ~entries ()
         in
-        Fmt.pr "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g;
+        print_guarantee g;
         (match witness with
         | Some wfile when not g.Cas_tso.Objsim.holds -> (
           match capture_tso_failure w g with

@@ -96,7 +96,8 @@ let peterson ~fence : Asm.program =
 (* Mutual-exclusion monitor: count threads in the critical section;
    accepting (violating) state = 2. Run as a product search over the
    world graph — path enumeration would drown in schedule interleavings,
-   the memoized product search decides it exactly. *)
+   the memoized product search decides it exactly (or says that its
+   state cap cut it short). *)
 let cs_monitor =
   ( 0,
     (fun in_cs e ->
@@ -106,10 +107,10 @@ let cs_monitor =
       | _ -> in_cs),
     (fun in_cs -> in_cs >= 2) )
 
-let violated_sys sys initials =
+let violated_sys sys w =
   let init, step_state, accept = cs_monitor in
-  Explore.search sys initials ~init ~step_state ~accept
-    ~state_fp:string_of_int ()
+  Explore.search sys [ w ] ~init ~step_state ~accept ~state_fp:string_of_int
+    ()
 
 (* ------------------------------------------------------------------ *)
 
@@ -149,22 +150,23 @@ let () =
   (match World.load (sc_prog false) ~args:[] with
   | Error e -> Fmt.pr "load: %a@." World.pp_load_error e
   | Ok w ->
-    Fmt.pr "SC, no fence: violation observable? %b@.@."
-      (violated_sys (Explore.world_system Preemptive.steps) (Gsem.initials w)));
+    Fmt.pr "SC, no fence: violation %a@.@." Explore.pp_search_result
+      (violated_sys Engine.selection_system w));
 
   Fmt.pr "== 3. Under x86-TSO, the buffered flags break it ==@.";
   (match Cas_tso.Tso.load [ peterson ~fence:false ] [ "p0"; "p1" ] with
   | Error e -> Fmt.pr "load: %a@." World.pp_load_error e
   | Ok w ->
-    Fmt.pr "TSO, no fence: violation observable? %b  <- BROKEN@.@."
-      (violated_sys Cas_tso.Tso.system (Cas_tso.Tso.initials w)));
+    Fmt.pr "TSO, no fence: violation %a  <- BROKEN@.@."
+      Explore.pp_search_result
+      (violated_sys Cas_tso.Tso.mc_system w));
 
   Fmt.pr "== 4. An mfence after the stores repairs it ==@.";
   match Cas_tso.Tso.load [ peterson ~fence:true ] [ "p0"; "p1" ] with
   | Error e -> Fmt.pr "load: %a@." World.pp_load_error e
   | Ok w ->
-    Fmt.pr "TSO + mfence: violation observable? %b@."
-      (violated_sys Cas_tso.Tso.system (Cas_tso.Tso.initials w));
+    Fmt.pr "TSO + mfence: violation %a@." Explore.pp_search_result
+      (violated_sys Cas_tso.Tso.mc_system w);
     Fmt.pr
       "@.(moral: Peterson's races are not 'confined benign races' — no \
        race-free@. abstraction exists for them, so the paper's Lemma 16 does \

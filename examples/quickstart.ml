@@ -50,7 +50,7 @@ let () =
     match World.load prog ~args:[] with
     | Error e -> Fmt.pr "%s: load error %a@." name World.pp_load_error e
     | Ok w ->
-      let tr = Explore.traces Preemptive.steps (Gsem.initials w) in
+      let tr, _ = Engine.traces w in
       Fmt.pr "%s traces: @[<v>%a@]@." name Explore.TraceSet.pp
         tr.Explore.traces
   in

@@ -31,7 +31,7 @@ let () =
     let r = Race.drf w in
     Fmt.pr "race predictor: %a@.@." Race.pp_drf_report r;
     (* both threads can read 0: the lost update is observable *)
-    let tr = Explore.traces Preemptive.steps (Gsem.initials w) in
+    let tr, _ = Engine.traces w in
     Fmt.pr "preemptive traces (note the lost update [print(0), print(0)]):@.%a@.@."
       Explore.TraceSet.pp tr.Explore.traces);
 
@@ -64,15 +64,9 @@ let () =
     List.iter
       (fun e ->
         let r = Race.drf ~engine:e ~jobs:2 w in
-        match r.Race.engine_stats with
-        | Some st ->
-          Fmt.pr "%-8s %s: %a@." (Engine.to_string e)
-            (if r.Race.drf then "DRF" else "RACE")
-            Cas_mc.Stats.pp st
-        | None ->
-          Fmt.pr "%-8s %s: %a@." (Engine.to_string e)
-            (if r.Race.drf then "DRF" else "RACE")
-            Explore.pp_stats r.Race.stats)
+        Fmt.pr "%-8s %s: %a@." (Engine.to_string e)
+          (if r.Race.drf then "DRF" else "RACE")
+          Cas_mc.Stats.pp r.Race.engine_stats)
       Engine.all;
     Fmt.pr "@.");
 
@@ -89,8 +83,8 @@ let () =
   match World.load observer ~args:[] with
   | Error e -> Fmt.pr "load error: %a@." World.pp_load_error e
   | Ok w ->
-    let pre = Explore.traces Preemptive.steps (Gsem.initials w) in
-    let np = Explore.traces Nonpreemptive.steps (Gsem.initials w) in
+    let pre, _ = Engine.traces w in
+    let np = Engine.np_traces w in
     Fmt.pr "preemptive:     %a@." Explore.TraceSet.pp pre.Explore.traces;
     Fmt.pr "non-preemptive: %a@." Explore.TraceSet.pp np.Explore.traces;
     let eq = Refine.equiv pre np in

@@ -101,7 +101,7 @@ let () =
   (match World.load (Cas_link.Image.to_prog img) ~args:[] with
   | Error e -> Fmt.pr "  load error %a@." World.pp_load_error e
   | Ok w ->
-    let tr = Explore.traces Preemptive.steps [ w ] in
+    let tr, _ = Engine.traces w in
     Fmt.pr "  observable traces: %a@." Explore.TraceSet.pp tr.Explore.traces);
 
   Fmt.pr "@.== Tampering is detected ==@.";

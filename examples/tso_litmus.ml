@@ -59,7 +59,7 @@ let () =
    match World.load p ~args:[] with
    | Error e -> Fmt.pr "load: %a@." World.pp_load_error e
    | Ok w ->
-     let tr = Explore.traces Preemptive.steps (Gsem.initials w) in
+     let tr, _ = Engine.traces w in
      Fmt.pr "under SC:      %a@." Explore.TraceSet.pp (show_done tr.Explore.traces);
      Fmt.pr "  -> at least one thread sees the other's store.@.@.");
 

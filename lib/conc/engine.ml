@@ -1,27 +1,25 @@
 (** Engine-parameterized exploration of interleaving worlds.
 
-    The DPOR engines of [Cas_mc] need per-transition thread ids and
-    footprints, and state keys independent of the scheduler choice. This
-    module provides that *thread-selection view* of the preemptive
-    semantics: explicit [Gsw] switch transitions disappear, a transition
-    is "thread [t] takes one local step", worlds are keyed by
-    [World.fingerprint_nocur], and footprints come straight from the
-    local semantics (Fig. 4). If a thread holds the atomic bit, only it
-    is schedulable — exactly the preemptive Switch side-condition d = 0.
+    Every engine explores one graph of the preemptive semantics: the
+    *thread-selection view* this module builds. There are no explicit
+    switch transitions: a transition is "thread [t] takes one local
+    step", worlds are keyed by [World.key_nocur], and footprints come
+    straight from the local semantics (Fig. 4). If a thread holds the
+    atomic bit, only it is schedulable — exactly the preemptive Switch
+    side-condition d = 0. [Naive] is unreduced search of this graph and
+    the DPOR engines reduce it, so their world counts and trace sets
+    are comparable.
 
-    The naive engine keeps exploring the historical scheduler-explicit
-    view ([Explore.world_system Preemptive.steps]), so its verdicts and
-    world counts stay byte-compatible with earlier revisions; the DPOR
-    engines explore the selection view. Both views have the same
-    observable behaviours (event traces of completed executions, abort
-    reachability, race predictions — all [cur]-independent), which the
-    differential tests in [test/test_mc.ml] exercise.
+    Fig. 7's scheduler-explicit step function ([Preemptive.steps]) stays
+    as the paper's reference; [test/test_mc.ml] checks that it has the
+    observables of this view (completed event traces, abort
+    reachability, DRF verdicts, all [cur]-independent).
 
-    The non-preemptive semantics intentionally stays naive-only: an np
-    world steps only through the region of its one current thread, so
-    per-state scheduling choice — the branching DPOR prunes — is already
-    collapsed by the np reduction itself (§3.3); DPOR would degenerate to
-    plain DFS there. *)
+    The non-preemptive semantics intentionally stays naive-only
+    ([np_explore], [np_traces]): an np world steps only through the
+    region of its one current thread, so per-state scheduling choice —
+    the branching DPOR prunes — is already collapsed by the np
+    reduction itself (§3.3); DPOR would degenerate to plain DFS there. *)
 
 open Cas_base
 
@@ -122,22 +120,14 @@ let selection_system : World.t Cas_mc.Mcsys.t =
 
 (** Engine-selected reachability from a loaded world. [visit] fires once
     per distinct world, with the transitions the engine explores out of
-    it (scheduler-explicit ones under [Naive], the selection view's
-    under [Dpor]/[Dpor_par]); with the DPOR engines the visited worlds
-    are a representative subset keyed without the scheduler choice, so
-    [visit] must compute [cur]-independent, order-insensitive facts (the
-    race predictor is both). *)
-let explore_trans ?(engine = Naive) ?jobs ?max_worlds ?recorder (w0 : World.t)
+    it; with the DPOR engines the visited worlds are a representative
+    subset, so [visit] must compute order-insensitive facts (the race
+    predictor is one). *)
+let explore_trans ?engine ?jobs ?max_worlds ?recorder (w0 : World.t)
     ~(visit : World.t -> World.t Cas_mc.Mcsys.trans list -> unit) :
     Cas_mc.Stats.t =
-  match engine with
-  | Naive ->
-    Cas_mc.Engine.reachable_trans ~engine ?jobs ?max_worlds ?recorder
-      (Explore.to_mc (Explore.world_system Preemptive.steps))
-      (Gsem.initials w0) ~visit
-  | Dpor | Dpor_par ->
-    Cas_mc.Engine.reachable_trans ~engine ?jobs ?max_worlds ?recorder
-      selection_system [ w0 ] ~visit
+  Cas_mc.Engine.reachable_trans ?engine ?jobs ?max_worlds ?recorder
+    selection_system [ w0 ] ~visit
 
 (** [explore_trans] for a visitor that needs only the world. *)
 let explore ?engine ?jobs ?max_worlds ?recorder w0 ~visit =
@@ -145,13 +135,19 @@ let explore ?engine ?jobs ?max_worlds ?recorder w0 ~visit =
     ~visit:(fun w _ -> visit w)
 
 (** Engine-selected trace enumeration from a loaded world. *)
-let traces ?(engine = Naive) ?jobs ?max_steps ?max_paths ?recorder
-    (w0 : World.t) : Explore.trace_result * Cas_mc.Stats.t =
-  match engine with
-  | Naive ->
-    Cas_mc.Engine.traces ~engine ?jobs ?max_steps ?max_paths ?recorder
-      (Explore.to_mc (Explore.world_system Preemptive.steps))
-      (Gsem.initials w0)
-  | Dpor | Dpor_par ->
-    Cas_mc.Engine.traces ~engine ?jobs ?max_steps ?max_paths ?recorder
-      selection_system [ w0 ]
+let traces ?engine ?jobs ?max_steps ?max_paths ?recorder (w0 : World.t) :
+    Explore.trace_result * Cas_mc.Stats.t =
+  Cas_mc.Engine.traces ?engine ?jobs ?max_steps ?max_paths ?recorder
+    selection_system [ w0 ]
+
+(** The non-preemptive semantics (§3.3) as a naive-explored system, from
+    one world per choice of initial thread. *)
+let np_system = Gsem.system Nonpreemptive.steps
+
+let np_explore ?max_worlds (w0 : World.t) ~(visit : World.t -> unit) :
+    Cas_mc.Stats.t =
+  Cas_mc.Naive.reachable ?max_worlds np_system (Gsem.initials w0)
+    ~visit:(fun w _ -> visit w)
+
+let np_traces ?max_steps ?max_paths (w0 : World.t) : Explore.trace_result =
+  fst (Cas_mc.Naive.traces ?max_steps ?max_paths np_system (Gsem.initials w0))

@@ -162,8 +162,6 @@ let race_witness ?(predictor = fun w t -> predict w t) (w : World.t) :
   first_race (List.map (fun t -> (t, predictor w t)) (World.live_tids w))
 
 let races (w : World.t) = Option.is_some (race_witness w)
-let races_np (w : World.t) =
-  Option.is_some (race_witness ~predictor:(fun w t -> predict_np w t) w)
 
 type drf_report = {
   drf : bool;
@@ -171,8 +169,7 @@ type drf_report = {
   witness_world : World.t option;
       (** the racy world the witness was predicted at, for diagnostics *)
   stats : Explore.stats;
-  engine_stats : Cas_mc.Stats.t option;
-      (** full engine accounting when a [Cas_mc] engine ran the search *)
+  engine_stats : Cas_mc.Stats.t;  (** the engine's full accounting *)
 }
 
 (** Total selection key for a race witness: the racy world's
@@ -192,32 +189,6 @@ let pp_drf_report ppf r =
   | Some (t1, (d1, b1), t2, (d2, b2)) ->
     Fmt.pf ppf "RACE between T%d %a[%b] and T%d %a[%b] (%a)" t1 Footprint.pp d1
       b1 t2 Footprint.pp d2 b2 Explore.pp_stats r.stats
-
-(** DRF of a loaded world under a given global semantics: explore the
-    reachable worlds and apply the race predictor to each. Instantiated
-    with [Preemptive.steps] this is DRF(P); with [Nonpreemptive.steps] it
-    is NPDRF(P) (§5). *)
-let check ?(max_worlds = 200_000) ?predictor ?recorder (step : Gsem.stepf)
-    (w0 : World.t) : drf_report =
-  let witness = ref None in
-  let world = ref None in
-  let stats =
-    Explore.reachable ~max_worlds ?recorder step (Gsem.initials w0)
-      ~visit:(fun w ->
-        if !witness = None then
-          match race_witness ?predictor w with
-          | Some wt ->
-            witness := Some wt;
-            world := Some w
-          | None -> ())
-  in
-  {
-    drf = !witness = None;
-    witness = !witness;
-    witness_world = !world;
-    stats;
-    engine_stats = None;
-  }
 
 (** The race predictor as a visitor of the selection view's
     exploration ([Cas_mc.Engine.reachable_trans] over
@@ -248,25 +219,33 @@ let witness_visitor () :
       witness = Option.map (fun (_, wt, _) -> wt) !best;
       witness_world = Option.map (fun (_, _, w) -> w) !best;
       stats = Explore.stats_of_mc st;
-      engine_stats = Some st;
+      engine_stats = st;
     }
   in
   (visit, report)
 
-(** DRF(P) with a selectable exploration engine: [Naive] is [check] on
-    the scheduler-explicit preemptive graph; the DPOR engines run the
-    race predictor over the reduced thread-selection view (the predictor
-    reads only thread states and memory — never [cur] — so its verdict
-    is well-defined on selection worlds). *)
-let drf ?max_worlds ?(engine = Engine.Naive) ?jobs ?recorder w0 =
-  match engine with
-  | Engine.Naive -> check ?max_worlds ?recorder Preemptive.steps w0
-  | Engine.Dpor | Engine.Dpor_par ->
-    let visit, report = witness_visitor () in
-    report
-      (Engine.explore_trans ~engine ?jobs ?max_worlds ?recorder w0 ~visit)
+(** DRF(P) with a selectable exploration engine: the race predictor over
+    the thread-selection view, which every engine explores (the
+    predictor reads only thread states and memory — never [cur]). *)
+let drf ?max_worlds ?engine ?jobs ?recorder w0 =
+  let visit, report = witness_visitor () in
+  report (Engine.explore_trans ?engine ?jobs ?max_worlds ?recorder w0 ~visit)
 
+(** NPDRF(P) (§5): region prediction over the worlds of the
+    non-preemptive semantics, reporting the first racy world reached. *)
 let npdrf ?max_worlds w0 =
-  check ?max_worlds
-    ~predictor:(fun w t -> predict_np w t)
-    Nonpreemptive.steps w0
+  let witness = ref None in
+  let st =
+    Engine.np_explore ?max_worlds w0 ~visit:(fun w ->
+        if !witness = None then
+          Option.iter
+            (fun wt -> witness := Some (wt, w))
+            (race_witness ~predictor:(fun w t -> predict_np w t) w))
+  in
+  {
+    drf = !witness = None;
+    witness = Option.map fst !witness;
+    witness_world = Option.map snd !witness;
+    stats = Explore.stats_of_mc st;
+    engine_stats = st;
+  }

@@ -1,5 +1,5 @@
 (** Event-trace refinement ⊑ and equivalence ≈ (§3.2), decided on bounded
-    trace sets produced by [Explore.traces].
+    trace sets produced by the exploration engines.
 
     Because exploration cuts cycles and budgets, the comparison is
     bounded-sound: we compare (a) the sets of completed (Done) traces,
@@ -80,16 +80,9 @@ let equiv (a : Explore.trace_result) (b : Explore.trace_result) : report =
     missing = r1.missing @ r2.missing;
   }
 
-(** Convenience: load a program and enumerate its traces under a given
-    global semantics. *)
-let traces_of ?max_steps ?max_paths (step : Gsem.stepf) (p : Lang.prog) :
-    (Explore.trace_result, World.load_error) result =
-  match World.load p ~args:[] with
-  | Error e -> Error e
-  | Ok w0 -> Ok (Explore.traces ?max_steps ?max_paths step (Gsem.initials w0))
-
-(** Like [traces_of] under the preemptive semantics, but with a
-    selectable exploration engine (naive, DPOR, parallel DPOR). *)
+(** Convenience: load a program and enumerate its traces under the
+    preemptive semantics, with a selectable exploration engine (naive,
+    DPOR, parallel DPOR). *)
 let traces_of_pre ?engine ?jobs ?max_steps ?max_paths ?recorder
     (p : Lang.prog) :
     (Explore.trace_result * Cas_mc.Stats.t, World.load_error) result =
@@ -97,3 +90,10 @@ let traces_of_pre ?engine ?jobs ?max_steps ?max_paths ?recorder
   | Error e -> Error e
   | Ok w0 ->
     Ok (Engine.traces ?engine ?jobs ?max_steps ?max_paths ?recorder w0)
+
+(** [traces_of_pre] under the non-preemptive semantics (naive only). *)
+let traces_of_np ?max_steps ?max_paths (p : Lang.prog) :
+    (Explore.trace_result, World.load_error) result =
+  match World.load p ~args:[] with
+  | Error e -> Error e
+  | Ok w0 -> Ok (Engine.np_traces ?max_steps ?max_paths w0)

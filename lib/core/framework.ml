@@ -68,8 +68,8 @@ let pp_run ppf r =
     Fmt.(list ~sep:cut pp_step)
     r.reports
 
-let traces_or_empty b step p =
-  match Refine.traces_of ~max_steps:b.max_steps ~max_paths:b.max_paths step p with
+let np_traces_or_empty b p =
+  match Refine.traces_of_np ~max_steps:b.max_steps ~max_paths:b.max_paths p with
   | Ok t -> t
   | Error _ -> { Explore.traces = Explore.TraceSet.empty; complete = false }
 
@@ -106,10 +106,14 @@ let check_fig2 ?(bounds = default_bounds) ?options (i : input) : run =
         (not npdrf_tgt.Race.drf || drf_tgt.Race.drf)
         (Fmt.str "%a" Explore.pp_stats drf_tgt.Race.stats);
       (* trace sets under the four semantics *)
-      let s_pre = traces_or_empty b Preemptive.steps src in
-      let s_np = traces_or_empty b Nonpreemptive.steps src in
-      let t_pre = traces_or_empty b Preemptive.steps tgt in
-      let t_np = traces_or_empty b Nonpreemptive.steps tgt in
+      let pre w =
+        fst (Engine.traces ~max_steps:b.max_steps ~max_paths:b.max_paths w)
+      in
+      let np w =
+        Engine.np_traces ~max_steps:b.max_steps ~max_paths:b.max_paths w
+      in
+      let s_pre = pre w_src and s_np = np w_src in
+      let t_pre = pre w_tgt and t_np = np w_tgt in
       let eq1 = Refine.equiv s_pre s_np in
       report "1" "S1 ∥...∥ Sn ≈ S1 |...| Sn (Lem. 9)" eq1.Refine.holds
         (Fmt.str "%a" Refine.pp_report eq1);
@@ -399,10 +403,7 @@ let check_confinement ?(max_worlds = default_bounds.max_worlds)
                 (World.local_steps w tid))
           (World.live_tids w)
     in
-    let st =
-      Explore.reachable ~max_worlds Preemptive.steps (Gsem.initials w0)
-        ~visit:check_world
-    in
+    let st = Engine.explore ~max_worlds w0 ~visit:check_world in
     (match !violation with
     | Some (tid, fp) ->
       {
@@ -417,7 +418,7 @@ let check_confinement ?(max_worlds = default_bounds.max_worlds)
         id = "conf";
         label;
         ok = true;
-        detail = Fmt.str "%a" Explore.pp_stats st;
+        detail = Fmt.str "%a" Explore.pp_stats (Explore.stats_of_mc st);
       })
 
 (** Compose per-module certificates into a whole-program certificate on
@@ -473,8 +474,8 @@ let compose_certificates ?(bounds = default_bounds) ?max_switches ?tau_bound
   let tgt_prog = Lang.prog (List.map (fun (_, _, t) -> t) modules) entries in
   let confinement = check_confinement ~max_worlds:bounds.max_worlds tgt_prog in
   let boundary =
-    let t_np = traces_or_empty bounds Nonpreemptive.steps tgt_prog in
-    let s_np = traces_or_empty bounds Nonpreemptive.steps src_prog in
+    let t_np = np_traces_or_empty bounds tgt_prog in
+    let s_np = np_traces_or_empty bounds src_prog in
     let r = Refine.refines ~lhs:t_np ~rhs:s_np in
     {
       id = "link";

@@ -25,11 +25,10 @@ type race_capture = {
 
 (** Run the race predictor over the selection view with a recorder
     attached, and reconstruct the schedule to the minimal racy world.
-    The predictor is [Race.witness_visitor], the one [Race.drf] runs
-    under the DPOR engines, reading predictions off the transitions the
-    engine explores. All three engines explore the same selection
-    system here (the naive engine's historical scheduler-explicit view
-    carries no thread ids, which a schedule needs). *)
+    The predictor is [Race.witness_visitor], the one [Race.drf] runs,
+    reading predictions off the transitions the engine explores, over
+    the graph [Race.drf] explores under every engine: the captured race
+    is the one [casc drf] reports. *)
 let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
     (w0 : Cas_conc.World.t) : race_capture =
   let recorder = Cas_mc.Recorder.create () in

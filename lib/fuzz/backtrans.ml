@@ -271,9 +271,7 @@ let replay ?(budget = 100_000) (r : repro) : (unit, string) result =
                a b t1 t2))
     | Witness.Vabort ->
       let tr =
-        Cas_conc.Explore.traces ~max_steps:2000 ~max_paths:budget
-          Cas_conc.Preemptive.steps
-          (Cas_conc.Gsem.initials w0)
+        fst (Cas_conc.Engine.traces ~max_steps:2000 ~max_paths:budget w0)
       in
       let aborts =
         List.exists
@@ -283,9 +281,7 @@ let replay ?(budget = 100_000) (r : repro) : (unit, string) result =
       if aborts then Ok () else Error "abort replay: no abort reachable"
     | Witness.Vrefine events ->
       let tr =
-        Cas_conc.Explore.traces ~max_steps:2000 ~max_paths:budget
-          Cas_conc.Preemptive.steps
-          (Cas_conc.Gsem.initials w0)
+        fst (Cas_conc.Engine.traces ~max_steps:2000 ~max_paths:budget w0)
       in
       let ts = Cas_conc.Explore.TraceSet.elements tr.Cas_conc.Explore.traces in
       let dones =

@@ -5,7 +5,8 @@
 
     - engine oracle: [Race.drf] under [--engine naive] vs [dpor] must
       agree on the DRF verdict, and DPOR must visit no more worlds than
-      the naive search (that is the whole point of the reduction); with
+      the naive search of the same graph (that is the whole point of
+      the reduction); with
       [engine_par = Some jobs] a fourth lane runs [dpor-par] on [jobs]
       domains and must reproduce dpor's verdict *and* world count
       exactly (the visited-world set is steal-invariant);
@@ -274,9 +275,7 @@ let engine_oracle ~budget ~paranoid ~engine_par (g : Gen.t) w0 :
     world against the compiled Asm world. Only called on DRF programs. *)
 let compiler_oracle ~budget ~(g : Gen.t) ~src_w0 ~tgt_w0 : outcome =
   let explore w =
-    Cas_conc.Explore.traces ~max_steps:2000 ~max_paths:budget
-      Cas_conc.Preemptive.steps
-      (Cas_conc.Gsem.initials w)
+    fst (Cas_conc.Engine.traces ~max_steps:2000 ~max_paths:budget w)
   in
   let src_tr = explore src_w0 and tgt_tr = explore tgt_w0 in
   if not (src_tr.Cas_conc.Explore.complete && tgt_tr.Cas_conc.Explore.complete)

@@ -6,10 +6,11 @@
     - [Dpor_par]: the same DPOR core with root branches distributed over
       a pool of OCaml 5 domains ([jobs]).
 
-    DPOR engines require a system whose transitions carry real thread ids
-    and footprints and whose fingerprints are scheduler-independent (see
-    [Mcsys]); systems adapted from plain successor functions (tid = -1)
-    are only naive-explorable. *)
+    All three explore the same system, so their world counts and trace
+    sets are comparable. DPOR engines additionally require transition
+    footprints and scheduler-independent fingerprints (see [Mcsys]);
+    a system keyed with the scheduler choice ([Cas_conc.Gsem.system]) is
+    only naive-explorable. *)
 
 type t = Naive | Dpor | Dpor_par
 

@@ -23,8 +23,8 @@ type 'w target = Next of 'w | Abort
 
 type 'w trans = {
   tid : int;
-      (** thread performing the step; [-1] when the underlying semantics
-          does not expose one (such systems are only naive-explorable) *)
+      (** thread performing the step (the owner of the buffer, for a TSO
+          drain) *)
   label : label;
   fp : Footprint.t;
   target : 'w target;

@@ -1,11 +1,11 @@
 (** The naive bounded-exhaustive engine: breadth-first reachability and
-    depth-first trace enumeration over every interleaving. It is the
-    slowest engine and the differential-testing oracle for the reduced
-    ones — its verdicts define what the DPOR engines must reproduce.
-
-    The sequential paths are ports of the historical
-    [Cas_conc.Explore.reachable_gen]/[traces_gen] and preserve their
-    visit/enumeration order exactly. *)
+    depth-first trace enumeration over every interleaving — unreduced
+    search of the same system the DPOR engines reduce. It is the slowest
+    engine and the differential-testing oracle for the reduced ones: its
+    verdicts define what the DPOR engines must reproduce, and its world
+    count bounds theirs. It reads neither thread ids nor footprints, so
+    it also explores systems whose keys include the scheduler choice
+    ([Cas_conc.Gsem.system]). *)
 
 let now_ns () = Unix.gettimeofday () *. 1e9
 

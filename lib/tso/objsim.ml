@@ -24,6 +24,7 @@ type guarantee_report = {
   holds : bool;
   detail : string;
   tso_traces : Explore.TraceSet.t;
+  tso_stats : Cas_mc.Stats.t;  (** the TSO-side enumeration's accounting *)
   sc_traces : Explore.TraceSet.t;
   missing : Explore.trace list;
       (** TSO traces unmatched under SC — the refinement counterexamples
@@ -40,14 +41,16 @@ let pp_guarantee ppf r =
     (clients are x86 modules, γ is a CImp module). [engine] selects the
     exploration engine on both sides (comparing completed traces and
     abort reachability, which every engine preserves). *)
-let check_drf_guarantee ?(max_steps = 3000) ?(max_paths = 150_000) ?engine
-    ?jobs ~(clients : Asm.program list) ~(pi : Asm.program)
-    ~(gamma : Cimp.program) ~(entries : string list) () : guarantee_report =
+let check_drf_guarantee ?(max_steps = 3000) ?(max_paths = 150_000)
+    ?(engine = Cas_mc.Engine.Naive) ?jobs ~(clients : Asm.program list)
+    ~(pi : Asm.program) ~(gamma : Cimp.program) ~(entries : string list) () :
+    guarantee_report =
   let fail detail =
     {
       holds = false;
       detail;
       tso_traces = Explore.TraceSet.empty;
+      tso_stats = Cas_mc.Stats.zero ~engine:(Cas_mc.Engine.to_string engine);
       sc_traces = Explore.TraceSet.empty;
       missing = [];
     }
@@ -64,9 +67,11 @@ let check_drf_guarantee ?(max_steps = 3000) ?(max_paths = 150_000) ?engine
     match World.load sc_prog ~args:[] with
     | Error e -> fail (Fmt.str "SC load: %a" World.pp_load_error e)
     | Ok w_sc ->
-      let t_tso = Tso.traces ?engine ?jobs ~max_steps ~max_paths w_tso in
+      let t_tso, tso_stats =
+        Tso.mc_traces ~engine ?jobs ~max_steps ~max_paths w_tso
+      in
       let t_sc =
-        fst (Engine.traces ?engine ?jobs ~max_steps ~max_paths w_sc)
+        fst (Engine.traces ~engine ?jobs ~max_steps ~max_paths w_sc)
       in
       let r = Refine.refines ~lhs:t_tso ~rhs:t_sc in
       {
@@ -78,6 +83,7 @@ let check_drf_guarantee ?(max_steps = 3000) ?(max_paths = 150_000) ?engine
             (Explore.TraceSet.cardinal t_sc.Explore.traces)
             (if t_sc.Explore.complete then "" else "*");
         tso_traces = t_tso.Explore.traces;
+        tso_stats;
         sc_traces = t_sc.Explore.traces;
         missing = r.Refine.missing;
       })
@@ -119,6 +125,32 @@ let object_cells genv mem =
   ignore genv;
   cells
 
+(** Outcomes of a single-threaded run of [sys] from [w0]: depth-first,
+    each world once, at most [bound] steps deep; [cells] reads the object
+    state of a finished world. *)
+let outcomes (sys : 'w Cas_mc.Mcsys.t) ~(cells : 'w -> int list) ~bound w0 :
+    op_result list =
+  let results = ref [] in
+  let seen = Hashtbl.create 64 in
+  let rec go w depth =
+    let fp = sys.Cas_mc.Mcsys.fingerprint w in
+    if Hashtbl.mem seen fp || depth > bound then ()
+    else begin
+      Hashtbl.add seen fp ();
+      if sys.Cas_mc.Mcsys.all_done w then
+        results := Completes (Value.Vint 0, cells w) :: !results
+      else
+        List.iter
+          (fun (tr : 'w Cas_mc.Mcsys.trans) ->
+            match tr.Cas_mc.Mcsys.target with
+            | Cas_mc.Mcsys.Abort -> results := Aborts :: !results
+            | Cas_mc.Mcsys.Next w' -> go w' (depth + 1))
+          (sys.Cas_mc.Mcsys.trans w)
+    end
+  in
+  go w0 0;
+  if !results = [] then [ Blocks ] else !results
+
 (** Run [entry] of the TSO object as a single thread from lock state
     [l0], draining buffers at the end. *)
 let run_pi (pi : Asm.program) ~entry ~l0 ~bound : op_result list =
@@ -137,25 +169,8 @@ let run_pi (pi : Asm.program) ~entry ~l0 ~bound : op_result list =
   match Tso.load [ pi ] [ entry ] with
   | Error _ -> [ Aborts ]
   | Ok w0 ->
-    let results = ref [] in
-    let seen = Hashtbl.create 64 in
-    let rec go w depth =
-      let fp = Tso.fingerprint w in
-      if Hashtbl.mem seen fp || depth > bound then ()
-      else begin
-        Hashtbl.add seen fp ();
-        if Tso.all_done w then
-          results := Completes (Value.Vint 0, object_cells w.Tso.genv w.Tso.mem) :: !results
-        else
-          List.iter
-            (function
-              | Explore.GAbort -> results := Aborts :: !results
-              | Explore.GNext (_, w') -> go w' (depth + 1))
-            (Tso.steps w)
-      end
-    in
-    go w0 0;
-    if !results = [] then [ Blocks ] else !results
+    outcomes Tso.mc_system ~bound w0 ~cells:(fun w ->
+        object_cells w.Tso.genv w.Tso.mem)
 
 (** Run [entry] of the CImp specification as a single thread under SC. *)
 let run_gamma (gamma : Cimp.program) ~entry ~l0 ~bound : op_result list =
@@ -174,28 +189,8 @@ let run_gamma (gamma : Cimp.program) ~entry ~l0 ~bound : op_result list =
   match World.load prog ~args:[] with
   | Error _ -> [ Aborts ]
   | Ok w0 ->
-    let results = ref [] in
-    let seen = Hashtbl.create 64 in
-    let sys = Explore.world_system Preemptive.steps in
-    let rec go w depth =
-      let fp = World.fingerprint w in
-      if Hashtbl.mem seen fp || depth > bound then ()
-      else begin
-        Hashtbl.add seen fp ();
-        if World.all_done w then
-          results :=
-            Completes (Value.Vint 0, object_cells w.World.genv w.World.mem)
-            :: !results
-        else
-          List.iter
-            (function
-              | Explore.GAbort -> results := Aborts :: !results
-              | Explore.GNext (_, w') -> go w' (depth + 1))
-            (sys.Explore.steps w)
-      end
-    in
-    go w0 0;
-    if !results = [] then [ Blocks ] else !results
+    outcomes Engine.selection_system ~bound w0 ~cells:(fun w ->
+        object_cells w.World.genv w.World.mem)
 
 let results_match (pi_rs : op_result list) (g_rs : op_result list) : bool =
   (* every π outcome must be matched by a γ outcome *)

@@ -96,7 +96,7 @@ let live_tids w =
 let all_done w = IMap.for_all (fun _ t -> thread_done t) w.threads
 
 (** Fingerprint without the scheduler choice [cur]: the state key of the
-    thread-selection view explored by the DPOR engines ([mc_system]). *)
+    thread-selection view every engine explores ([mc_system]). *)
 let fingerprint_nocur w =
   let buf = Buffer.create 256 in
   IMap.iter
@@ -121,12 +121,10 @@ let fingerprint_nocur w =
   Buffer.add_string buf (Memory.fingerprint w.mem);
   Buffer.contents buf
 
-let fingerprint w = string_of_int w.cur ^ fingerprint_nocur w
-
-(** Cheap fixed-width state keys in the fingerprints' equivalence classes
-    (cf. [Cas_conc.World.key]): memoized frame hashes, the store buffers,
-    and the memory's incremental hash. [Fpmode.paranoid] falls back to
-    the collision-free strings. *)
+(** Cheap fixed-width state keys in the fingerprint's equivalence classes
+    (cf. [Cas_conc.World.key_nocur]): memoized frame hashes, the store
+    buffers, and the memory's incremental hash. [Fpmode.paranoid] falls
+    back to the collision-free string. *)
 let key_stream w =
   let st = Hashx.create () in
   IMap.iter
@@ -155,14 +153,6 @@ let key_nocur w =
   if Fpmode.paranoid () then fingerprint_nocur w
   else Hashx.key_of (Hashx.out (key_stream w))
 
-let key w =
-  if Fpmode.paranoid () then fingerprint w
-  else begin
-    let st = key_stream w in
-    Hashx.int st w.cur;
-    Hashx.key_of (Hashx.out st)
-  end
-
 (* ------------------------------------------------------------------ *)
 (* TSO-visible memory                                                  *)
 (* ------------------------------------------------------------------ *)
@@ -184,8 +174,6 @@ let read_buffered (buf : buffer) mem ~perm a =
 (* ------------------------------------------------------------------ *)
 (* Steps                                                               *)
 (* ------------------------------------------------------------------ *)
-
-type succ = world Cas_conc.Explore.gsucc
 
 let set_thread w t = { w with threads = IMap.add t.tid t w.threads }
 
@@ -385,22 +373,6 @@ let local_trans (w : world) (tid : int) : world Cas_mc.Mcsys.trans list =
               | None -> [ abort ]))
           | _ -> [ abort ]))
 
-(** The footprint-erased view of [local_trans], for the historical
-    successor-function interface. *)
-let local_steps (w : world) (tid : int) : succ list =
-  List.map
-    (fun (tr : world Cas_mc.Mcsys.trans) ->
-      match tr.Cas_mc.Mcsys.target with
-      | Cas_mc.Mcsys.Abort -> Cas_conc.Explore.GAbort
-      | Cas_mc.Mcsys.Next w' ->
-        let g =
-          match tr.Cas_mc.Mcsys.label with
-          | Cas_mc.Mcsys.Levt e -> Cas_conc.World.Gevt e
-          | Cas_mc.Mcsys.Ltau | Cas_mc.Mcsys.Lsw -> Cas_conc.World.Gtau
-        in
-        Cas_conc.Explore.GNext (g, w'))
-    (local_trans w tid)
-
 (** Store-buffer length of thread [tid] (0 for unknown threads). *)
 let buffer_len (w : world) (tid : int) : int =
   match IMap.find_opt tid w.threads with
@@ -427,36 +399,13 @@ let unbuffer (w : world) (tid : int) : world option =
       | Ok m' -> Some (set_thread { w with mem = m' } { t with buf = rest })
       | Error _ -> None))
 
-(** The full TSO transition relation: current-thread instruction steps,
-    nondeterministic buffer drains of every thread, and free preemption. *)
-let steps (w : world) : succ list =
-  let local = local_steps w w.cur in
-  let drains =
-    IMap.fold
-      (fun tid _ acc ->
-        match unbuffer w tid with
-        | Some w' -> Cas_conc.Explore.GNext (Cas_conc.World.Gtau, w') :: acc
-        | None -> acc)
-      w.threads []
-  in
-  let switches =
-    live_tids w
-    |> List.filter (fun t -> t <> w.cur)
-    |> List.map (fun t ->
-           Cas_conc.Explore.GNext (Cas_conc.World.Gsw, { w with cur = t }))
-  in
-  local @ drains @ switches
-
-let system : world Cas_conc.Explore.system =
-  { fingerprint = key; all_done; steps }
-
-(** The TSO machine as a footprint-instrumented selection system for the
-    DPOR engines: a transition is "thread [t] executes one instruction"
-    or "thread [t]'s oldest buffered write drains" (drains belong to the
-    buffer's owner and carry the write footprint of the drained address,
-    so cross-thread flushes order correctly against loads and stores).
-    Explicit switch transitions disappear; [cur] is cosmetic and excluded
-    from the state key. *)
+(** The TSO machine as a footprint-instrumented selection system, the one
+    graph every engine explores: a transition is "thread [t] executes one
+    instruction" or "thread [t]'s oldest buffered write drains" (drains
+    belong to the buffer's owner and carry the write footprint of the
+    drained address, so cross-thread flushes order correctly against
+    loads and stores). There are no switch transitions; [cur] is
+    cosmetic and excluded from the state key. *)
 let mc_system : world Cas_mc.Mcsys.t =
   {
     Cas_mc.Mcsys.fingerprint = key_nocur;
@@ -496,39 +445,18 @@ let mc_system : world Cas_mc.Mcsys.t =
         locals @ drains);
   }
 
-let initials (w : world) : world list =
-  match live_tids w with
-  | [] -> [ w ]
-  | ts -> List.map (fun t -> { w with cur = t }) ts
-
-(** Trace enumeration with a selectable engine. [Naive] (the default)
-    enumerates the historical scheduler-explicit graph; the DPOR engines
-    reduce the selection view, which preserves completed traces and abort
-    reachability but may cut cycles at different points (so [SCut]
-    entries are only comparable between engines on the same view). *)
-let mc_traces ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_steps ?max_paths
-    ?recorder (w : world) : Cas_conc.Explore.trace_result * Cas_mc.Stats.t =
-  match engine with
-  | Cas_mc.Engine.Naive ->
-    Cas_mc.Engine.traces ?max_steps ?max_paths ?recorder
-      (Cas_conc.Explore.to_mc system)
-      (initials w)
-  | Cas_mc.Engine.Dpor | Cas_mc.Engine.Dpor_par ->
-    Cas_mc.Engine.traces ~engine ?jobs ?max_steps ?max_paths ?recorder
-      mc_system [ w ]
+(** Trace enumeration with a selectable engine ([Naive] by default). *)
+let mc_traces ?engine ?jobs ?max_steps ?max_paths ?recorder (w : world) :
+    Cas_conc.Explore.trace_result * Cas_mc.Stats.t =
+  Cas_mc.Engine.traces ?engine ?jobs ?max_steps ?max_paths ?recorder
+    mc_system [ w ]
 
 let traces ?engine ?jobs ?max_steps ?max_paths (w : world) :
     Cas_conc.Explore.trace_result =
   fst (mc_traces ?engine ?jobs ?max_steps ?max_paths w)
 
 (** Engine-selected reachability over the TSO machine. *)
-let explore ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds ?recorder
-    (w : world) ~(visit : world -> unit) : Cas_mc.Stats.t =
-  match engine with
-  | Cas_mc.Engine.Naive ->
-    Cas_mc.Engine.reachable ?jobs ?max_worlds ?recorder
-      (Cas_conc.Explore.to_mc system)
-      (initials w) ~visit
-  | Cas_mc.Engine.Dpor | Cas_mc.Engine.Dpor_par ->
-    Cas_mc.Engine.reachable ~engine ?jobs ?max_worlds ?recorder mc_system
-      [ w ] ~visit
+let explore ?engine ?jobs ?max_worlds ?recorder (w : world)
+    ~(visit : world -> unit) : Cas_mc.Stats.t =
+  Cas_mc.Engine.reachable ?engine ?jobs ?max_worlds ?recorder mc_system
+    [ w ] ~visit

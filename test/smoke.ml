@@ -39,11 +39,11 @@ let () =
   | Error e -> Fmt.epr "load error: %a@." World.pp_load_error e
   | Ok w0 ->
     let t0 = Unix.gettimeofday () in
-    let pre = Explore.traces ~max_steps:3000 Preemptive.steps (Gsem.initials w0) in
+    let pre, _ = Engine.traces ~max_steps:3000 w0 in
     Fmt.pr "preemptive traces (%.2fs): %a@."
       (Unix.gettimeofday () -. t0)
       Explore.TraceSet.pp pre.traces;
-    let np = Explore.traces Nonpreemptive.steps (Gsem.initials w0) in
+    let np = Engine.np_traces w0 in
     Fmt.pr "non-preemptive traces: %a@." Explore.TraceSet.pp np.traces;
     let eq = Refine.equiv pre np in
     Fmt.pr "equiv: %a@." Refine.pp_report eq;
@@ -66,7 +66,7 @@ let () =
   match World.load tprog ~args:[] with
   | Error e -> Fmt.epr "target load error: %a@." World.pp_load_error e
   | Ok w0 ->
-    let np = Explore.traces Nonpreemptive.steps (Gsem.initials w0) in
+    let np = Engine.np_traces w0 in
     Fmt.pr "target NP traces: %a@." Explore.TraceSet.pp np.traces;
     let drf = Race.drf ~max_worlds:100_000 w0 in
     Fmt.pr "target drf: %a@." Race.pp_drf_report drf
@@ -144,7 +144,7 @@ let () =
   (match World.load prog ~args:[] with
   | Error e -> Fmt.epr "parsed load error: %a@." World.pp_load_error e
   | Ok w0 ->
-    let np = Explore.traces Nonpreemptive.steps (Gsem.initials w0) in
+    let np = Engine.np_traces w0 in
     Fmt.pr "@.parsed-source NP traces: %a@." Explore.TraceSet.pp np.traces);
   let open Cascompcert in
   let sims = Framework.check_passes client in

@@ -1,6 +1,9 @@
 (** Tests for the global semantics layer: the Load rule, preemptive and
     non-preemptive transitions, world bookkeeping, and the exploration
-    engine. *)
+    engine. The preemptive semantics is exercised through the
+    thread-selection view every engine explores
+    ([Engine.selection_system]); [test/test_mc.ml] checks it against
+    Fig. 7's step function. *)
 
 open Cas_base
 open Cas_langs
@@ -12,6 +15,13 @@ let tint = Alcotest.int
 
 let single_client src entries =
   Lang.prog [ Lang.Mod (Clight.lang, Parse.clight src) ] entries
+
+let sel_trans w = Engine.selection_system.Cas_mc.Mcsys.trans w
+
+let scheduled w =
+  List.sort_uniq compare
+    (List.map (fun (t : World.t Cas_mc.Mcsys.trans) -> t.Cas_mc.Mcsys.tid)
+       (sel_trans w))
 
 (* ------------------------------------------------------------------ *)
 (* Load rule                                                           *)
@@ -65,13 +75,8 @@ let test_switch_any_time () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let succs = Preemptive.steps w in
-    let has_sw =
-      List.exists
-        (function Gsem.Next (World.Gsw, _, _) -> true | _ -> false)
-        succs
-    in
-    check tbool "switch available" true has_sw
+    (* a switch to the other thread is a step of that thread *)
+    check tbool "switch available" true (scheduled w = [ 1; 2 ])
 
 let test_atomic_blocks_preemption () =
   (* inside a CImp atomic block no switch is offered *)
@@ -85,32 +90,29 @@ let test_atomic_blocks_preemption () =
     (* step thread 1 to EntAtom *)
     let rec to_atomic w n =
       if n > 20 then Alcotest.fail "never entered atomic block"
-      else if World.dbit w w.World.cur then w
+      else if World.dbit w 1 then w
       else
         match
           List.find_map
-            (function
-              | Gsem.Next (g, _, w') when g <> World.Gsw -> Some w'
+            (fun (t : World.t Cas_mc.Mcsys.trans) ->
+              match t.Cas_mc.Mcsys.target with
+              | Cas_mc.Mcsys.Next w' when t.Cas_mc.Mcsys.tid = 1 -> Some w'
               | _ -> None)
-            (Preemptive.steps w)
+            (sel_trans w)
         with
         | Some w' -> to_atomic w' (n + 1)
         | None -> Alcotest.fail "stuck"
     in
     let w_atomic = to_atomic w 0 in
-    let sw_offered =
-      List.exists
-        (function Gsem.Next (World.Gsw, _, _) -> true | _ -> false)
-        (Preemptive.steps w_atomic)
-    in
-    check tbool "no switch inside atomic block" false sw_offered
+    check tbool "no switch inside atomic block" true
+      (scheduled w_atomic = [ 1 ])
 
 let test_threads_terminate () =
   let p = single_client {| void f() { print(1); } |} [ "f" ] in
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let tr = Explore.traces Preemptive.steps [ w ] in
+    let tr, _ = Engine.traces w in
     check tbool "done trace exists" true
       (Explore.TraceSet.mem ([ Event.Print 1 ], Explore.SDone) tr.Explore.traces)
 
@@ -120,7 +122,7 @@ let test_abort_reported () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let tr = Explore.traces Preemptive.steps [ w ] in
+    let tr, _ = Engine.traces w in
     check tbool "abort trace" true
       (Explore.TraceSet.mem ([], Explore.SAbort) tr.Explore.traces)
 
@@ -137,7 +139,7 @@ let test_np_no_midstream_switch () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let tr = Explore.traces Nonpreemptive.steps (Gsem.initials w) in
+    let tr = Engine.np_traces w in
     (* racy program: but under NP each thread runs to its print *)
     check tbool "np traces exist" true
       (Explore.TraceSet.cardinal tr.Explore.traces > 0)
@@ -149,7 +151,7 @@ let test_np_switch_at_print () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let tr = Explore.traces Nonpreemptive.steps (Gsem.initials w) in
+    let tr = Engine.np_traces w in
     (* events interleave at event boundaries: 1 1 2 2 must be reachable *)
     check tbool "interleaving across events" true
       (Explore.TraceSet.mem
@@ -161,15 +163,8 @@ let test_np_fewer_worlds_than_preemptive () =
   match World.load (Corpus.lock_counter_prog ()) ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let count step =
-      let n = ref 0 in
-      let stats =
-        Explore.reachable step (Gsem.initials w) ~visit:(fun _ -> incr n)
-      in
-      stats.Explore.visited
-    in
-    let pre = count Preemptive.steps in
-    let np = count Nonpreemptive.steps in
+    let pre = (Engine.explore w ~visit:ignore).Cas_mc.Stats.worlds in
+    let np = (Engine.np_explore w ~visit:ignore).Cas_mc.Stats.worlds in
     check tbool
       (Fmt.str "NP explores fewer worlds (%d < %d)" np pre)
       true (np < pre)
@@ -184,8 +179,8 @@ let test_fingerprint_distinguishes () =
   | Ok w -> (
     let fp0 = World.fingerprint w in
     check tbool "same world same fp" true (fp0 = World.fingerprint w);
-    match Preemptive.steps w with
-    | Gsem.Next (_, _, w') :: _ ->
+    match sel_trans w with
+    | { Cas_mc.Mcsys.target = Cas_mc.Mcsys.Next w'; _ } :: _ ->
       check tbool "stepped world differs" false (fp0 = World.fingerprint w')
     | _ -> Alcotest.fail "no steps")
 
@@ -205,7 +200,7 @@ let test_cross_module_call () =
   match World.load p ~args:[] with
   | Error e -> Alcotest.failf "load: %a" World.pp_load_error e
   | Ok w ->
-    let tr = Explore.traces Preemptive.steps [ w ] in
+    let tr, _ = Engine.traces w in
     (* g writes 3 through the pointer; f prints a + b = 0 + 3 *)
     check tbool "pointer passed across modules" true
       (Explore.TraceSet.mem ([ Event.Print 3 ], Explore.SDone) tr.Explore.traces)
@@ -215,7 +210,7 @@ let test_cross_module_unresolved_call_aborts () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let tr = Explore.traces Preemptive.steps [ w ] in
+    let tr, _ = Engine.traces w in
     check tbool "missing callee aborts" true
       (Explore.TraceSet.mem ([], Explore.SAbort) tr.Explore.traces)
 
@@ -229,9 +224,9 @@ let test_search_finds_event_pattern () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let sys = Explore.world_system Preemptive.steps in
+    let sys = Engine.selection_system in
     let found =
-      Explore.search sys (Gsem.initials w) ~init:(0, false)
+      Explore.search sys [ w ] ~init:(0, false)
         ~step_state:(fun (ones, seen2) e ->
           match e with
           | Event.Print 1 when not seen2 -> (ones + 1, seen2)
@@ -241,15 +236,27 @@ let test_search_finds_event_pattern () =
         ~state_fp:(fun (a, b) -> Fmt.str "%d%b" a b)
         ()
     in
-    check tbool "1,1 before any 2 reachable" true found;
+    check tbool "1,1 before any 2 reachable" true (found = Explore.Reachable);
     let impossible =
-      Explore.search sys (Gsem.initials w) ~init:0
+      Explore.search sys [ w ] ~init:0
         ~step_state:(fun n e ->
           match e with Event.Print 1 -> n + 1 | _ -> n)
         ~accept:(fun n -> n >= 3)
         ~state_fp:string_of_int ()
     in
-    check tbool "three print(1)s impossible" false impossible
+    check tbool "three print(1)s impossible" true
+      (impossible = Explore.Unreachable);
+    (* the cap cuts the search short: it says so, not "unreachable" *)
+    let two_twos ?max_worlds () =
+      Explore.search sys [ w ] ~init:0
+        ~step_state:(fun n e -> match e with Event.Print 2 -> n + 1 | _ -> n)
+        ~accept:(fun n -> n >= 2)
+        ~state_fp:string_of_int ?max_worlds ()
+    in
+    check tbool "two print(2)s reachable" true
+      (two_twos () = Explore.Reachable);
+    check tbool "two print(2)s unknown past the cap" true
+      (two_twos ~max_worlds:3 () = Explore.Truncated)
 
 let test_search_agrees_with_traces () =
   (* on a small graph, search and trace enumeration agree *)
@@ -257,15 +264,14 @@ let test_search_agrees_with_traces () =
   match World.load p ~args:[] with
   | Error _ -> Alcotest.fail "load"
   | Ok w ->
-    let sys = Explore.world_system Preemptive.steps in
     let found =
-      Explore.search sys [ w ] ~init:false
+      Explore.search Engine.selection_system [ w ] ~init:false
         ~step_state:(fun _ e -> e = Event.Print 7)
         ~accept:(fun b -> b)
         ~state_fp:string_of_bool ()
     in
-    let tr = Explore.traces Preemptive.steps [ w ] in
-    check tbool "agreement" found
+    let tr, _ = Engine.traces w in
+    check tbool "agreement" (found = Explore.Reachable)
       (Explore.TraceSet.mem ([ Event.Print 7 ], Explore.SDone) tr.Explore.traces)
 
 let () =

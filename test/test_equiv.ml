@@ -7,8 +7,13 @@ open Cas_conc
 let check = Alcotest.check
 let tbool = Alcotest.bool
 
-let traces_of step p =
-  match Refine.traces_of ~max_steps:3000 step p with
+let traces_of p =
+  match Refine.traces_of_pre ~max_steps:3000 p with
+  | Ok (t, _) -> t
+  | Error e -> Alcotest.failf "load: %a" World.pp_load_error e
+
+let np_traces_of p =
+  match Refine.traces_of_np ~max_steps:3000 p with
   | Ok t -> t
   | Error e -> Alcotest.failf "load: %a" World.pp_load_error e
 
@@ -16,8 +21,8 @@ let test_equiv_on_drf_suite () =
   List.iter
     (fun input ->
       let p = Cascompcert.Framework.source_prog input in
-      let pre = traces_of Preemptive.steps p in
-      let np = traces_of Nonpreemptive.steps p in
+      let pre = traces_of p in
+      let np = np_traces_of p in
       let r = Refine.equiv pre np in
       check tbool (Fmt.str "%s preemptive ≈ NP" input.Cascompcert.Framework.name)
         true r.Refine.holds)
@@ -29,8 +34,8 @@ let test_racy_program_differs () =
   (* writer: x=1; x=2 ∥ reader: print(x). Under preemption the reader can
      observe the intermediate 1; non-preemptively it cannot. *)
   let p = Corpus.observer_prog () in
-  let pre = traces_of Preemptive.steps p in
-  let np = traces_of Nonpreemptive.steps p in
+  let pre = traces_of p in
+  let np = np_traces_of p in
   check tbool "preemptive sees x=1" true
     (Explore.TraceSet.mem ([ Event.Print 1 ], Explore.SDone) pre.Explore.traces);
   check tbool "non-preemptive cannot" false
@@ -42,8 +47,8 @@ let test_np_refines_preemptive_always () =
   (* even for racy programs, every NP behaviour is a preemptive one *)
   List.iter
     (fun (name, p) ->
-      let pre = traces_of Preemptive.steps p in
-      let np = traces_of Nonpreemptive.steps p in
+      let pre = traces_of p in
+      let np = np_traces_of p in
       let r = Refine.refines ~lhs:np ~rhs:pre in
       check tbool (Fmt.str "%s NP ⊑ preemptive" name) true r.Refine.holds)
     [

@@ -302,10 +302,7 @@ let test_certified_link_and_image () =
   | Error e ->
     Alcotest.failf "image does not load: %a" Cas_conc.World.pp_load_error e
   | Ok w ->
-    let tr =
-      Cas_conc.Explore.traces Cas_conc.Preemptive.steps
-        (Cas_conc.Gsem.initials w)
-    in
+    let tr, _ = Cas_conc.Engine.traces w in
     check tbool "linked image prints 3" true
       (Cas_conc.Explore.TraceSet.mem
          ([ Event.Print 3 ], Cas_conc.Explore.SDone)

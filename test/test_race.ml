@@ -227,9 +227,9 @@ let prop_predictions lang =
                   ~engine:Engine.Dpor w0);
         true)
 
-(* [Race.drf] under the DPOR engines and witness capture run the same
-   visitor, so they report the same race: same verdict and the same
-   minimal witness key. *)
+(* [Race.drf] and witness capture run the same visitor over the same
+   graph under every engine, so they report the same race: same verdict
+   and the same minimal witness key. *)
 let test_capture_same_witness () =
   List.iter
     (fun (name, p) ->
@@ -250,7 +250,7 @@ let test_capture_same_witness () =
             Alcotest.(option string)
             (l ^ ": same witness key") (key r)
             (key c.Cas_diag.Capture.rc_report))
-        [ Engine.Dpor; Engine.Dpor_par ])
+        [ Engine.Naive; Engine.Dpor; Engine.Dpor_par ])
     [
       ("racy", Corpus.racy_prog ());
       ("observer", Corpus.observer_prog ());

@@ -563,6 +563,32 @@ let test_daemon_dedup_and_identical_text () =
   ignore (request_ok ~socket Protocol.Shutdown);
   Thread.join th
 
+(* A tso request answers with the trace set Lemma 16 was decided on and
+   [Objsim]'s verdict: one enumeration, whose result the text shows. *)
+let test_daemon_tso_text () =
+  let source = Corpus.racy_counter_src and entries = [ "inc"; "inc" ] in
+  let text =
+    match
+      Daemon.exec Daemon.default_config (Protocol.Tso { source; entries })
+    with
+    | Error e -> Alcotest.failf "tso request failed: %s" e
+    | Ok payload -> (
+      match Cas_diag.Json.parse payload with
+      | Ok j -> Protocol.payload_text j
+      | Error e -> Alcotest.failf "tso payload: %s" e)
+  in
+  let g =
+    Cas_tso.Objsim.check_drf_guarantee
+      ~clients:[ Cas_compiler.Driver.compile (Cas_langs.Parse.clight source) ]
+      ~pi:Cas_tso.Locks.pi_lock ~gamma:(Cas_langs.Cimp.gamma_lock ()) ~entries
+      ()
+  in
+  check tstr "tso text = Objsim's traces and verdict"
+    (Fmt.str "x86-TSO traces (with the TTAS spin lock):@.%a@.Lemma 16: %a@."
+       Cas_conc.Explore.TraceSet.pp g.Cas_tso.Objsim.tso_traces
+       Cas_tso.Objsim.pp_guarantee g)
+    text
+
 let test_daemon_overload_and_drain () =
   let socket = socket_path () in
   let cfg = { Daemon.socket; jobs = 1; queue_cap = 1; delay = 0.4 } in
@@ -707,6 +733,8 @@ let () =
         [
           Alcotest.test_case "dedup + identical text" `Quick
             test_daemon_dedup_and_identical_text;
+          Alcotest.test_case "tso text is Objsim's report" `Quick
+            test_daemon_tso_text;
           Alcotest.test_case "overload + graceful drain" `Quick
             test_daemon_overload_and_drain;
           Alcotest.test_case "garbage rejected structurally" `Quick

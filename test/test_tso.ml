@@ -63,10 +63,7 @@ let test_sb_sc_forbids () =
   match Cas_conc.World.load p ~args:[] with
   | Error e -> Alcotest.failf "load: %a" Cas_conc.World.pp_load_error e
   | Ok w ->
-    let tr =
-      Cas_conc.Explore.traces Cas_conc.Preemptive.steps
-        (Cas_conc.Gsem.initials w)
-    in
+    let tr, _ = Cas_conc.Engine.traces w in
     check tbool "both-zero forbidden under SC" false
       (trace_mem [ Event.Print 0; Event.Print 0 ] tr.Cas_conc.Explore.traces)
 
@@ -292,10 +289,7 @@ let test_counter_spec_sc () =
   match Cas_conc.World.load p ~args:[] with
   | Error e -> Alcotest.failf "load: %a" Cas_conc.World.pp_load_error e
   | Ok w ->
-    let tr =
-      Cas_conc.Explore.traces Cas_conc.Preemptive.steps
-        (Cas_conc.Gsem.initials w)
-    in
+    let tr, _ = Cas_conc.Engine.traces w in
     check tbool "no duplicated tickets" false
       (trace_mem [ Event.Print 0; Event.Print 0 ] tr.Cas_conc.Explore.traces)
 
