@@ -5,12 +5,17 @@
 
 type t = {
   engine : string;
-  worlds : int;  (** distinct worlds reached (canonical-store misses) *)
+  worlds : int;
+      (** distinct worlds reached (canonical-store misses); naive trace
+          enumeration counts the distinct worlds it stepped *)
   transitions : int;  (** transitions executed *)
   sleep_prunings : int;  (** scheduling choices skipped by sleep sets *)
   backtracks : int;  (** wakeup-sequence insertions by the DPOR core *)
   steals : int;  (** tasks taken from another domain's deque *)
-  store_hits : int;  (** canonical-store hits (worlds re-encountered) *)
+  store_hits : int;
+      (** canonical-store hits (worlds re-encountered); naive trace
+          enumeration counts the path visits that reused a stepped
+          world *)
   truncated : bool;  (** a world/path/depth budget was exhausted *)
   abort_reachable : bool;
   wall_ns : float;  (** wall-clock exploration time *)

@@ -366,6 +366,228 @@ let test_fig7_matches_selection () =
     (trace_corpus ())
 
 (* ------------------------------------------------------------------ *)
+(* Naive trace enumeration against the path-per-visit reference        *)
+(* ------------------------------------------------------------------ *)
+
+module Trace = Cas_mc.Trace
+
+let test_trace_key_injective () =
+  let pairs =
+    [
+      ([ Event.Out "a),out(b" ], [ Event.Out "a"; Event.Out "b" ]);
+      ([ Event.Out "a\\,out(b" ], [ Event.Out "a\\"; Event.Out "b" ]);
+    ]
+  in
+  List.iter
+    (fun (x, y) ->
+      let x = (x, Trace.SDone) and y = (y, Trace.SDone) in
+      check tbool
+        (Fmt.str "%a and %a have distinct keys" Trace.pp x Trace.pp y)
+        true
+        (Trace.key x <> Trace.key y);
+      check tint "a set holds both" 2
+        Trace.Set.(cardinal (add x (add y empty))))
+    pairs;
+  (* the languages emit only [Print]: those keys, and so the order of
+     every printed trace set, are what they were before the escaping *)
+  check Alcotest.string "print-only key" "print(0),print(-1),$C"
+    (Trace.key ([ Event.Print 0; Event.Print (-1) ], Trace.SCut));
+  check Alcotest.string "plain out key" "out(x),$A"
+    (Trace.key ([ Event.Out "x" ], Trace.SAbort))
+
+(* One trie cell per event prefix, one bit per status ended there. *)
+let test_trie_to_set () =
+  let root = Trace.Trie.create () in
+  let p0 = Trace.Trie.child root (Event.Print 0) in
+  Trace.Trie.mark p0 Trace.SCut;
+  Trace.Trie.mark (Trace.Trie.child p0 (Event.Print 1)) Trace.SDone;
+  Trace.Trie.mark (Trace.Trie.child root (Event.Print 0)) Trace.SDone;
+  Trace.Trie.mark (Trace.Trie.child p0 (Event.Print 1)) Trace.SDone;
+  Trace.Trie.mark root Trace.SAbort;
+  let expected =
+    [
+      ([], Trace.SAbort);
+      ([ Event.Print 0 ], Trace.SDone);
+      ([ Event.Print 0 ], Trace.SCut);
+      ([ Event.Print 0; Event.Print 1 ], Trace.SDone);
+    ]
+  in
+  let set = List.fold_left (fun s t -> Trace.Set.add t s) Trace.Set.empty in
+  check tbool "trie holds the marked traces" true
+    (Trace.Set.elements (Trace.Trie.to_set root)
+    = Trace.Set.elements (set expected))
+
+(* The enumerator [Cas_mc.Naive.traces] replaced, kept as its oracle: a
+   depth-first walk of the schedule path tree that steps a world again
+   on every visit, keeps the keys of the current path in a persistent
+   set and adds a trace to the set at every leaf. [r_visits] counts its
+   [trans] calls. *)
+type reference = {
+  r_result : Trace.result;
+  r_transitions : int;
+  r_abort : bool;
+  r_visits : int;
+}
+
+let reference_traces ?(max_steps = 4000) ?(max_paths = 200_000)
+    (sys : 'w Cas_mc.Mcsys.t) (initials : 'w list) : reference =
+  let module SSet = Set.Make (String) in
+  let acc = ref Trace.Set.empty in
+  let paths = ref 0 and transitions = ref 0 and visits = ref 0 in
+  let abort = ref false and complete = ref true in
+  let emit tr = acc := Trace.Set.add tr !acc in
+  let rec go w on_path events budget =
+    if !paths > max_paths then complete := false
+    else if budget = 0 then begin
+      complete := false;
+      emit (List.rev events, Trace.SCut)
+    end
+    else if sys.Cas_mc.Mcsys.all_done w then
+      emit (List.rev events, Trace.SDone)
+    else
+      let fp = sys.Cas_mc.Mcsys.fingerprint w in
+      if SSet.mem fp on_path then emit (List.rev events, Trace.SCut)
+      else begin
+        incr visits;
+        let succs = sys.Cas_mc.Mcsys.trans w in
+        if succs = [] then emit (List.rev events, Trace.SCut)
+        else
+          List.iter
+            (fun (tr : 'w Cas_mc.Mcsys.trans) ->
+              incr paths;
+              incr transitions;
+              match tr.Cas_mc.Mcsys.target with
+              | Cas_mc.Mcsys.Abort ->
+                abort := true;
+                emit (List.rev events, Trace.SAbort)
+              | Cas_mc.Mcsys.Next w' ->
+                let events' =
+                  match tr.Cas_mc.Mcsys.label with
+                  | Cas_mc.Mcsys.Levt e -> e :: events
+                  | Cas_mc.Mcsys.Ltau | Cas_mc.Mcsys.Lsw -> events
+                in
+                go w' (SSet.add fp on_path) events' (budget - 1))
+            succs
+      end
+  in
+  List.iter (fun w -> go w SSet.empty [] max_steps) initials;
+  {
+    r_result = { Trace.traces = !acc; complete = !complete };
+    r_transitions = !transitions;
+    r_abort = !abort;
+    r_visits = !visits;
+  }
+
+(* The observables on which [Naive.traces] and the reference differ
+   (none, when they agree). The reference's visits are the naive
+   engine's stepped worlds plus the visits that reused one. *)
+let reference_differences ?max_steps ?max_paths sys initials =
+  let r = reference_traces ?max_steps ?max_paths sys initials in
+  let t, st = Cas_mc.Naive.traces ?max_steps ?max_paths sys initials in
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ( "traces",
+        Trace.Set.elements t.Trace.traces
+        = Trace.Set.elements r.r_result.Trace.traces );
+      ("complete", t.Trace.complete = r.r_result.Trace.complete);
+      ("transitions", st.Cas_mc.Stats.transitions = r.r_transitions);
+      ("abort_reachable", st.Cas_mc.Stats.abort_reachable = r.r_abort);
+      ("truncated", st.Cas_mc.Stats.truncated = not r.r_result.Trace.complete);
+      ( "worlds + store_hits",
+        st.Cas_mc.Stats.worlds + st.Cas_mc.Stats.store_hits = r.r_visits );
+    ]
+
+let compiled_counter () = Cas_compiler.Driver.compile (Corpus.counter ())
+
+let tso_world modules entries =
+  match Cas_tso.Tso.load modules entries with
+  | Error e -> Alcotest.failf "TSO load: %a" World.pp_load_error e
+  | Ok w -> w
+
+(* The compiled corpus on the x86-TSO machine, against each TTAS lock. *)
+let tso_corpus () =
+  let racy = Cas_compiler.Driver.compile (Corpus.racy_counter ()) in
+  let writer = Cas_compiler.Driver.compile (Corpus.racy_writer ()) in
+  let reader = Cas_compiler.Driver.compile (Corpus.racy_reader ()) in
+  List.concat_map
+    (fun (pi_name, pi) ->
+      List.map
+        (fun (name, modules, entries) ->
+          (name ^ "/" ^ pi_name, tso_world (modules @ [ pi ]) entries))
+        [
+          ("lock-counter", [ compiled_counter () ], [ "inc"; "inc" ]);
+          ("racy", [ racy ], [ "inc"; "inc" ]);
+          ("observer", [ writer; reader ], [ "writer"; "reader" ]);
+        ])
+    [
+      ("pi_lock", Cas_tso.Locks.pi_lock);
+      ("pi_lock_fenced", Cas_tso.Locks.pi_lock_fenced);
+    ]
+
+(* [sys] with its [trans] calls counted. *)
+let counting (sys : 'w Cas_mc.Mcsys.t) =
+  let calls = ref 0 in
+  ( {
+      sys with
+      Cas_mc.Mcsys.trans =
+        (fun w ->
+          incr calls;
+          sys.Cas_mc.Mcsys.trans w);
+    },
+    calls )
+
+(* Each distinct world is stepped once, and [Stats.worlds] says how
+   many were. *)
+let test_naive_steps_each_world_once () =
+  let one name sys initials =
+    let sys, calls = counting sys in
+    let _, st = Cas_mc.Naive.traces sys initials in
+    check tint (name ^ ": trans calls = worlds") !calls st.Cas_mc.Stats.worlds;
+    check tbool (name ^ ": some world stepped") true (!calls > 0)
+  in
+  List.iter
+    (fun (name, p) -> one ("sc " ^ name) Engine.selection_system [ load p ])
+    (trace_corpus ());
+  List.iter
+    (fun (name, w) -> one ("tso " ^ name) Cas_tso.Tso.mc_system [ w ])
+    (tso_corpus ())
+
+let test_naive_matches_reference () =
+  let same name sys initials =
+    check (Alcotest.list Alcotest.string) name []
+      (reference_differences sys initials)
+  in
+  List.iter
+    (fun (name, p) ->
+      let w = load p in
+      same ("selection " ^ name) Engine.selection_system [ w ];
+      same ("np " ^ name) Engine.np_system (Gsem.initials w))
+    (trace_corpus ());
+  List.iter
+    (fun (name, w) -> same ("tso " ^ name) Cas_tso.Tso.mc_system [ w ])
+    (tso_corpus ())
+
+(* Spin-loop cycles and budget cut-offs, where a memo would diverge
+   first: every combination of small budgets on the TSO lock counter. *)
+let test_naive_matches_reference_at_budgets () =
+  let w =
+    tso_world [ compiled_counter (); Cas_tso.Locks.pi_lock ] [ "inc"; "inc" ]
+  in
+  List.iter
+    (fun max_paths ->
+      List.iter
+        (fun max_steps ->
+          check
+            (Alcotest.list Alcotest.string)
+            (Fmt.str "max_paths=%d max_steps=%d" max_paths max_steps)
+            []
+            (reference_differences ~max_steps ~max_paths
+               Cas_tso.Tso.mc_system [ w ]))
+        [ 1; 2; 5; 50 ])
+    [ 0; 1; 2; 3; 10; 100 ]
+
+(* ------------------------------------------------------------------ *)
 (* Reduction: the acceptance criterion                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -430,6 +652,34 @@ let test_world_counts_pinned () =
         exp_dpor
         (worlds Engine.Dpor_par))
     corpus
+
+(* Naive trace enumeration's transitions, trace count and completeness,
+   at the values of the path-per-visit enumerator it replaced: the state
+   table and the trie must walk the same path tree. Lock-counter under
+   SC at the default budgets, and the TSO counter at casbench's Lemma 16
+   bounds (3,000 steps, 10,000 paths), against each TTAS lock. *)
+let test_naive_trace_counters_pinned () =
+  let pinned name (r, st) (transitions, count, complete) =
+    check tint (name ^ ": transitions") transitions st.Cas_mc.Stats.transitions;
+    check tint (name ^ ": traces") count
+      (Trace.Set.cardinal r.Trace.traces);
+    check tbool (name ^ ": complete") complete r.Trace.complete
+  in
+  pinned "lock-counter sc"
+    (Engine.traces (load (Corpus.lock_counter_prog ())))
+    (200026, 2, false);
+  List.iter
+    (fun (name, pi, expected) ->
+      let w = tso_world [ compiled_counter (); pi ] [ "inc"; "inc" ] in
+      pinned name
+        (Cas_tso.Tso.mc_traces ~max_steps:3000 ~max_paths:10_000 w)
+        expected)
+    [
+      ("tso counter/pi_lock", Cas_tso.Locks.pi_lock, (10049, 2, false));
+      ( "tso counter/pi_lock_fenced",
+        Cas_tso.Locks.pi_lock_fenced,
+        (10052, 3, false) );
+    ]
 
 (* The sequential dpor engine's work counters on the corpus. The state
    table, the transitions shared with the visitor and the path
@@ -593,6 +843,17 @@ let prop_engines_agree =
            || Explore.TraceSet.equal (completed n) (completed d)
               && has_abort n = has_abort d))
 
+let prop_naive_matches_reference =
+  QCheck.Test.make
+    ~name:"naive traces match the reference on random 2-thread programs"
+    ~count:100 arb_threads (fun p ->
+      let prog = Lang.prog [ Lang.Mod (Clight.lang, p) ] [ "t0"; "t1" ] in
+      match World.load prog ~args:[] with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok w ->
+        reference_differences Engine.selection_system [ w ] = []
+        && reference_differences Engine.np_system (Gsem.initials w) = [])
+
 let prop_fig7_matches_selection =
   QCheck.Test.make
     ~name:"Fig. 7 matches the selection view on random 2-thread programs"
@@ -617,6 +878,9 @@ let () =
           Alcotest.test_case "store full flag under parallel hammering"
             `Quick test_store_full_parallel;
           Alcotest.test_case "engine names" `Quick test_engine_names;
+          Alcotest.test_case "trace keys are injective" `Quick
+            test_trace_key_injective;
+          Alcotest.test_case "trie to trace set" `Quick test_trie_to_set;
         ] );
       ( "differential",
         [
@@ -629,12 +893,20 @@ let () =
           Alcotest.test_case "Fig. 7 matches the selection view" `Slow
             test_fig7_matches_selection;
           Alcotest.test_case "jobs-insensitive" `Quick test_jobs_insensitive;
+          Alcotest.test_case "naive steps each world once" `Quick
+            test_naive_steps_each_world_once;
+          Alcotest.test_case "naive traces match the reference" `Slow
+            test_naive_matches_reference;
+          Alcotest.test_case "naive traces match the reference at budgets"
+            `Quick test_naive_matches_reference_at_budgets;
         ] );
       ( "reduction",
         [
           Alcotest.test_case "dpor >=5x on corpus" `Slow test_dpor_reduction;
           Alcotest.test_case "world counts pinned across key change" `Slow
             test_world_counts_pinned;
+          Alcotest.test_case "naive trace counters pinned" `Quick
+            test_naive_trace_counters_pinned;
           Alcotest.test_case "dpor work counters pinned" `Quick
             test_dpor_counters_pinned;
           Alcotest.test_case "no sleep-set-blocked exploration" `Slow
@@ -651,5 +923,9 @@ let () =
          in
          List.map
            (QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| seed |]))
-           [ prop_engines_agree; prop_fig7_matches_selection ]) );
+           [
+             prop_engines_agree;
+             prop_fig7_matches_selection;
+             prop_naive_matches_reference;
+           ]) );
     ]
