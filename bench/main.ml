@@ -23,7 +23,7 @@ open Toolkit
 open Cas_base
 open Cas_langs
 open Cas_conc
-module Corpus = Bench_corpus
+module Corpus = Cas_corpus.Corpus
 
 (* ------------------------------------------------------------------ *)
 (* --json FILE: machine-readable results                               *)

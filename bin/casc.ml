@@ -26,9 +26,13 @@
     - [fuzz --seed S --count N]: generate random programs and run them
       through the differential oracles, bucketing outcomes into a triage
       report and back-translating divergences into minimal CImp repros;
-    - [explain W.json]: render a witness interleaving for humans.
+    - [explain W.json]: render a witness interleaving for humans;
+    - [serve]: run cascd, the certification daemon ([Cas_serve]);
+    - [client REQUEST [FILE...]]: send one request to a running cascd.
 
-    [drf] and [tso] also take [--witness FILE] to capture on failure. *)
+    [drf] and [tso] also take [--witness FILE] to capture on failure.
+    compile, sim, link, drf and tso run [Cas_cmd]'s commands, as cascd
+    does; this file reads and writes their files and prints results. *)
 
 open Cmdliner
 open Cas_base
@@ -42,11 +46,48 @@ let read_file path =
   close_in ic;
   s
 
-let parse_client path =
-  try Ok (Parse.clight (read_file path)) with
-  | Lexer.Error (msg, pos) ->
-    Error (Fmt.str "%s: %s at %a" path msg Lexer.pp_pos pos)
-  | Sys_error e -> Error e
+let ( let* ) = Result.bind
+let ( let+ ) r f = Result.map f r
+
+(* Every file casc writes goes through here, so that an unwritable path
+   is an error exit, not an uncaught exception. A [Sys_error] message
+   names the path that failed (for an atomic save, a temporary file
+   beside FILE) before its reason. *)
+let write_file ~file (save : file:string -> unit) : unit =
+  try save ~file
+  with Sys_error msg ->
+    let reason = List.hd (List.rev (String.split_on_char ':' msg)) in
+    Fmt.epr "error: cannot write %s: %s@." file (String.trim reason);
+    exit 1
+
+(* FILE's source text and its parse; errors name the file. *)
+let parse_file file : (string * Clight.program, Cas_cmd.error) result =
+  match read_file file with
+  | exception Sys_error e -> Error (Cas_cmd.Failed e)
+  | text ->
+    Result.map (fun client -> (text, client)) (Cas_cmd.parse ~origin:file text)
+
+(* FILE as a program: a linked image (.cai), or mini-C source. *)
+let program file ~entries ~with_lock =
+  let+ code =
+    if Filename.check_suffix file Cas_link.Image.extension then
+      match Cas_link.Image.load ~file with
+      | Ok img -> Ok (Cas_cmd.Image img)
+      | Error e -> Error (Cas_cmd.Failed (file ^ ": " ^ e))
+    else
+      let+ text, client = parse_file file in
+      Cas_cmd.Source { text; client }
+  in
+  Cas_cmd.program ~with_lock ~entries code
+
+(* casc's end of a command: an error is printed as casc prints errors,
+   and the exit code is [Cas_cmd]'s for a verdict [ok]. *)
+let exit_with ok r =
+  Result.iter_error (Fmt.epr "%a@." Cas_cmd.pp_error) r;
+  Cas_cmd.exit_code ok r
+
+let always _ = true
+let fail e = exit_with always (Error e)
 
 (* ------------------------------------------------------------------ *)
 (* Arguments                                                            *)
@@ -63,12 +104,6 @@ let entries_arg =
         ~doc:
           "entry function; repeat to spawn several threads (default: main, \
            or the recorded entry points when FILE is a linked .cai image)")
-
-(* [] means --entry was not given; plain source files default to main.
-   Linked images instead fall back to their recorded entries
-   ([image_entries] below) — an explicit --entry main must override
-   those, so the default cannot live in the Arg. *)
-let default_entries = function [] -> [ "main" ] | es -> es
 
 let with_lock_arg =
   Arg.(
@@ -149,12 +184,46 @@ let witness_out_arg =
         ~doc:"on a negative verdict, write a replayable witness here")
 
 let ir_arg =
+  let stages =
+    [
+      ("clight", `Clight);
+      ("csharpminor", `Csharpminor);
+      ("cminor", `Cminor);
+      ("rtl", `Rtl);
+      ("ltl", `Ltl);
+      ("linear", `Linear);
+      ("mach", `Mach);
+      ("asm", `Asm);
+    ]
+  in
   Arg.(
     value
-    & opt (some string) None
+    & opt (some (enum stages)) None
     & info [ "ir" ] ~docv:"STAGE"
         ~doc:"print this IR: clight, csharpminor, cminor, rtl, ltl, linear, \
               mach, asm (default: asm)")
+
+(* --cache DIR and --no-cache: where the certificate cache persists.
+   Evaluating the term points the cache at DIR; its value is DIR, or
+   None with --no-cache. *)
+let cache_term =
+  let cache_dir_arg =
+    Arg.(
+      value
+      & opt string ".casc-cache"
+      & info [ "cache" ] ~docv:"DIR"
+          ~doc:"certificate-cache directory (persists across invocations)")
+  in
+  let no_cache_arg =
+    Arg.(
+      value & flag
+      & info [ "no-cache" ] ~doc:"disable the certificate cache entirely")
+  in
+  let set dir no_cache =
+    if not no_cache then Cas_compiler.Cache.set_default_dir (Some dir);
+    if no_cache then None else Some dir
+  in
+  Term.(const set $ cache_dir_arg $ no_cache_arg)
 
 (* ------------------------------------------------------------------ *)
 (* compile                                                              *)
@@ -162,56 +231,48 @@ let ir_arg =
 
 let print_ir (a : Cas_compiler.Driver.artifacts) ir =
   let open Cas_compiler.Driver in
-  match Option.value ~default:"asm" ir with
-      | "clight" ->
+  match Option.value ~default:`Asm ir with
+      | `Clight ->
         List.iter
           (fun f -> Fmt.pr "%s:@.  %a@." f.Clight.fname Clight.pp_stmt f.Clight.fbody)
           a.clight_simpl.Clight.funcs
-      | "csharpminor" ->
+      | `Csharpminor ->
         List.iter
           (fun f ->
             Fmt.pr "%s:@.  %a@." f.Csharpminor.fname Csharpminor.pp_stmt
               f.Csharpminor.fbody)
           a.csharpminor.Csharpminor.funcs
-      | "cminor" ->
+      | `Cminor ->
         List.iter
           (fun f ->
             Fmt.pr "%s (stack %d):@.  %a@." f.Cminor.fname f.Cminor.stacksize
               Cminor.pp_stmt f.Cminor.fbody)
           a.cminorsel.Cminor.funcs
-      | "rtl" -> Fmt.pr "%a@." Fmt.(list ~sep:cut Rtl.pp_func) a.rtl_cse.Rtl.funcs
-      | "ltl" ->
+      | `Rtl -> Fmt.pr "%a@." Fmt.(list ~sep:cut Rtl.pp_func) a.rtl_cse.Rtl.funcs
+      | `Ltl ->
         Fmt.pr "%a@." Fmt.(list ~sep:cut Ltl.pp_func) a.ltl_tunneled.Ltl.funcs
-      | "linear" ->
+      | `Linear ->
         Fmt.pr "%a@."
           Fmt.(list ~sep:cut Linearl.pp_func)
           a.linear_clean.Linearl.funcs
-      | "mach" ->
+      | `Mach ->
         Fmt.pr "%a@." Fmt.(list ~sep:cut Machl.pp_func) a.mach.Machl.funcs
-      | "asm" | _ ->
-    Fmt.pr "%a@." Fmt.(list ~sep:cut Asm.pp_func) a.asm.Asm.funcs
+      | `Asm -> Fmt.pr "%a" Cas_cmd.pp_compile a
 
 let per_function_counts = Cascompcert.Framework.per_function_counts
 
 let compile_cmd =
-  let run files ir stats json jobs certify cache_dir no_cache paranoid =
+  let run files ir stats json jobs certify cache_dir paranoid =
     Fpmode.set_paranoid paranoid;
     let jobs = Option.value ~default:1 jobs in
-    let use_cache = not no_cache in
-    if use_cache then Cas_compiler.Cache.set_default_dir (Some cache_dir);
-    let parsed = List.map (fun f -> (f, parse_client f)) files in
-    match
-      List.filter_map
-        (function f, Error e -> Some (f, e) | _, Ok _ -> None)
-        parsed
-    with
-    | (_, e) :: _ ->
-      Fmt.epr "error: %s@." e;
-      1
-    | [] ->
+    let use_cache = cache_dir <> None in
+    let parsed = List.map (fun f -> (f, parse_file f)) files in
+    match List.find_map (function _, Error e -> Some e | _ -> None) parsed with
+    | Some e -> fail e
+    | None ->
       let units =
         List.filter_map
-          (function f, Ok c -> Some (f, c) | _, Error _ -> None)
+          (function f, Ok (_, c) -> Some (f, c) | _, Error _ -> None)
           parsed
       in
       (* linking the units later would shadow one definition silently, so
@@ -260,24 +321,10 @@ let compile_cmd =
               c.Cas_compiler.Driver.c_stats
           end;
           if certify then begin
-            let reports = Cascompcert.Framework.check_passes client in
-            let steps =
-              List.fold_left
-                (fun acc r -> acc + r.Cascompcert.Framework.checker_steps)
-                0 reports
-            in
-            let cached =
-              List.length
-                (List.filter (fun r -> r.Cascompcert.Framework.cached) reports)
-            in
-            List.iter
-              (fun r ->
-                if not (Cascompcert.Framework.sim_ok
-                          r.Cascompcert.Framework.outcome)
-                then all_sim_ok := false;
-                Fmt.pr "  %a@." Cascompcert.Framework.pp_pass_sim r)
-              reports;
-            let fns = per_function_counts reports in
+            let c = Cas_cmd.certify client in
+            if not c.Cas_cmd.sim_ok then all_sim_ok := false;
+            Fmt.pr "%a" (Cas_cmd.pp_certify ~indent:"  ") c;
+            let fns = per_function_counts c.Cas_cmd.reports in
             if stats then
               List.iter
                 (fun (fn, (v, hits, s)) ->
@@ -299,7 +346,7 @@ let compile_cmd =
             Fmt.pr
               "  certificates: %d/%d verdicts from cache, %d checker steps \
                executed@."
-              cached (List.length reports) steps
+              c.Cas_cmd.cached (List.length c.Cas_cmd.reports) c.Cas_cmd.steps
           end;
           if ir <> None || not (stats || certify || json) then
             print_ir
@@ -329,7 +376,9 @@ let compile_cmd =
             (Cas_compiler.Driver.cache_stats ())
         in
         Fmt.pr "certificate cache: %d hits, %d misses%s@." hits misses
-          (if use_cache then " (dir: " ^ cache_dir ^ ")" else " (disabled)")
+          (match cache_dir with
+          | Some dir -> " (dir: " ^ dir ^ ")"
+          | None -> " (disabled)")
       end;
       if !all_sim_ok then 0 else 2
   in
@@ -355,18 +404,6 @@ let compile_cmd =
             "also run (or fetch from the certificate cache) the per-pass \
              footprint-preserving simulation verdicts")
   in
-  let cache_dir_arg =
-    Arg.(
-      value
-      & opt string ".casc-cache"
-      & info [ "cache" ] ~docv:"DIR"
-          ~doc:"certificate-cache directory (persists across invocations)")
-  in
-  let no_cache_arg =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"disable the certificate cache entirely")
-  in
   let json_arg =
     Arg.(
       value & flag
@@ -382,28 +419,14 @@ let compile_cmd =
           parallel with --jobs) and print an IR or --stats")
     Term.(
       const run $ files_arg $ ir_arg $ stats_arg $ json_arg $ jobs_arg
-      $ certify_arg $ cache_dir_arg $ no_cache_arg $ paranoid_arg)
+      $ certify_arg $ cache_term $ paranoid_arg)
 
 (* ------------------------------------------------------------------ *)
 (* build / link (certified object files, Cas_link)                      *)
 (* ------------------------------------------------------------------ *)
 
-let cache_dir_arg =
-  Arg.(
-    value
-    & opt string ".casc-cache"
-    & info [ "cache" ] ~docv:"DIR"
-        ~doc:"certificate-cache directory (persists across invocations)")
-
-let no_cache_arg =
-  Arg.(
-    value & flag
-    & info [ "no-cache" ] ~doc:"disable the certificate cache entirely")
-
 let build_cmd =
-  let run file out name no_opt cache_dir no_cache =
-    let use_cache = not no_cache in
-    if use_cache then Cas_compiler.Cache.set_default_dir (Some cache_dir);
+  let run file out name no_opt cache_dir =
     let name =
       match name with
       | Some n -> n
@@ -419,13 +442,14 @@ let build_cmd =
     | source -> (
       let options = { Cas_compiler.Pass.optimize = not no_opt } in
       match
-        Cas_link.Objfile.build ~options ~cache:use_cache ~name ~source ()
+        Cas_link.Objfile.build ~options ~cache:(cache_dir <> None) ~name
+          ~source ()
       with
       | Error e ->
         Fmt.epr "error: %a@." Fmt.lines e;
         2
       | Ok o ->
-        Cas_link.Objfile.save o ~file:out;
+        write_file ~file:out (Cas_link.Objfile.save o);
         Fmt.pr "%s: %d export%s, %d import%s, %d verdicts, body %s@." out
           (List.length o.Cas_link.Objfile.o_exports)
           (if List.length o.Cas_link.Objfile.o_exports = 1 then "" else "s")
@@ -461,27 +485,24 @@ let build_cmd =
           code, symbol tables, and the digest-chained certificate of its \
           per-pass footprint-preserving simulations")
     Term.(
-      const run $ file_arg $ out_arg $ name_arg $ no_opt_arg $ cache_dir_arg
-      $ no_cache_arg)
+      const run $ file_arg $ out_arg $ name_arg $ no_opt_arg $ cache_term)
+
+(* The last line of [casc link] and of [casc client link]. *)
+let pp_wrote ppf (file, (img : Cas_link.Image.t)) =
+  Fmt.pf ppf "wrote %s (image %s%s)" file img.Cas_link.Image.i_digest
+    (if img.Cas_link.Image.i_certified then ", certified" else "")
 
 let link_cmd =
-  let run objs out entries certify jobs stats cache_dir no_cache =
-    let entries = default_entries entries in
-    let use_cache = not no_cache in
-    if use_cache then Cas_compiler.Cache.set_default_dir (Some cache_dir);
-    let jobs = Option.value ~default:1 jobs in
-    match Cas_link.Linker.link_files ~jobs ~certify ~entries objs with
-    | Error (Cas_link.Linker.Certify_failed _ as e) ->
-      Fmt.epr "error: %a@." Cas_link.Linker.pp_error e;
-      2
-    | Error e ->
-      Fmt.epr "error: %a@." Cas_link.Linker.pp_error e;
-      1
+  let run files out entries certify jobs stats (_ : string option) =
+    match
+      match List.map read_file files with
+      | exception Sys_error e -> Error (Cas_cmd.Failed e)
+      | objects -> Cas_cmd.link ?jobs ~files ~certify ~entries objects
+    with
+    | Error e -> fail e
     | Ok o ->
-      Cas_link.Image.save o.Cas_link.Linker.lk_image ~file:out;
-      Option.iter
-        (fun r -> Fmt.pr "%a@." Cascompcert.Framework.pp_compose r)
-        o.Cas_link.Linker.lk_compose;
+      write_file ~file:out (Cas_link.Image.save o.Cas_link.Linker.lk_image);
+      Fmt.pr "%a" Cas_cmd.pp_link o;
       if stats then begin
         Fmt.pr "link: %a@." Cas_link.Linker.pp_stats
           o.Cas_link.Linker.lk_stats;
@@ -500,11 +521,7 @@ let link_cmd =
           (fun s -> Fmt.pr "  %a@." Cas_compiler.Cache.pp_stats s)
           (Cas_compiler.Cache.global_stats ())
       end;
-      Fmt.pr "wrote %s (image %s%s)@." out
-        o.Cas_link.Linker.lk_image.Cas_link.Image.i_digest
-        (if o.Cas_link.Linker.lk_image.Cas_link.Image.i_certified then
-           ", certified"
-         else "");
+      Fmt.pr "%a@." pp_wrote (out, o.Cas_link.Linker.lk_image);
       0
   in
   let objs_arg =
@@ -542,132 +559,69 @@ let link_cmd =
           image (.cai), optionally composing their certificates")
     Term.(
       const run $ objs_arg $ out_arg $ entries_arg $ certify_arg $ jobs_arg
-      $ stats_arg $ cache_dir_arg $ no_cache_arg)
-
-(* A file argument that may be a linked image instead of source. *)
-let is_image file = Filename.check_suffix file Cas_link.Image.extension
-
-(** Entry points for a linked image: the user's explicit [--entry]s win
-    (even an explicit [--entry main]); with none given, the entries
-    recorded at link time, then ["main"]. *)
-let image_entries (img : Cas_link.Image.t) = function
-  | [] ->
-    if img.Cas_link.Image.i_entries <> [] then img.Cas_link.Image.i_entries
-    else [ "main" ]
-  | es -> es
-
-(** The program of a linked image, with [entries] defaulting as
-    [image_entries] does. *)
-let image_prog (img : Cas_link.Image.t) ~entries ~with_lock =
-  let entries = image_entries img entries in
-  let mods =
-    List.map
-      (fun (m : Cas_link.Image.linked_module) ->
-        Lang.Mod (Asm.lang, m.Cas_link.Image.lm_asm))
-      img.Cas_link.Image.i_modules
-  in
-  let mods =
-    if with_lock then mods @ [ Lang.Mod (Cimp.lang, Cimp.gamma_lock ()) ]
-    else mods
-  in
-  (Lang.prog mods entries, entries)
-
-(* ------------------------------------------------------------------ *)
-(* run / drf                                                            *)
-(* ------------------------------------------------------------------ *)
-
-let build_prog client ~with_lock ~entries ~compiled =
-  let client_mod =
-    if compiled then Lang.Mod (Asm.lang, Cas_compiler.Driver.compile client)
-    else Lang.Mod (Clight.lang, client)
-  in
-  let mods =
-    if with_lock then [ client_mod; Lang.Mod (Cimp.lang, Cimp.gamma_lock ()) ]
-    else [ client_mod ]
-  in
-  Lang.prog mods entries
+      $ stats_arg $ cache_term)
 
 (* ------------------------------------------------------------------ *)
 (* Witness plumbing (Cas_diag)                                          *)
 (* ------------------------------------------------------------------ *)
 
-let parse_source src =
-  try Ok (Parse.clight src) with
-  | Lexer.Error (msg, pos) ->
-    Error (Fmt.str "embedded program: %s at %a" msg Lexer.pp_pos pos)
-
 (** Rebuild the replayable semantics a witness was captured against,
     entirely from the witness (the program source is embedded). *)
 let sem_of_witness (w : Cas_diag.Witness.t) :
-    (Cas_diag.Sem.state, string) result =
-  match parse_source w.Cas_diag.Witness.program with
-  | Error e -> Error e
-  | Ok client -> (
-    match w.Cas_diag.Witness.semantics with
-    | Cas_diag.Witness.Sc -> (
-      let p =
-        build_prog client ~with_lock:w.Cas_diag.Witness.with_lock
-          ~entries:w.Cas_diag.Witness.entries ~compiled:false
-      in
-      match World.load p ~args:[] with
-      | Error e -> Error (Fmt.str "load: %a" World.pp_load_error e)
-      | Ok w0 -> Ok (Cas_diag.Sem.of_world w0))
-    | Cas_diag.Witness.Tso -> (
-      let asm = Cas_compiler.Driver.compile client in
-      match
-        Cas_tso.Tso.load
-          [ asm; Cas_tso.Locks.pi_lock ]
-          w.Cas_diag.Witness.entries
-      with
-      | Error e -> Error (Fmt.str "TSO load: %a" World.pp_load_error e)
-      | Ok w0 -> Ok (Cas_diag.Sem.of_tso w0)))
+    (Cas_diag.Sem.state, Cas_cmd.error) result =
+  let text = w.Cas_diag.Witness.program in
+  let* client = Cas_cmd.parse ~origin:"embedded program" text in
+  let p =
+    Cas_cmd.program ~with_lock:w.Cas_diag.Witness.with_lock
+      ~entries:w.Cas_diag.Witness.entries
+      (Cas_cmd.Source { text; client })
+  in
+  match w.Cas_diag.Witness.semantics with
+  | Cas_diag.Witness.Sc -> Result.map Cas_diag.Sem.of_world (Cas_cmd.load p)
+  | Cas_diag.Witness.Tso ->
+    Result.map (fun (_, w) -> Cas_diag.Sem.of_tso w) (Cas_cmd.machine p)
+
+(** The witness file to capture into, with the source to embed: a
+    linked image has no source, so it gets none. *)
+let capture_target (p : Cas_cmd.program) file =
+  match (p.Cas_cmd.code, file) with
+  | _, None -> None
+  | Cas_cmd.Source { text; _ }, Some file -> Some (file, text)
+  | Cas_cmd.Image _, Some _ ->
+    Fmt.epr
+      "warning: witness capture needs the source program and is not \
+       supported for linked images@.";
+    None
+
+(** The witness of a failing [schedule] of program [p], whose source is
+    [text]. *)
+let witness ~text (p : Cas_cmd.program) ~semantics ~engine ~seed
+    ((verdict, steps) : Cas_cmd.schedule) =
+  Cas_diag.Witness.make ~program:text ~entries:p.Cas_cmd.entries
+    ~with_lock:p.Cas_cmd.with_lock ~semantics
+    ~engine:(Engine.to_string engine) ~seed ~verdict steps
 
 let save_witness (w : Cas_diag.Witness.t) ~file =
-  Cas_diag.Witness.save w ~file;
+  write_file ~file (Cas_diag.Witness.save w);
   Fmt.pr "witness written to %s (%a)@." file Cas_diag.Witness.pp w
 
-(** Capture a TSO counterexample on the loaded machine [w0]: a schedule
-    realizing an unmatched completed trace of the failed guarantee check,
-    falling back to a schedule reaching an abort. *)
-let capture_tso_failure w0 (g : Cas_tso.Objsim.guarantee_report) :
-    (Cas_diag.Witness.verdict * Cas_diag.Witness.step list) option =
-  let s0 = Cas_diag.Sem.of_tso w0 in
-  let missing_done =
-    List.filter (fun (_, st) -> st = Explore.SDone) g.Cas_tso.Objsim.missing
-  in
-  match
-    List.find_map
-      (fun (es, _) ->
-        Option.map
-          (fun steps -> (Cas_diag.Witness.Vrefine es, steps))
-          (Cas_diag.Capture.schedule_for_events s0 ~events:es ()))
-      missing_done
-  with
-  | Some r -> Some r
-  | None ->
-    Option.map
-      (fun steps -> (Cas_diag.Witness.Vabort, steps))
-      (Cas_diag.Capture.schedule_to_abort s0 ())
+(* ------------------------------------------------------------------ *)
+(* run / drf                                                            *)
+(* ------------------------------------------------------------------ *)
 
 let run_cmd =
   let run file entries with_lock compiled =
-    let entries = default_entries entries in
-    match parse_client file with
-    | Error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | Ok client -> (
-      let p = build_prog client ~with_lock ~entries ~compiled in
-      match World.load p ~args:[] with
-      | Error e ->
-        Fmt.epr "load error: %a@." World.pp_load_error e;
-        1
-      | Ok w ->
-        let tr, _ = Engine.traces w in
-        Fmt.pr "observable traces (%s):@.%a@."
-          (if tr.Explore.complete then "complete" else "bounded")
-          Explore.TraceSet.pp tr.Explore.traces;
-        0)
+    exit_with always
+      (let* text, client = parse_file file in
+       let+ w =
+         Cas_cmd.load ~compiled
+           (Cas_cmd.program ~with_lock ~entries
+              (Cas_cmd.Source { text; client }))
+       in
+       let tr, _ = Engine.traces w in
+       Fmt.pr "observable traces (%s):@.%a@."
+         (if tr.Explore.complete then "complete" else "bounded")
+         Explore.TraceSet.pp tr.Explore.traces)
   in
   let compiled_arg =
     Arg.(value & flag & info [ "compiled" ] ~doc:"run the compiled x86 instead")
@@ -707,65 +661,27 @@ let drf_cmd =
              (drf, engine, worlds, witness key) instead of the human \
              report; byte-identical across runs at any $(b,--jobs) count")
   in
-  let run file entries with_lock engine jobs json witness paranoid =
+  let run file entries with_lock engine jobs json witness_out paranoid =
     Fpmode.set_paranoid paranoid;
     let jobs = validate_jobs jobs in
-    let emit r =
-      if json then
-        Fmt.pr "%s@." (Cas_diag.Json.to_string (drf_json r))
-      else begin
-        Fmt.pr "%a@." Race.pp_drf_report r;
-        Fmt.pr "engine: %a@." Cas_mc.Stats.pp r.Race.engine_stats
-      end;
-      if r.Race.drf then 0 else 2
-    in
-    if is_image file then
-      match Cas_link.Image.load ~file with
-      | Error e ->
-        Fmt.epr "error: %s: %s@." file e;
-        1
-      | Ok img -> (
-        if witness <> None then
-          Fmt.epr
-            "warning: witness capture needs the source program and is not \
-             supported for linked images@.";
-        let p, _ = image_prog img ~entries ~with_lock in
-        match World.load p ~args:[] with
-        | Error e ->
-          Fmt.epr "load error: %a@." World.pp_load_error e;
-          1
-        | Ok w -> emit (Race.drf ~engine ?jobs w))
-    else
-    let entries = default_entries entries in
-    match parse_client file with
-    | Error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | Ok client -> (
-      let p = build_prog client ~with_lock ~entries ~compiled:false in
-      match World.load p ~args:[] with
-      | Error e ->
-        Fmt.epr "load error: %a@." World.pp_load_error e;
-        1
-      | Ok w ->
-        let r =
-          match witness with
-          | None -> Race.drf ~engine ?jobs w
-          | Some wfile ->
-            (* capture mode: recorder-threaded exploration, then save the
-               reconstructed schedule next to the verdict *)
-            let rc = Cas_diag.Capture.race ~engine ?jobs w in
-            (match rc.Cas_diag.Capture.rc_verdict with
-            | None -> Fmt.pr "DRF: no witness written@."
-            | Some v ->
-              save_witness ~file:wfile
-                (Cas_diag.Witness.make ~program:(read_file file)
-                   ~entries ~with_lock ~semantics:Cas_diag.Witness.Sc
-                   ~engine:(Engine.to_string engine) ~seed:0 ~verdict:v
-                   rc.Cas_diag.Capture.rc_steps));
-            rc.Cas_diag.Capture.rc_report
-        in
-        emit r)
+    exit_with
+      (fun (d : Cas_cmd.drf) -> d.Cas_cmd.report.Race.drf)
+      (let* p = program file ~entries ~with_lock in
+       let target = capture_target p witness_out in
+       let+ d = Cas_cmd.drf ~engine ?jobs ~capture:(target <> None) p in
+       Option.iter
+         (fun (file, text) ->
+           match d.Cas_cmd.race with
+           | None -> Fmt.pr "DRF: no witness written@."
+           | Some s ->
+             save_witness ~file
+               (witness ~text p ~semantics:Cas_diag.Witness.Sc ~engine
+                  ~seed:0 s))
+         target;
+       let r = d.Cas_cmd.report in
+       if json then Fmt.pr "%s@." (Cas_diag.Json.to_string (drf_json r))
+       else Fmt.pr "%a" (Cas_cmd.pp_drf ~engine_line:true) r;
+       d)
   in
   Cmd.v
     (Cmd.info "drf" ~doc:"exhaustive data-race detection (Fig. 9)")
@@ -779,23 +695,23 @@ let drf_cmd =
 
 let check_cmd =
   let run file entries with_lock =
-    let entries = default_entries entries in
-    match parse_client file with
-    | Error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | Ok client ->
-      let input =
-        {
-          Cascompcert.Framework.name = Filename.basename file;
-          clients = [ client ];
-          objects = (if with_lock then [ Cimp.gamma_lock () ] else []);
-          entries;
-        }
-      in
-      let r = Cascompcert.Framework.check_fig2 input in
-      Fmt.pr "%a@." Cascompcert.Framework.pp_run r;
-      if r.Cascompcert.Framework.all_ok then 0 else 2
+    exit_with
+      (fun r -> r.Cascompcert.Framework.all_ok)
+      (let+ text, client = parse_file file in
+       let p =
+         Cas_cmd.program ~with_lock ~entries (Cas_cmd.Source { text; client })
+       in
+       let input =
+         {
+           Cascompcert.Framework.name = Filename.basename file;
+           clients = [ client ];
+           objects = (if with_lock then [ Cimp.gamma_lock () ] else []);
+           entries = p.Cas_cmd.entries;
+         }
+       in
+       let r = Cascompcert.Framework.check_fig2 input in
+       Fmt.pr "%a@." Cascompcert.Framework.pp_run r;
+       r)
   in
   Cmd.v
     (Cmd.info "check" ~doc:"run the full Fig. 2 framework pipeline")
@@ -804,97 +720,46 @@ let check_cmd =
 let sim_cmd =
   let run file paranoid =
     Fpmode.set_paranoid paranoid;
-    match parse_client file with
-    | Error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | Ok client ->
-      let reports = Cascompcert.Framework.check_passes client in
-      List.iter (fun r -> Fmt.pr "%a@." Cascompcert.Framework.pp_pass_sim r) reports;
-      let collisions = if paranoid then Lang.audit_collisions () else [] in
-      (match collisions with
-      | [] -> if paranoid then Fmt.pr "paranoid-fp: no hash collisions observed@."
-      | (a, b) :: _ ->
-        Fmt.epr "paranoid-fp: hash collision detected: %S vs %S@." a b);
-      if
-        collisions = []
-        && List.for_all (fun r -> Cascompcert.Framework.sim_ok r.Cascompcert.Framework.outcome) reports
-      then 0
-      else 2
+    exit_with
+      (fun ((c : Cas_cmd.certify), collisions) ->
+        collisions = [] && c.Cas_cmd.sim_ok)
+      (let+ _, client = parse_file file in
+       let c = Cas_cmd.certify client in
+       Fmt.pr "%a" (Cas_cmd.pp_certify ~indent:"") c;
+       let collisions = if paranoid then Lang.audit_collisions () else [] in
+       (match collisions with
+       | [] -> if paranoid then Fmt.pr "paranoid-fp: no hash collisions observed@."
+       | (a, b) :: _ ->
+         Fmt.epr "paranoid-fp: hash collision detected: %S vs %S@." a b);
+       (c, collisions))
   in
   Cmd.v
     (Cmd.info "sim"
        ~doc:"check the footprint-preserving simulation for every pass")
     Term.(const run $ file_arg $ paranoid_arg)
 
-(** The report of [casc tso]: the TSO traces Lemma 16 was decided on, the
-    engine's accounting of their enumeration, and the verdict. *)
-let print_guarantee (g : Cas_tso.Objsim.guarantee_report) =
-  Fmt.pr "x86-TSO traces (with the TTAS spin lock):@.%a@." Explore.TraceSet.pp
-    g.Cas_tso.Objsim.tso_traces;
-  Fmt.pr "engine: %a@." Cas_mc.Stats.pp g.Cas_tso.Objsim.tso_stats;
-  Fmt.pr "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g
-
-let tso_run_machine ~clients ~entries ~engine ~jobs : int =
-  match Cas_tso.Tso.load (clients @ [ Cas_tso.Locks.pi_lock ]) entries with
-  | Error e ->
-    Fmt.epr "load error: %a@." World.pp_load_error e;
-    1
-  | Ok _ ->
-    let g =
-      Cas_tso.Objsim.check_drf_guarantee ~engine ?jobs ~clients
-        ~pi:Cas_tso.Locks.pi_lock ~gamma:(Cimp.gamma_lock ()) ~entries ()
-    in
-    print_guarantee g;
-    if g.Cas_tso.Objsim.holds then 0 else 2
-
 let tso_cmd =
-  let run file entries engine jobs witness paranoid =
+  let run file entries engine jobs witness_out paranoid =
     Fpmode.set_paranoid paranoid;
     let jobs = validate_jobs jobs in
-    if is_image file then
-      match Cas_link.Image.load ~file with
-      | Error e ->
-        Fmt.epr "error: %s: %s@." file e;
-        1
-      | Ok img ->
-        if witness <> None then
-          Fmt.epr
-            "warning: witness capture needs the source program and is not \
-             supported for linked images@.";
-        let entries = image_entries img entries in
-        tso_run_machine ~clients:(Cas_link.Image.asm_modules img) ~entries
-          ~engine ~jobs
-    else
-    let entries = default_entries entries in
-    match parse_client file with
-    | Error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | Ok client -> (
-      let asm = Cas_compiler.Driver.compile client in
-      match Cas_tso.Tso.load [ asm; Cas_tso.Locks.pi_lock ] entries with
-      | Error e ->
-        Fmt.epr "load error: %a@." World.pp_load_error e;
-        1
-      | Ok w ->
-        let g =
-          Cas_tso.Objsim.check_drf_guarantee ~engine ?jobs ~clients:[ asm ]
-            ~pi:Cas_tso.Locks.pi_lock ~gamma:(Cimp.gamma_lock ()) ~entries ()
-        in
-        print_guarantee g;
-        (match witness with
-        | Some wfile when not g.Cas_tso.Objsim.holds -> (
-          match capture_tso_failure w g with
-          | Some (verdict, steps) ->
-            save_witness ~file:wfile
-              (Cas_diag.Witness.make ~program:(read_file file) ~entries
-                 ~with_lock:false ~semantics:Cas_diag.Witness.Tso
-                 ~engine:(Engine.to_string engine) ~seed:0 ~verdict steps)
-          | None ->
-            Fmt.epr "no schedule found for the failure: no witness written@.")
-        | _ -> ());
-        if g.Cas_tso.Objsim.holds then 0 else 2)
+    exit_with
+      (fun (t : Cas_cmd.tso) -> t.Cas_cmd.guarantee.Cas_tso.Objsim.holds)
+      (let* p = program file ~entries ~with_lock:false in
+       let target = capture_target p witness_out in
+       let+ t = Cas_cmd.tso ~engine ?jobs p in
+       Fmt.pr "%a" (Cas_cmd.pp_tso ~engine_line:true) t.Cas_cmd.guarantee;
+       (match target with
+       | Some (file, text) when not t.Cas_cmd.guarantee.Cas_tso.Objsim.holds
+         -> (
+         match Cas_cmd.tso_failure t with
+         | Some s ->
+           save_witness ~file
+             (witness ~text p ~semantics:Cas_diag.Witness.Tso ~engine ~seed:0
+                s)
+         | None ->
+           Fmt.epr "no schedule found for the failure: no witness written@.")
+       | _ -> ());
+       t)
   in
   Cmd.v
     (Cmd.info "tso"
@@ -954,7 +819,8 @@ let shrink_and_save wit ~do_shrink ~shrink_budget ~out ~trace =
     else
       match sem_of_witness wit with
       | Error e ->
-        Fmt.epr "shrink: cannot rebuild the semantics: %s@." e;
+        Fmt.epr "shrink: cannot rebuild the semantics: %s@."
+          (Cas_cmd.message e);
         wit
       | Ok s0 ->
         let r = Cas_diag.Shrink.shrink ~max_attempts:shrink_budget s0 wit in
@@ -964,79 +830,52 @@ let shrink_and_save wit ~do_shrink ~shrink_budget ~out ~trace =
   save_witness wit ~file:out;
   Option.iter
     (fun tfile ->
-      Cas_diag.Export.save_chrome wit ~file:tfile;
+      write_file ~file:tfile (Cas_diag.Export.save_chrome wit);
       Fmt.pr "trace written to %s@." tfile)
     trace
 
 let repro_cmd =
   let run file entries with_lock tso engine jobs seed out do_shrink
       shrink_budget trace =
-    let entries = default_entries entries in
-    match parse_client file with
-    | Error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | Ok client -> (
-      let src = read_file file in
-      let witness =
-        if tso then begin
-          let asm = Cas_compiler.Driver.compile client in
-          match Cas_tso.Tso.load [ asm; Cas_tso.Locks.pi_lock ] entries with
-          | Error e -> Error (Fmt.str "TSO load: %a" World.pp_load_error e)
-          | Ok w0 ->
-            let g =
-              Cas_tso.Objsim.check_drf_guarantee ~engine ?jobs
-                ~clients:[ asm ] ~pi:Cas_tso.Locks.pi_lock
-                ~gamma:(Cimp.gamma_lock ()) ~entries ()
-            in
-            Fmt.pr "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g;
-            if g.Cas_tso.Objsim.holds then Ok None
-            else
-              Ok
-                (Option.map
-                   (fun (verdict, steps) ->
-                     Cas_diag.Witness.make ~program:src ~entries
-                       ~with_lock:false ~semantics:Cas_diag.Witness.Tso
-                       ~engine:(Engine.to_string engine) ~seed ~verdict steps)
-                   (capture_tso_failure w0 g))
-        end
-        else
-          let p = build_prog client ~with_lock ~entries ~compiled:false in
-          match World.load p ~args:[] with
-          | Error e -> Error (Fmt.str "load: %a" World.pp_load_error e)
-          | Ok w0 -> (
-            let rc = Cas_diag.Capture.race ~engine ?jobs w0 in
-            Fmt.pr "%a@." Race.pp_drf_report rc.Cas_diag.Capture.rc_report;
-            match rc.Cas_diag.Capture.rc_verdict with
-            | Some v ->
-              Ok
-                (Some
-                   (Cas_diag.Witness.make ~program:src ~entries ~with_lock
-                      ~semantics:Cas_diag.Witness.Sc
-                      ~engine:(Engine.to_string engine) ~seed ~verdict:v
-                      rc.Cas_diag.Capture.rc_steps))
-            | None ->
-              (* DRF: an abort schedule is still a counterexample *)
-              Ok
-                (Option.map
-                   (fun steps ->
-                     Cas_diag.Witness.make ~program:src ~entries ~with_lock
-                       ~semantics:Cas_diag.Witness.Sc
-                       ~engine:(Engine.to_string engine) ~seed
-                       ~verdict:Cas_diag.Witness.Vabort steps)
-                   (Cas_diag.Capture.schedule_to_abort
-                      (Cas_diag.Sem.of_world w0) ())))
+    let witness =
+      let* text, client = parse_file file in
+      (* the x86-TSO machine links the TTAS lock, never γ_lock *)
+      let p =
+        Cas_cmd.program ~with_lock:(with_lock && not tso) ~entries
+          (Cas_cmd.Source { text; client })
       in
-      match witness with
-      | Error e ->
-        Fmt.epr "error: %s@." e;
-        1
-      | Ok None ->
-        Fmt.pr "no counterexample found: nothing to capture@.";
-        1
-      | Ok (Some wit) ->
-        shrink_and_save wit ~do_shrink ~shrink_budget ~out ~trace;
-        0)
+      let+ schedule =
+        if tso then
+          let+ t = Cas_cmd.tso ~engine ?jobs p in
+          let g = t.Cas_cmd.guarantee in
+          Fmt.pr "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g;
+          if g.Cas_tso.Objsim.holds then None else Cas_cmd.tso_failure t
+        else
+          let+ d = Cas_cmd.drf ~engine ?jobs ~capture:true p in
+          Fmt.pr "%a" (Cas_cmd.pp_drf ~engine_line:false) d.Cas_cmd.report;
+          match d.Cas_cmd.race with
+          | Some s -> Some s
+          | None ->
+            (* DRF: an abort schedule is still a counterexample *)
+            Option.map
+              (fun steps -> (Cas_diag.Witness.Vabort, steps))
+              (Cas_diag.Capture.schedule_to_abort
+                 (Cas_diag.Sem.of_world d.Cas_cmd.world)
+                 ())
+      in
+      let semantics =
+        if tso then Cas_diag.Witness.Tso else Cas_diag.Witness.Sc
+      in
+      Option.map (witness ~text p ~semantics ~engine ~seed) schedule
+    in
+    match witness with
+    | Error e -> fail e
+    | Ok None ->
+      Fmt.pr "no counterexample found: nothing to capture@.";
+      1
+    | Ok (Some wit) ->
+      shrink_and_save wit ~do_shrink ~shrink_budget ~out ~trace;
+      0
   in
   Cmd.v
     (Cmd.info "repro"
@@ -1075,9 +914,7 @@ let replay_cmd =
       end
       else
         match sem_of_witness wit with
-        | Error e ->
-          Fmt.epr "error: %s@." e;
-          1
+        | Error e -> fail e
         | Ok s0 ->
           let o = Cas_diag.Replay.run s0 wit in
           Fmt.pr "replay %s: %s (%d/%d steps, events [%a])@." file
@@ -1143,11 +980,11 @@ let fuzz_cmd =
         rep.Cas_fuzz.Driver.r_cases;
       (match json with
       | Some file ->
-        let oc = open_out file in
-        output_string oc
-          (Cas_diag.Json.to_string (Cas_fuzz.Driver.report_to_json rep));
-        output_char oc '\n';
-        close_out oc;
+        let json = Cas_fuzz.Driver.report_to_json rep in
+        write_file ~file (fun ~file ->
+            Out_channel.with_open_text file (fun oc ->
+                output_string oc (Cas_diag.Json.to_string json);
+                output_char oc '\n'));
         Fmt.pr "triage report written to %s@." file
       | None -> ());
       (* an [--inject] campaign is *expected* to diverge — its exit code
@@ -1270,9 +1107,7 @@ let socket_arg =
         ~doc:"Unix-domain socket the daemon listens on")
 
 let serve_cmd =
-  let run socket jobs queue_cap cache_dir no_cache delay_ms stats =
-    let use_cache = not no_cache in
-    if use_cache then Cas_compiler.Cache.set_default_dir (Some cache_dir);
+  let run socket jobs queue_cap (_ : string option) delay_ms stats =
     let jobs = Option.value ~default:2 jobs in
     let cfg =
       {
@@ -1323,8 +1158,8 @@ let serve_cmd =
           compile/certify/link/drf/tso requests over a Unix-domain socket \
           until SIGTERM or a shutdown request")
     Term.(
-      const run $ socket_arg $ jobs_arg $ queue_cap_arg $ cache_dir_arg
-      $ no_cache_arg $ delay_ms_arg $ stats_arg)
+      const run $ socket_arg $ jobs_arg $ queue_cap_arg $ cache_term
+      $ delay_ms_arg $ stats_arg)
 
 let client_cmd =
   let run socket kind files entries with_lock certify out =
@@ -1409,29 +1244,20 @@ let client_cmd =
           | Tso _ ->
             print_string (payload_text resp.payload);
             if payload_bool "holds" resp.payload then 0 else 2
-          | Link _ ->
+          | Link _ -> (
             print_string (payload_text resp.payload);
-            (match Cas_diag.Json.member_opt "image" resp.payload with
-            | Some (Cas_diag.Json.Str img) ->
+            match Cas_diag.Json.member_opt "image" resp.payload with
+            | Some (Cas_diag.Json.Str img) -> (
               (* re-encode through [Image.save] so the written file is
                  byte-identical to one-shot [casc link]'s (atomic, same
                  trailing layout) *)
-              (match Cas_link.Image.of_string img with
-              | Ok i -> Cas_link.Image.save i ~file:out
-              | Error _ ->
-                let oc = open_out_bin out in
-                output_string oc img;
-                close_out oc);
-              let digest =
-                match Cas_diag.Json.member_opt "digest" resp.payload with
-                | Some (Cas_diag.Json.Str d) -> d
-                | _ -> "?"
-              in
-              Fmt.pr "wrote %s (image %s%s)@." out digest
-                (if payload_bool "certified" resp.payload then ", certified"
-                 else "")
-            | _ -> ());
-            0)))
+              match Cas_link.Image.of_string img with
+              | Error e -> fail ("image: " ^ e)
+              | Ok img ->
+                write_file ~file:out (Cas_link.Image.save img);
+                Fmt.pr "%a@." pp_wrote (out, img);
+                0)
+            | _ -> 0))))
   in
   let kind_arg =
     Arg.(

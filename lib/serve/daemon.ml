@@ -17,16 +17,13 @@
     worker writes for every coalesced follower), so frames never
     interleave. Shutdown — SIGTERM, a [shutdown] request, or [stop] —
     is graceful: stop accepting, refuse new work with [draining],
-    finish every admitted job, flush its responses, then exit. Verdict
-    texts are rendered with the same pretty-printers the one-shot
-    [casc] commands use, so a daemon answer is byte-identical to the
+    finish every admitted job, flush its responses, then exit. A job is
+    one of the commands the one-shot [casc] runs ([Cas_cmd]), rendered
+    by the same renderer, so a daemon answer is byte-identical to the
     CLI's stdout for the same input, less the [engine:] line of [drf]
     and [tso]: an answer is a function of the request (the response
     memo and coalescing rely on it), and that line carries wall time. *)
 
-open Cas_base
-open Cas_langs
-open Cas_conc
 module Json = Cas_diag.Json
 
 type config = {
@@ -55,170 +52,69 @@ type t = {
 (* Request execution (worker domains)                                  *)
 (* ------------------------------------------------------------------ *)
 
-let parse_source (src : string) : (Clight.program, string) result =
-  try Ok (Parse.clight src) with
-  | Lexer.Error (msg, pos) ->
-    Error (Fmt.str "parse error: %s at %a" msg Lexer.pp_pos pos)
-
-let default_entries = function [] -> [ "main" ] | es -> es
-
-(* The same program assembly [casc drf]/[casc run] perform. *)
-let build_prog client ~with_lock ~entries =
-  let mods =
-    if with_lock then
-      [ Lang.Mod (Clight.lang, client); Lang.Mod (Cimp.lang, Cimp.gamma_lock ()) ]
-    else [ Lang.Mod (Clight.lang, client) ]
-  in
-  Lang.prog mods entries
-
 (* payloads are rendered to JSON text right here, on the worker domain
    that produced them — encode once, fan the bytes out to every waiter *)
 let ok_payload fields = Json.to_string (Json.Obj fields)
 let err_payload msg = Json.to_string (Protocol.error_payload msg)
 
-let exec_compile source : Scheduler.result =
-  match parse_source source with
-  | Error e -> Error e
-  | Ok client ->
-    let a = Cas_compiler.Driver.compile_artifacts ~cache:true client in
-    (* identical to [casc compile FILE] (default IR = asm) *)
-    let text =
-      Fmt.str "%a@."
-        Fmt.(list ~sep:cut Asm.pp_func)
-        a.Cas_compiler.Driver.asm.Asm.funcs
-    in
-    Ok
-      (ok_payload
-         [
-           ("text", Json.Str text);
-           ("asm_digest", Json.Str (Cas_compiler.Cache.digest text));
-         ])
-
-let exec_certify source : Scheduler.result =
-  match parse_source source with
-  | Error e -> Error e
-  | Ok client ->
-    let reports = Cascompcert.Framework.check_passes client in
-    (* identical to the [casc sim FILE] report lines *)
-    let text =
-      String.concat ""
-        (List.map
-           (fun r -> Fmt.str "%a@." Cascompcert.Framework.pp_pass_sim r)
-           reports)
-    in
-    let sim_ok =
-      List.for_all
-        (fun r -> Cascompcert.Framework.sim_ok r.Cascompcert.Framework.outcome)
-        reports
-    in
-    let cached =
-      List.length
-        (List.filter (fun r -> r.Cascompcert.Framework.cached) reports)
-    in
-    let steps =
-      List.fold_left
-        (fun acc r -> acc + r.Cascompcert.Framework.checker_steps)
-        0 reports
-    in
-    Ok
-      (ok_payload
-         [
-           ("text", Json.Str text);
-           ("sim_ok", Json.Bool sim_ok);
-           ("verdicts", Json.Int (List.length reports));
-           ("cached", Json.Int cached);
-           ("checker_steps", Json.Int steps);
-         ])
-
-let exec_link ~objects ~entries ~certify : Scheduler.result =
-  let entries = default_entries entries in
-  let rec decode acc = function
-    | [] -> Ok (List.rev acc)
-    | o :: rest -> (
-      match Cas_link.Objfile.of_string o with
-      | Error e -> Error (Fmt.str "object %d: %s" (List.length acc + 1) e)
-      | Ok obj -> decode (obj :: acc) rest)
-  in
-  match decode [] objects with
-  | Error e -> Error e
-  | Ok objs -> (
-    match Cas_link.Linker.link ~certify ~entries objs with
-    | Error e -> Error (Fmt.str "%a" Cas_link.Linker.pp_error e)
-    | Ok o ->
-      let img = o.Cas_link.Linker.lk_image in
-      (* identical to the certificate-composition report [casc link] prints *)
-      let text =
-        match o.Cas_link.Linker.lk_compose with
-        | None -> ""
-        | Some r -> Fmt.str "%a@." Cascompcert.Framework.pp_compose r
-      in
-      Ok
-        (ok_payload
-           [
-             ("text", Json.Str text);
-             ("image", Json.Str (Cas_link.Image.to_string img));
-             ("digest", Json.Str img.Cas_link.Image.i_digest);
-             ("certified", Json.Bool img.Cas_link.Image.i_certified);
-           ]))
-
-let exec_drf ~source ~entries ~with_lock : Scheduler.result =
-  let entries = default_entries entries in
-  match parse_source source with
-  | Error e -> Error e
-  | Ok client -> (
-    let p = build_prog client ~with_lock ~entries in
-    match World.load p ~args:[] with
-    | Error e -> Error (Fmt.str "load error: %a" World.pp_load_error e)
-    | Ok w ->
-      let r = Race.drf ~engine:Engine.Naive w in
-      (* the [casc drf FILE] report without its engine line *)
-      let text = Fmt.str "%a@." Race.pp_drf_report r in
-      Ok
-        (ok_payload
-           [ ("text", Json.Str text); ("drf", Json.Bool r.Race.drf) ]))
-
-let exec_tso ~source ~entries : Scheduler.result =
-  let entries = default_entries entries in
-  match parse_source source with
-  | Error e -> Error e
-  | Ok client -> (
-    let asm = Cas_compiler.Driver.compile client in
-    match Cas_tso.Tso.load [ asm; Cas_tso.Locks.pi_lock ] entries with
-    | Error e -> Error (Fmt.str "load error: %a" World.pp_load_error e)
-    | Ok _ ->
-      let g =
-        Cas_tso.Objsim.check_drf_guarantee ~engine:Engine.Naive
-          ~clients:[ asm ] ~pi:Cas_tso.Locks.pi_lock
-          ~gamma:(Cimp.gamma_lock ()) ~entries ()
-      in
-      (* the [casc tso FILE] output (naive engine) without its engine
-         line: an answer is a function of the request, and that line
-         carries wall time *)
-      let text =
-        Fmt.str "x86-TSO traces (with the TTAS spin lock):@.%a@."
-          Explore.TraceSet.pp g.Cas_tso.Objsim.tso_traces
-        ^ Fmt.str "Lemma 16: %a@." Cas_tso.Objsim.pp_guarantee g
-      in
-      Ok
-        (ok_payload
-           [
-             ("text", Json.Str text);
-             ("holds", Json.Bool g.Cas_tso.Objsim.holds);
-           ]))
-
+(* One dispatch onto the commands [casc] runs ([Cas_cmd]); drf and tso
+   run the naive engine, and their texts leave out the [engine:] line,
+   which carries wall time. *)
 let exec (cfg : config) (k : Protocol.kind) : Scheduler.result =
   if cfg.delay > 0. then Unix.sleepf cfg.delay;
+  let ( let* ) = Result.bind in
+  let parse = Cas_cmd.parse ~origin:"parse error" in
+  let program ?with_lock ~entries text =
+    let* client = parse text in
+    Ok (Cas_cmd.program ?with_lock ~entries (Cas_cmd.Source { text; client }))
+  in
+  let reply text fields = Ok (ok_payload (("text", Json.Str text) :: fields)) in
+  Result.map_error Cas_cmd.message
+  @@
   match k with
-  | Protocol.Compile { source } -> exec_compile source
-  | Protocol.Certify { source } -> exec_certify source
+  | Protocol.Compile { source } ->
+    let* client = parse source in
+    let text =
+      Fmt.str "%a" Cas_cmd.pp_compile
+        (Cas_compiler.Driver.compile_artifacts ~cache:true client)
+    in
+    reply text [ ("asm_digest", Json.Str (Cas_compiler.Cache.digest text)) ]
+  | Protocol.Certify { source } ->
+    let* client = parse source in
+    let c = Cas_cmd.certify client in
+    reply (Fmt.str "%a" (Cas_cmd.pp_certify ~indent:"") c)
+      [
+        ("sim_ok", Json.Bool c.Cas_cmd.sim_ok);
+        ("verdicts", Json.Int (List.length c.Cas_cmd.reports));
+        ("cached", Json.Int c.Cas_cmd.cached);
+        ("checker_steps", Json.Int c.Cas_cmd.steps);
+      ]
   | Protocol.Link { objects; entries; certify } ->
-    exec_link ~objects ~entries ~certify
+    let* o = Cas_cmd.link ~certify ~entries objects in
+    let img = o.Cas_link.Linker.lk_image in
+    reply (Fmt.str "%a" Cas_cmd.pp_link o)
+      [
+        ("image", Json.Str (Cas_link.Image.to_string img));
+        ("digest", Json.Str img.Cas_link.Image.i_digest);
+        ("certified", Json.Bool img.Cas_link.Image.i_certified);
+      ]
   | Protocol.Drf { source; entries; with_lock } ->
-    exec_drf ~source ~entries ~with_lock
-  | Protocol.Tso { source; entries } -> exec_tso ~source ~entries
+    let* p = program ~with_lock ~entries source in
+    let* d = Cas_cmd.drf p in
+    let r = d.Cas_cmd.report in
+    reply
+      (Fmt.str "%a" (Cas_cmd.pp_drf ~engine_line:false) r)
+      [ ("drf", Json.Bool r.Cas_conc.Race.drf) ]
+  | Protocol.Tso { source; entries } ->
+    let* p = program ~entries source in
+    let* t = Cas_cmd.tso p in
+    let g = t.Cas_cmd.guarantee in
+    reply
+      (Fmt.str "%a" (Cas_cmd.pp_tso ~engine_line:false) g)
+      [ ("holds", Json.Bool g.Cas_tso.Objsim.holds) ]
   | Protocol.Ping | Protocol.Metrics | Protocol.Shutdown ->
     (* handled inline by the connection handler, never scheduled *)
-    Error "internal: control request scheduled"
+    Error (Cas_cmd.Failed "internal: control request scheduled")
 
 (* ------------------------------------------------------------------ *)
 (* Daemon lifecycle                                                    *)

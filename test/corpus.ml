@@ -292,6 +292,50 @@ let observer_prog () : Cas_base.Lang.prog =
     ]
     [ "writer"; "reader" ]
 
+(** A small multi-module program with disjoint symbol tables, for the
+    certified-linker benchmarks: [f] calls across into [g] (the paper's
+    §2.1 pair), and two self-contained modules pad the link so per-module
+    re-verification has enough tasks for [--jobs] to matter. *)
+let link_module_srcs : (string * string) list =
+  [
+    ("f", cross_module_f_src);
+    ("g", cross_module_g_src);
+    ( "tri",
+      {|
+      int tri(int n) {
+        int s;
+        int i;
+        s = 0;
+        i = 0;
+        while (i < n) { i = i + 1; s = s + i; }
+        return s;
+      }
+      void h() {
+        int r;
+        r = tri(6);
+        print(r);
+      }
+|}
+    );
+    ( "powers",
+      {|
+      int sq(int n) { return n * n; }
+      int cube(int n) {
+        int s;
+        s = sq(n);
+        return n * s;
+      }
+      void k() {
+        int a;
+        int b;
+        a = cube(3);
+        b = sq(3);
+        print(a - b);
+      }
+|}
+    );
+  ]
+
 (** Every single-threaded client with its entry, for pass-simulation and
     pipeline sweeps. *)
 let sequential_clients () : (string * Clight.program * string list) list =

@@ -539,10 +539,9 @@ let test_daemon_dedup_and_identical_text () =
          | None -> Alcotest.fail "missing response")
   in
   let expected =
-    String.concat ""
-      (List.map
-         (fun r -> Fmt.str "%a@." Cascompcert.Framework.pp_pass_sim r)
-         (Cascompcert.Framework.check_passes (Cas_langs.Parse.clight src)))
+    Fmt.str "%a"
+      (Cas_cmd.pp_certify ~indent:"")
+      (Cas_cmd.certify (Cas_langs.Parse.clight src))
   in
   List.iteri
     (fun i t -> check tstr (Fmt.str "response %d text = CLI text" i) expected t)
@@ -584,10 +583,102 @@ let test_daemon_tso_text () =
       ()
   in
   check tstr "tso text = Objsim's traces and verdict"
-    (Fmt.str "x86-TSO traces (with the TTAS spin lock):@.%a@.Lemma 16: %a@."
-       Cas_conc.Explore.TraceSet.pp g.Cas_tso.Objsim.tso_traces
-       Cas_tso.Objsim.pp_guarantee g)
+    (Fmt.str "%a" (Cas_cmd.pp_tso ~engine_line:false) g)
     text
+
+(* Every compute kind answers with the text [casc] prints for the same
+   input ([Cas_cmd]'s renderer, less the [engine:] line), or with the
+   message of the error [casc] reports; the payload's verdict agrees
+   with the exit code [casc] gives the same result. *)
+let test_daemon_matches_cli () =
+  let agree name kind ~pp ~verdict ~ok (cli : (_, Cas_cmd.error) result) =
+    let code = Cas_cmd.exit_code ok cli in
+    match (Daemon.exec Daemon.default_config kind, cli) with
+    | Ok payload, Ok r -> (
+      match Cas_diag.Json.parse payload with
+      | Error e -> Alcotest.failf "%s: payload: %s" name e
+      | Ok j ->
+        check tstr (name ^ ": text = CLI text") (Fmt.str "%a" pp r)
+          (Protocol.payload_text j);
+        let positive =
+          match verdict with
+          | Some field -> Protocol.payload_bool field j
+          | None -> true
+        in
+        check tint (name ^ ": verdict = CLI exit code") code
+          (if positive then 0 else 2))
+    | Error msg, Error e ->
+      check tstr (name ^ ": error = CLI error") (Cas_cmd.message e) msg;
+      check tbool (name ^ ": CLI exit code is nonzero") true (code <> 0)
+    | Ok _, Error _ | Error _, Ok _ ->
+      Alcotest.failf "%s: daemon and CLI disagree on failing" name
+  in
+  let parse = Cas_cmd.parse ~origin:"parse error" in
+  let program ?with_lock ~entries text =
+    Result.map
+      (fun client ->
+        Cas_cmd.program ?with_lock ~entries (Cas_cmd.Source { text; client }))
+      (parse text)
+  in
+  List.iter
+    (fun (name, source, entries, with_lock) ->
+      let name k = Fmt.str "%s %s" name k in
+      agree (name "compile") (Protocol.Compile { source })
+        ~pp:Cas_cmd.pp_compile ~verdict:None ~ok:(fun _ -> true)
+        (Result.map
+           (Cas_compiler.Driver.compile_artifacts ~cache:true)
+           (parse source));
+      (* certify first: the daemon's verdicts then come from the warm
+         cache, as the CLI's do, with the same "(cached)" markers *)
+      ignore (Result.map Cas_cmd.certify (parse source));
+      agree (name "certify") (Protocol.Certify { source })
+        ~pp:(Cas_cmd.pp_certify ~indent:"")
+        ~verdict:(Some "sim_ok")
+        ~ok:(fun c -> c.Cas_cmd.sim_ok)
+        (Result.map Cas_cmd.certify (parse source));
+      agree (name "drf")
+        (Protocol.Drf { source; entries; with_lock })
+        ~pp:(Cas_cmd.pp_drf ~engine_line:false)
+        ~verdict:(Some "drf")
+        ~ok:(fun r -> r.Cas_conc.Race.drf)
+        (Result.map
+           (fun d -> d.Cas_cmd.report)
+           (Result.bind (program ~with_lock ~entries source) Cas_cmd.drf));
+      agree (name "tso") (Protocol.Tso { source; entries })
+        ~pp:(Cas_cmd.pp_tso ~engine_line:false)
+        ~verdict:(Some "holds")
+        ~ok:(fun g -> g.Cas_tso.Objsim.holds)
+        (Result.map
+           (fun t -> t.Cas_cmd.guarantee)
+           (Result.bind (program ~entries source) Cas_cmd.tso)))
+    [
+      ("racy", Corpus.racy_counter_src, [ "inc"; "inc" ], false);
+      ("fib", Corpus.fib_src, [], false);
+      ("cross-f", Corpus.cross_module_f_src, [ "f" ], false);
+      ("no-entry", Corpus.racy_counter_src, [ "nosuch" ], false);
+      ("unparsable", "int x = 0; void f() { x = ; }", [], false);
+    ];
+  let obj name source =
+    match Cas_link.Objfile.build ~name ~source () with
+    | Ok o -> Cas_link.Objfile.to_string o
+    | Error e -> Alcotest.failf "build %s: %s" name e
+  in
+  let f = obj "f" Corpus.cross_module_f_src
+  and g = obj "g" Corpus.cross_module_g_src in
+  List.iter
+    (fun (name, objects, certify) ->
+      let cli () = Cas_cmd.link ~certify ~entries:[ "f" ] objects in
+      ignore (cli ());
+      agree name
+        (Protocol.Link { objects; entries = [ "f" ]; certify })
+        ~pp:Cas_cmd.pp_link ~verdict:None
+        ~ok:(fun _ -> true)
+        (cli ()))
+    [
+      ("link --certify", [ f; g ], true);
+      ("link", [ f; g ], false);
+      ("link, g missing", [ f ], false);
+    ]
 
 let test_daemon_overload_and_drain () =
   let socket = socket_path () in
@@ -739,5 +830,7 @@ let () =
             test_daemon_overload_and_drain;
           Alcotest.test_case "garbage rejected structurally" `Quick
             test_daemon_rejects_garbage;
+          Alcotest.test_case "every kind answers as the CLI" `Quick
+            test_daemon_matches_cli;
         ] );
     ]
