@@ -688,7 +688,7 @@ let diag () =
             ~semantics:Cas_diag.Witness.Sc ~engine:"dpor" ~seed:0 ~verdict:v
             rc.Cas_diag.Capture.rc_steps
         in
-        let r = Cas_diag.Shrink.shrink (Cas_diag.Sem.of_world w) wit in
+        let r = Cas_diag.Shrink.shrink (Cas_diag.Sem.sc w) wit in
         json_shrink :=
           ( name,
             r.Cas_diag.Shrink.sh_orig_steps,

@@ -176,6 +176,10 @@ let paranoid_arg =
            core the simulation checker visits, at every pipeline stage, by \
            cross-checking its streamed hash against its fingerprint string")
 
+(* --paranoid-fp's choice of state keys for exploration *)
+let keys paranoid =
+  if paranoid then Cas_mc.Mcsys.Fingerprint else Cas_mc.Mcsys.Hash
+
 let witness_out_arg =
   Arg.(
     value
@@ -263,8 +267,9 @@ let per_function_counts = Cascompcert.Framework.per_function_counts
 
 let compile_cmd =
   let run files ir stats json jobs certify cache_dir paranoid =
-    Fpmode.set_paranoid paranoid;
     let jobs = Option.value ~default:1 jobs in
+    (* one collision audit across the certifications of every unit *)
+    let audit = if certify && paranoid then Some (Lang.audit ()) else None in
     let use_cache = cache_dir <> None in
     let parsed = List.map (fun f -> (f, parse_file f)) files in
     match List.find_map (function _, Error e -> Some e | _ -> None) parsed with
@@ -321,7 +326,7 @@ let compile_cmd =
               c.Cas_compiler.Driver.c_stats
           end;
           if certify then begin
-            let c = Cas_cmd.certify client in
+            let c = Cas_cmd.certify ?audit client in
             if not c.Cas_cmd.sim_ok then all_sim_ok := false;
             Fmt.pr "%a" (Cas_cmd.pp_certify ~indent:"  ") c;
             let fns = per_function_counts c.Cas_cmd.reports in
@@ -356,17 +361,18 @@ let compile_cmd =
       if json then
         Fmt.pr {|{"units":[%s]}|} (String.concat "," (List.rev !json_units));
       if json then Fmt.pr "@.";
-      if paranoid then begin
-        match Lang.audit_collisions () with
-        | [] -> Fmt.pr "paranoid-fp: no hash collisions observed@."
-        | (a, b) :: _ as l ->
-          Fmt.epr
-            "paranoid-fp: %d hash collision%s detected, e.g. %S vs %S@."
-            (List.length l)
-            (if List.length l = 1 then "" else "s")
-            a b;
-          all_sim_ok := false
-      end;
+      Option.iter
+        (fun audit ->
+          match Lang.audit_collisions audit with
+          | [] -> Fmt.pr "paranoid-fp: no hash collisions observed@."
+          | (a, b) :: _ as l ->
+            Fmt.epr
+              "paranoid-fp: %d hash collision%s detected, e.g. %S vs %S@."
+              (List.length l)
+              (if List.length l = 1 then "" else "s")
+              a b;
+            all_sim_ok := false)
+        audit;
       if stats then begin
         let hits, misses =
           List.fold_left
@@ -577,9 +583,9 @@ let sem_of_witness (w : Cas_diag.Witness.t) :
       (Cas_cmd.Source { text; client })
   in
   match w.Cas_diag.Witness.semantics with
-  | Cas_diag.Witness.Sc -> Result.map Cas_diag.Sem.of_world (Cas_cmd.load p)
+  | Cas_diag.Witness.Sc -> Result.map Cas_diag.Sem.sc (Cas_cmd.load p)
   | Cas_diag.Witness.Tso ->
-    Result.map (fun (_, w) -> Cas_diag.Sem.of_tso w) (Cas_cmd.machine p)
+    Result.map (fun (_, w) -> Cas_diag.Sem.tso w) (Cas_cmd.machine p)
 
 (** The witness file to capture into, with the source to embed: a
     linked image has no source, so it gets none. *)
@@ -662,13 +668,15 @@ let drf_cmd =
              report; byte-identical across runs at any $(b,--jobs) count")
   in
   let run file entries with_lock engine jobs json witness_out paranoid =
-    Fpmode.set_paranoid paranoid;
     let jobs = validate_jobs jobs in
     exit_with
       (fun (d : Cas_cmd.drf) -> d.Cas_cmd.report.Race.drf)
       (let* p = program file ~entries ~with_lock in
        let target = capture_target p witness_out in
-       let+ d = Cas_cmd.drf ~engine ?jobs ~capture:(target <> None) p in
+       let+ d =
+         Cas_cmd.drf ~engine ?jobs ~keys:(keys paranoid)
+           ~capture:(target <> None) p
+       in
        Option.iter
          (fun (file, text) ->
            match d.Cas_cmd.race with
@@ -719,14 +727,16 @@ let check_cmd =
 
 let sim_cmd =
   let run file paranoid =
-    Fpmode.set_paranoid paranoid;
     exit_with
       (fun ((c : Cas_cmd.certify), collisions) ->
         collisions = [] && c.Cas_cmd.sim_ok)
       (let+ _, client = parse_file file in
-       let c = Cas_cmd.certify client in
+       let audit = if paranoid then Some (Lang.audit ()) else None in
+       let c = Cas_cmd.certify ?audit client in
        Fmt.pr "%a" (Cas_cmd.pp_certify ~indent:"") c;
-       let collisions = if paranoid then Lang.audit_collisions () else [] in
+       let collisions =
+         Option.fold ~none:[] ~some:Lang.audit_collisions audit
+       in
        (match collisions with
        | [] -> if paranoid then Fmt.pr "paranoid-fp: no hash collisions observed@."
        | (a, b) :: _ ->
@@ -740,13 +750,12 @@ let sim_cmd =
 
 let tso_cmd =
   let run file entries engine jobs witness_out paranoid =
-    Fpmode.set_paranoid paranoid;
     let jobs = validate_jobs jobs in
     exit_with
       (fun (t : Cas_cmd.tso) -> t.Cas_cmd.guarantee.Cas_tso.Objsim.holds)
       (let* p = program file ~entries ~with_lock:false in
        let target = capture_target p witness_out in
-       let+ t = Cas_cmd.tso ~engine ?jobs p in
+       let+ t = Cas_cmd.tso ~engine ?jobs ~keys:(keys paranoid) p in
        Fmt.pr "%a" (Cas_cmd.pp_tso ~engine_line:true) t.Cas_cmd.guarantee;
        (match target with
        | Some (file, text) when not t.Cas_cmd.guarantee.Cas_tso.Objsim.holds
@@ -860,7 +869,7 @@ let repro_cmd =
             Option.map
               (fun steps -> (Cas_diag.Witness.Vabort, steps))
               (Cas_diag.Capture.schedule_to_abort
-                 (Cas_diag.Sem.of_world d.Cas_cmd.world)
+                 (Cas_diag.Sem.sc d.Cas_cmd.world)
                  ())
       in
       let semantics =

@@ -12,7 +12,9 @@
     63-bit hash (the lanes share their input stream), i.e. a birthday
     bound of ~2^-63 per state pair — negligible at the 10^5..10^6 states
     this repo explores, and checkable at any time by re-running with the
-    full canonical strings via [Fpmode.set_paranoid]. *)
+    full canonical strings ([--paranoid-fp]: the fingerprint-keyed views
+    [Cas_conc.Engine.selection] and [Cas_tso.Tso.system] for exploration,
+    [Lang.audit] for the simulation checker). *)
 
 (* all constants fit OCaml's 63-bit native int *)
 let prime1 = 0x100000001B3 (* FNV-64 prime *)

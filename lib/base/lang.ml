@@ -78,56 +78,42 @@ let digest_fundef (Mod (l, code)) (name : string) : string =
   Hashx.key_of (Hashx.out st)
 
 (* ------------------------------------------------------------------ *)
-(* Paranoid hash audit (--paranoid-fp)                                 *)
+(* Collision audit (--paranoid-fp)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(* Empirical collision audit for the dedicated [hash_core] streamers:
-   under [Fpmode.paranoid], every core fed to [audit_core] is hashed
-   *and* fingerprinted, and a 16-byte hash key observed with two
-   distinct canonical fingerprints is recorded as a collision. The
-   simulation checker audits every core it visits, so the sweep covers
-   all ten IRs, not just the exploration-hot ones. *)
+(** Empirical collision audit for the dedicated [hash_core] streamers,
+    scoped to one certification: every core fed to [audit_core] is
+    hashed *and* fingerprinted, and a 16-byte hash key observed with two
+    distinct canonical fingerprints is recorded as a collision. The
+    simulation checker audits every core it visits when it is given an
+    audit, so the sweep covers all ten IRs, not just the
+    exploration-hot ones. An audit has no lock: one certification uses
+    it at a time. *)
+type audit = {
+  seen : (string, string) Hashtbl.t;  (** hash key -> fingerprint *)
+  mutable bad : (string * string) list;  (** newest first *)
+}
 
-let audit_lock = Mutex.create ()
-let audit_tbl : (string, string) Hashtbl.t = Hashtbl.create 4096
-let audit_bad : (string * string) list ref = ref []
+let audit () = { seen = Hashtbl.create 4096; bad = [] }
 
 (* memory bound: past this many distinct keys, new keys are no longer
    remembered (already-seen keys keep being cross-checked) *)
 let audit_cap = 200_000
 
-let audit_reset () =
-  Mutex.lock audit_lock;
-  Hashtbl.reset audit_tbl;
-  audit_bad := [];
-  Mutex.unlock audit_lock
+(** Collisions recorded by the audit, as pairs of distinct canonical
+    fingerprints that streamed to the same key. *)
+let audit_collisions a = List.rev a.bad
 
-(** Collisions recorded since the last [audit_reset], as pairs of
-    distinct canonical fingerprints that streamed to the same key. *)
-let audit_collisions () =
-  Mutex.lock audit_lock;
-  let l = List.rev !audit_bad in
-  Mutex.unlock audit_lock;
-  l
-
-let audit_core (type code core) (l : (code, core) t) (c : core) : unit =
-  if Fpmode.paranoid () then begin
-    let st = Hashx.create () in
-    Hashx.string st l.name;
-    Hashx.char st '|';
-    l.hash_core st c;
-    let key = Hashx.key_of (Hashx.out st) in
-    let canon = l.name ^ "|" ^ l.fingerprint_core c in
-    Mutex.lock audit_lock;
-    (match Hashtbl.find_opt audit_tbl key with
-    | Some canon' ->
-      if not (String.equal canon canon') then
-        audit_bad := (canon', canon) :: !audit_bad
-    | None ->
-      if Hashtbl.length audit_tbl < audit_cap then
-        Hashtbl.add audit_tbl key canon);
-    Mutex.unlock audit_lock
-  end
+let audit_core (type code core) (a : audit) (l : (code, core) t) (c : core) :
+    unit =
+  let xc = XCore (l, c) in
+  let key = Hashx.key_of (xcore_hash xc) in
+  let canon = xcore_fingerprint xc in
+  match Hashtbl.find_opt a.seen key with
+  | Some canon' ->
+    if not (String.equal canon canon') then a.bad <- (canon', canon) :: a.bad
+  | None ->
+    if Hashtbl.length a.seen < audit_cap then Hashtbl.add a.seen key canon
 
 (** A whole program P = let Π in f1 ∥ ... ∥ fn (Fig. 4). *)
 type prog = { modules : modu list; entries : string list }

@@ -38,12 +38,6 @@ type fault =
   | Out_of_bounds of Addr.t
   | Perm_mismatch of Addr.t * Perm.t
 
-let pp_fault ppf = function
-  | Unmapped a -> Fmt.pf ppf "unmapped %a" Addr.pp a
-  | Out_of_bounds a -> Fmt.pf ppf "out-of-bounds %a" Addr.pp a
-  | Perm_mismatch (a, p) ->
-    Fmt.pf ppf "permission mismatch at %a (block is %a)" Addr.pp a Perm.pp p
-
 let empty = { blocks = IntMap.empty; h1 = 0; h2 = 0 }
 
 let block_defined m b = IntMap.mem b m.blocks

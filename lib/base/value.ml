@@ -42,7 +42,6 @@ let pp ppf = function
 
 let to_string v = Fmt.str "%a" pp v
 let is_true = function Vint n -> n <> 0 | Vptr _ -> true | Vundef -> false
-let of_bool b = Vint (if b then 1 else 0)
 
 (** Addresses stored inside a value, for closedness checks ([closed(S,σ)]
     in Fig. 7: every pointer reachable from the shared memory must itself

@@ -11,8 +11,6 @@ type violation = {
   detail : string;
 }
 
-let pp_violation ppf v = Fmt.pf ppf "Def.1(%d): %s" v.item v.detail
-
 (* LEqPre(σ1, σ2, δ, F) — Fig. 6. *)
 let leqpre m1 m2 (d : Footprint.t) f =
   let ws = Footprint.ws_set d in

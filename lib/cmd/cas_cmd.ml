@@ -131,9 +131,11 @@ type certify = {
   steps : int;  (** checker steps executed in this run *)
 }
 
-(** The per-pass footprint-preserving simulation verdicts of a client. *)
-let certify (client : Clight.program) : certify =
-  let reports = Framework.check_passes client in
+(** The per-pass footprint-preserving simulation verdicts of a client.
+    With an [audit] every verdict is checked afresh, never read from the
+    cache, and every core the checker visits is audited. *)
+let certify ?audit (client : Clight.program) : certify =
+  let reports = Framework.check_passes ?audit client in
   {
     reports;
     sim_ok =
@@ -193,13 +195,14 @@ type drf = {
   race : schedule option;  (** with [capture], the schedule to the race *)
 }
 
-(** DRF of the program under SC (Fig. 9). With [capture] the exploration
-    also records the schedule to the race it reports. *)
-let drf ?(engine = Engine.Naive) ?jobs ?(capture = false) (p : program) :
-    (drf, error) result =
+(** DRF of the program under SC (Fig. 9), with worlds keyed by [keys].
+    With [capture] the exploration also records the schedule to the race
+    it reports; capture always keys worlds by their fingerprints. *)
+let drf ?(engine = Engine.Naive) ?jobs ?keys ?(capture = false)
+    (p : program) : (drf, error) result =
   let+ world = load p in
   if not capture then
-    { world; report = Race.drf ~engine ?jobs world; race = None }
+    { world; report = Race.drf ~engine ?jobs ?keys world; race = None }
   else
     let rc = Cas_diag.Capture.race ~engine ?jobs world in
     let steps = rc.Cas_diag.Capture.rc_steps in
@@ -216,12 +219,15 @@ let pp_drf ~engine_line ppf (r : Race.drf_report) =
 type tso = { machine : Cas_tso.Tso.world; guarantee : Objsim.guarantee_report }
 
 (** Lemma 16: the program's x86 clients with the TTAS spin lock under
-    x86-TSO refine them with γ_lock under SC. *)
-let tso ?(engine = Engine.Naive) ?jobs (p : program) : (tso, error) result =
+    x86-TSO refine them with γ_lock under SC, with worlds keyed by
+    [keys] on both sides. *)
+let tso ?(engine = Engine.Naive) ?jobs ?keys (p : program) :
+    (tso, error) result =
   let+ clients, machine = machine p in
   let guarantee =
-    Objsim.check_drf_guarantee ~engine ?jobs ~clients ~pi:Cas_tso.Locks.pi_lock
-      ~gamma:(Cimp.gamma_lock ()) ~entries:p.entries ()
+    Objsim.check_drf_guarantee ~engine ?jobs ?keys ~clients
+      ~pi:Cas_tso.Locks.pi_lock ~gamma:(Cimp.gamma_lock ()) ~entries:p.entries
+      ()
   in
   { machine; guarantee }
 
@@ -237,7 +243,7 @@ let pp_tso ~engine_line ppf (g : Objsim.guarantee_report) =
 (** A schedule of the TSO machine realizing the failure of a Lemma 16
     check: an unmatched completed trace, else a reachable abort. *)
 let tso_failure (t : tso) : schedule option =
-  let s0 = Cas_diag.Sem.of_tso t.machine in
+  let s0 = Cas_diag.Sem.tso t.machine in
   let realize (es, status) =
     if status <> Explore.SDone then None
     else

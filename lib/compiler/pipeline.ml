@@ -131,6 +131,3 @@ let run (type s t) (s : stepper) (c : (s, t) chain) (x : s) : t =
    fun c x -> match c with Nil -> x | Cons (p, rest) -> go rest (s.step p x)
   in
   go c x
-
-(** The bare stepper: no caching, no instrumentation. *)
-let plain ?options () : stepper = { step = (fun p x -> Pass.run ?options p x) }

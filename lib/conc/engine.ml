@@ -8,7 +8,9 @@
     atomic bit, only it is schedulable — exactly the preemptive Switch
     side-condition d = 0. [Naive] is unreduced search of this graph and
     the DPOR engines reduce it, so their world counts and trace sets
-    are comparable.
+    are comparable. The same graph keyed by the full fingerprint
+    strings ([selection Fingerprint]) is what [--paranoid-fp] explores
+    and what witnesses are captured and replayed on.
 
     Fig. 7's scheduler-explicit step function ([Preemptive.steps]) stays
     as the paper's reference; [test/test_mc.ml] checks that it has the
@@ -118,27 +120,30 @@ let selection_system : World.t Cas_mc.Mcsys.t =
           (schedulable w));
   }
 
-(** Engine-selected reachability from a loaded world. [visit] fires once
-    per distinct world, with the transitions the engine explores out of
-    it; with the DPOR engines the visited worlds are a representative
-    subset, so [visit] must compute order-insensitive facts (the race
-    predictor is one). *)
-let explore_trans ?engine ?jobs ?max_worlds ?recorder (w0 : World.t)
-    ~(visit : World.t -> World.t Cas_mc.Mcsys.trans list -> unit) :
-    Cas_mc.Stats.t =
-  Cas_mc.Engine.reachable_trans ?engine ?jobs ?max_worlds ?recorder
-    selection_system [ w0 ] ~visit
+(** The selection view under the given state keys: [selection_system],
+    or the same graph keyed by [World.fingerprint_nocur]. *)
+let selection : Cas_mc.Mcsys.keys -> World.t Cas_mc.Mcsys.t =
+  let by_fingerprint =
+    { selection_system with Cas_mc.Mcsys.fingerprint = World.fingerprint_nocur }
+  in
+  function
+  | Cas_mc.Mcsys.Hash -> selection_system
+  | Cas_mc.Mcsys.Fingerprint -> by_fingerprint
 
-(** [explore_trans] for a visitor that needs only the world. *)
-let explore ?engine ?jobs ?max_worlds ?recorder w0 ~visit =
-  explore_trans ?engine ?jobs ?max_worlds ?recorder w0
-    ~visit:(fun w _ -> visit w)
+(** Engine-selected reachability from a loaded world. [visit] fires once
+    per distinct world; with the DPOR engines the visited worlds are a
+    representative subset, so [visit] must compute order-insensitive
+    facts. *)
+let explore ?engine ?jobs ?max_worlds (w0 : World.t)
+    ~(visit : World.t -> unit) : Cas_mc.Stats.t =
+  Cas_mc.Engine.reachable ?engine ?jobs ?max_worlds selection_system [ w0 ]
+    ~visit
 
 (** Engine-selected trace enumeration from a loaded world. *)
-let traces ?engine ?jobs ?max_steps ?max_paths ?recorder (w0 : World.t) :
+let traces ?engine ?jobs ?max_steps ?max_paths (w0 : World.t) :
     Explore.trace_result * Cas_mc.Stats.t =
-  Cas_mc.Engine.traces ?engine ?jobs ?max_steps ?max_paths ?recorder
-    selection_system [ w0 ]
+  Cas_mc.Engine.traces ?engine ?jobs ?max_steps ?max_paths selection_system
+    [ w0 ]
 
 (** The non-preemptive semantics (§3.3) as a naive-explored system, from
     one world per choice of initial thread. *)

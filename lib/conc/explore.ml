@@ -43,7 +43,6 @@ type trace = Cas_mc.Trace.t
 
 let pp_status = Cas_mc.Trace.pp_status
 let pp_trace = Cas_mc.Trace.pp
-let trace_key = Cas_mc.Trace.key
 
 module TraceSet = Cas_mc.Trace.Set
 

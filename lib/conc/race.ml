@@ -24,7 +24,7 @@ type prediction = Footprint.t * bool
     blocks on their entry transitions. *)
 let atomic_block_fp = Engine.atomic_block_fp
 
-let predict ?(atomic_bound = 1000) (w : World.t) (tid : int) : prediction list =
+let predict (w : World.t) (tid : int) : prediction list =
   if World.dbit w tid then []
   else
     (* footprint-only stepping: the predictor never needs the successor
@@ -34,7 +34,7 @@ let predict ?(atomic_bound = 1000) (w : World.t) (tid : int) : prediction list =
       (function
         | World.PEnter (fp, w') ->
           Some
-            (Footprint.union fp (atomic_block_fp w' tid ~bound:atomic_bound), true)
+            (Footprint.union fp (atomic_block_fp w' tid ~bound:1000), true)
         | World.PNext fp ->
           if Footprint.is_empty fp then None else Some (fp, false))
       (World.local_preds w tid)
@@ -48,8 +48,7 @@ let predict ?(atomic_bound = 1000) (w : World.t) (tid : int) : prediction list =
     DRF ⇔ NPDRF would fail). If the region ends by entering an atomic
     block, the block's own footprint is predicted separately with bit 1,
     as in Predict-1. *)
-let predict_np ?(region_bound = 1000) (w : World.t) (tid : int) :
-    prediction list =
+let predict_np (w : World.t) (tid : int) : prediction list =
   if World.dbit w tid then []
   else
     let preds = ref [] in
@@ -67,7 +66,7 @@ let predict_np ?(region_bound = 1000) (w : World.t) (tid : int) :
                 preds := (acc, false) :: !preds;
                 preds :=
                   ( Footprint.union acc
-                      (atomic_block_fp w' tid ~bound:region_bound),
+                      (atomic_block_fp w' tid ~bound:1000),
                     true )
                   :: !preds
               | World.LNext (msg, fp, w') ->
@@ -76,7 +75,7 @@ let predict_np ?(region_bound = 1000) (w : World.t) (tid : int) :
                 else run w' acc (bound - 1))
             succs
     in
-    run w Footprint.empty region_bound;
+    run w Footprint.empty 1000;
     !preds
 
 (** Predictions of thread [tid] read off one of its transitions in the
@@ -128,6 +127,18 @@ let predictions_of_trans (w : World.t)
     in
     per_thread live trans
 
+(** The first conflicting pair of two threads' predictions, in
+    prediction order: the instrumented conflict (δ1,d1) ⌢ (δ2,d2). *)
+let conflicting (p1 : prediction list) (p2 : prediction list) :
+    (prediction * prediction) option =
+  List.find_map
+    (fun pr1 ->
+      List.find_map
+        (fun pr2 ->
+          if Footprint.conflict_bits pr1 pr2 then Some (pr1, pr2) else None)
+        p2)
+    p1
+
 (** The first conflicting pair of predictions of two distinct threads,
     in thread order, then prediction order. *)
 let first_race (preds : (int * prediction list) list) :
@@ -138,15 +149,9 @@ let first_race (preds : (int * prediction list) list) :
       let hit =
         List.find_map
           (fun (t2, p2) ->
-            List.find_map
-              (fun pr1 ->
-                List.find_map
-                  (fun pr2 ->
-                    if Footprint.conflict_bits pr1 pr2 then
-                      Some (t1, pr1, t2, pr2)
-                    else None)
-                  p2)
-              p1)
+            match conflicting p1 p2 with
+            | Some (pr1, pr2) -> Some (t1, pr1, t2, pr2)
+            | None -> None)
           rest
       in
       (match hit with Some _ -> hit | None -> pairs rest)
@@ -157,11 +162,15 @@ let first_race (preds : (int * prediction list) list) :
     the witnessing threads and footprints if so. [predictor] selects
     single-step prediction (preemptive DRF) or region prediction
     (NPDRF). *)
-let race_witness ?(predictor = fun w t -> predict w t) (w : World.t) :
+let race_witness ?(predictor = predict) (w : World.t) :
     (int * prediction * int * prediction) option =
   first_race (List.map (fun t -> (t, predictor w t)) (World.live_tids w))
 
 let races (w : World.t) = Option.is_some (race_witness w)
+
+(** Does [w] predict a race between threads [t1] and [t2]? *)
+let race_between (w : World.t) t1 t2 =
+  t1 <> t2 && Option.is_some (conflicting (predict w t1) (predict w t2))
 
 type drf_report = {
   drf : bool;
@@ -192,7 +201,7 @@ let pp_drf_report ppf r =
 
 (** The race predictor as a visitor of the selection view's
     exploration ([Cas_mc.Engine.reachable_trans] over
-    [Engine.selection_system], or a re-keyed copy of it): it reads each
+    [Engine.selection], under either key): it reads each
     visited world's predictions off the transitions the engine hands
     it, and keeps the candidate with the smallest [witness_key] over
     *all* racy worlds, not the first one visited — under [dpor-par]
@@ -226,10 +235,15 @@ let witness_visitor () :
 
 (** DRF(P) with a selectable exploration engine: the race predictor over
     the thread-selection view, which every engine explores (the
-    predictor reads only thread states and memory — never [cur]). *)
-let drf ?max_worlds ?engine ?jobs ?recorder w0 =
+    predictor reads only thread states and memory — never [cur]).
+    [keys] chooses the view's state keys ([Hash] by default); a
+    [recorder] keeps the spanning tree of the exploration, keyed the
+    same way. *)
+let drf ?max_worlds ?engine ?jobs ?(keys = Cas_mc.Mcsys.Hash) ?recorder w0 =
   let visit, report = witness_visitor () in
-  report (Engine.explore_trans ?engine ?jobs ?max_worlds ?recorder w0 ~visit)
+  report
+    (Cas_mc.Engine.reachable_trans ?engine ?jobs ?max_worlds ?recorder
+       (Engine.selection keys) [ w0 ] ~visit)
 
 (** NPDRF(P) (§5): region prediction over the worlds of the
     non-preemptive semantics, reporting the first racy world reached. *)
@@ -240,7 +254,7 @@ let npdrf ?max_worlds w0 =
         if !witness = None then
           Option.iter
             (fun wt -> witness := Some (wt, w))
-            (race_witness ~predictor:(fun w t -> predict_np w t) w))
+            (race_witness ~predictor:predict_np w))
   in
   {
     drf = !witness = None;

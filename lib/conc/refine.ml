@@ -83,13 +83,11 @@ let equiv (a : Explore.trace_result) (b : Explore.trace_result) : report =
 (** Convenience: load a program and enumerate its traces under the
     preemptive semantics, with a selectable exploration engine (naive,
     DPOR, parallel DPOR). *)
-let traces_of_pre ?engine ?jobs ?max_steps ?max_paths ?recorder
-    (p : Lang.prog) :
+let traces_of_pre ?engine ?jobs ?max_steps ?max_paths (p : Lang.prog) :
     (Explore.trace_result * Cas_mc.Stats.t, World.load_error) result =
   match World.load p ~args:[] with
   | Error e -> Error e
-  | Ok w0 ->
-    Ok (Engine.traces ?engine ?jobs ?max_steps ?max_paths ?recorder w0)
+  | Ok w0 -> Ok (Engine.traces ?engine ?jobs ?max_steps ?max_paths w0)
 
 (** [traces_of_pre] under the non-preemptive semantics (naive only). *)
 let traces_of_np ?max_steps ?max_paths (p : Lang.prog) :

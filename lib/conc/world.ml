@@ -34,11 +34,6 @@ type t = {
 (** Global messages o ::= τ | e | sw (Fig. 7). *)
 type gmsg = Gtau | Gevt of Event.t | Gsw
 
-let pp_gmsg ppf = function
-  | Gtau -> Fmt.string ppf "tau"
-  | Gevt e -> Event.pp ppf e
-  | Gsw -> Fmt.string ppf "sw"
-
 type load_error =
   | Incompatible_globals of string
   | Duplicate_fundef of string
@@ -128,8 +123,9 @@ let fingerprint w = string_of_int w.cur ^ "|" ^ fingerprint_nocur w
 (** Cheap fixed-width state keys in the fingerprints' equivalence classes:
     per-thread memoized frame hashes plus the memory's incremental hash,
     folded into a 16-byte string. Collisions are ~2^-63 per state pair;
-    [Fpmode.paranoid] falls back to the collision-free strings, and
-    witness digests always use the string path ([Cas_diag]). *)
+    the fingerprint-keyed selection view ([Engine.selection
+    Fingerprint], [--paranoid-fp]) explores under the collision-free
+    strings instead, and witness digests always use them ([Cas_diag]). *)
 let key_stream w =
   let st = Hashx.create () in
   IMap.iter
@@ -148,17 +144,12 @@ let key_stream w =
   Hashx.int st mh2;
   st
 
-let key_nocur w =
-  if Fpmode.paranoid () then fingerprint_nocur w
-  else Hashx.key_of (Hashx.out (key_stream w))
+let key_nocur w = Hashx.key_of (Hashx.out (key_stream w))
 
 let key w =
-  if Fpmode.paranoid () then fingerprint w
-  else begin
-    let st = key_stream w in
-    Hashx.int st w.cur;
-    Hashx.key_of (Hashx.out st)
-  end
+  let st = key_stream w in
+  Hashx.int st w.cur;
+  Hashx.key_of (Hashx.out st)
 
 (* ------------------------------------------------------------------ *)
 (* Local steps of one thread, with call/return linking                 *)

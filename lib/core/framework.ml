@@ -198,8 +198,9 @@ let per_function_counts (reports : pass_sim_report list) :
    keyed by its context hash (pipeline version + options + source). A
    hit here skips even the per-function digesting.
 
-   Only default-environment runs are memoized: a caller-supplied [env]
-   is an arbitrary closure we cannot content-address. *)
+   Only default-environment, unaudited runs are memoized: a
+   caller-supplied [env] is an arbitrary closure we cannot
+   content-address, and an audit must see the checker run. *)
 let verdicts : Simulation.verdict Cas_compiler.Cache.store =
   Cas_compiler.Cache.store ~name:"SimVerdict" ()
 
@@ -214,9 +215,9 @@ let module_verdicts :
     from the registered pipeline ([Cas_compiler.Pipeline.fig11]) via the
     packed trace of [Driver.compile_unit], so a newly registered pass is
     certified without touching this module. [cache:false] forces
-    re-checking. *)
-let check_passes ?env ?max_switches ?tau_bound ?(cache = true) ?options
-    (p : Clight.program) : pass_sim_report list =
+    re-checking, and so does an [audit] ([Simulation.check_verdict]). *)
+let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
+    pass_sim_report list =
   let open Cas_compiler in
   let c = Driver.compile_unit ?options ~cache p in
   let entries = List.map (fun f -> f.Clight.fname) p.Clight.funcs in
@@ -226,7 +227,7 @@ let check_passes ?env ?max_switches ?tau_bound ?(cache = true) ?options
     | None -> 0
   in
   let args_of e = List.init (entry_arity e) (fun i -> Value.Vint (7 + i)) in
-  let memoizable = cache && env = None in
+  let memoizable = cache && env = None && audit = None in
   let rec stage_pairs = function
     | (_, m1) :: (((pname, m2) :: _) as rest) ->
       (pname, m1, m2) :: stage_pairs rest
@@ -257,8 +258,8 @@ let check_passes ?env ?max_switches ?tau_bound ?(cache = true) ?options
       (fun entry ->
         let run () =
           Simulation.check_verdict ~src:(src_lang, src_code)
-            ~tgt:(tgt_lang, tgt_code) ~entry ~args:(args_of entry) ?env
-            ?max_switches ?tau_bound ()
+            ~tgt:(tgt_lang, tgt_code) ~entry ~args:(args_of entry) ?env ?audit
+            ()
         in
         let v, hit =
           if not memoizable then (run (), `Off)
@@ -271,9 +272,7 @@ let check_passes ?env ?max_switches ?tau_bound ?(cache = true) ?options
                   Lang.digest_fundef tgt_mod entry,
                   Lazy.force glbs,
                   options,
-                  args_of entry,
-                  max_switches,
-                  tau_bound )
+                  args_of entry )
             in
             Cache.find_or_add verdicts key run
         in
@@ -285,9 +284,7 @@ let check_passes ?env ?max_switches ?tau_bound ?(cache = true) ?options
   let triples, module_hit =
     if not memoizable then (sweep (), `Off)
     else
-      let key =
-        Cache.digest (c.Driver.c_context, "sim-module", max_switches, tau_bound)
-      in
+      let key = Cache.digest (c.Driver.c_context, "sim-module") in
       Cache.find_or_add module_verdicts key sweep
   in
   (* One source of truth for the stats: a verdict is [cached] iff it was
@@ -363,11 +360,10 @@ let link_verdicts : Simulation.verdict Cas_compiler.Cache.store =
   Cas_compiler.Cache.store ~name:"LinkVerdict" ()
 
 (** Footprint confinement of the linked program: explore the reachable
-    worlds (preemptive, bounded by [max_worlds]) and verify that every
-    enabled local step's footprint stays inside the shared global blocks
-    plus the scheduled thread's own freelist. *)
-let check_confinement ?(max_worlds = default_bounds.max_worlds)
-    (tgt : Lang.prog) : step_report =
+    worlds (preemptive, bounded by [default_bounds.max_worlds]) and
+    verify that every enabled local step's footprint stays inside the
+    shared global blocks plus the scheduled thread's own freelist. *)
+let check_confinement (tgt : Lang.prog) : step_report =
   let label = "footprints confined to freelists" in
   match World.load tgt ~args:[] with
   | Error e ->
@@ -403,7 +399,9 @@ let check_confinement ?(max_worlds = default_bounds.max_worlds)
                 (World.local_steps w tid))
           (World.live_tids w)
     in
-    let st = Engine.explore ~max_worlds w0 ~visit:check_world in
+    let st =
+      Engine.explore ~max_worlds:default_bounds.max_worlds w0 ~visit:check_world
+    in
     (match !violation with
     | Some (tid, fp) ->
       {
@@ -435,8 +433,7 @@ let check_confinement ?(max_worlds = default_bounds.max_worlds)
     disjoint exports), so a key derived from the name alone could serve
     one module another's verdict.
     [jobs > 1] fans the per-module checks out over OCaml 5 domains. *)
-let compose_certificates ?(bounds = default_bounds) ?max_switches ?tau_bound
-    ?(jobs = 1)
+let compose_certificates ?(jobs = 1)
     ?(verdict_key =
       fun ~mod_index:_ ~mod_name:_ ~entry:_ -> (None : string option))
     ~(modules : (string * Lang.modu * Lang.modu) list)
@@ -450,7 +447,7 @@ let compose_certificates ?(bounds = default_bounds) ?max_switches ?tau_bound
           let args = List.init arity (fun i -> Value.Vint (7 + i)) in
           let run () =
             Simulation.check_verdict ~src:(sl, sc) ~tgt:(tl, tc) ~entry ~args
-              ?max_switches ?tau_bound ()
+              ()
           in
           let v, hit =
             match verdict_key ~mod_index:idx ~mod_name:name ~entry with
@@ -472,10 +469,10 @@ let compose_certificates ?(bounds = default_bounds) ?max_switches ?tau_bound
   in
   let src_prog = Lang.prog (List.map (fun (_, s, _) -> s) modules) entries in
   let tgt_prog = Lang.prog (List.map (fun (_, _, t) -> t) modules) entries in
-  let confinement = check_confinement ~max_worlds:bounds.max_worlds tgt_prog in
+  let confinement = check_confinement tgt_prog in
   let boundary =
-    let t_np = np_traces_or_empty bounds tgt_prog in
-    let s_np = np_traces_or_empty bounds src_prog in
+    let t_np = np_traces_or_empty default_bounds tgt_prog in
+    let s_np = np_traces_or_empty default_bounds src_prog in
     let r = Refine.refines ~lhs:t_np ~rhs:s_np in
     {
       id = "link";

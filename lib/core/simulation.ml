@@ -70,9 +70,6 @@ type verdict = {
 
 let verdict_steps v = v.v_steps_src + v.v_steps_tgt
 
-let pp_verdict ppf v =
-  Fmt.pf ppf "%a [%d checker steps]" pp_outcome v.v_outcome (verdict_steps v)
-
 (* ------------------------------------------------------------------ *)
 (* Address correspondence β (the operational face of φ)                *)
 (* ------------------------------------------------------------------ *)
@@ -133,15 +130,16 @@ type 'core run_result =
   | Run_nondet  (** target language must be deterministic (det(tl)) *)
   | Run_diverge
 
-let run_to_switch (type code core) (lang : (code, core) Lang.t) fl core mem
-    ~bound : core run_result =
+let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl core
+    mem ~bound : core run_result =
   let rec go core mem acc steps =
     if steps > bound then Run_diverge
     else begin
-      (* Under --paranoid-fp, cross-check the streamed hash against the
-         fingerprint string on every core the checker visits. The checker
-         co-executes every pipeline stage, so this sweeps all IRs. *)
-      Lang.audit_core lang core;
+      (* With an audit (--paranoid-fp), cross-check the streamed hash
+         against the fingerprint string on every core the checker visits.
+         The checker co-executes every pipeline stage, so this sweeps all
+         IRs. *)
+      (match audit with Some a -> Lang.audit_core a lang core | None -> ());
       match lang.Lang.step fl core mem with
       | [] -> Run_abort
       | [ Lang.Stuck_abort ] -> Run_abort
@@ -158,8 +156,16 @@ let run_to_switch (type code core) (lang : (code, core) Lang.t) fl core mem
 (* The checker                                                          *)
 (* ------------------------------------------------------------------ *)
 
+(** The checker's bounds: a run stops as passed after [max_switches]
+    switch points, and as inconclusive after [tau_bound] silent steps
+    without one. *)
+let max_switches = 64
+
+let tau_bound = 50_000
+
 (** Check (sl, ge, γ) ≼ (tl, ge', π) on the execution determined by
-    [entry], [args] and the environment script [env].
+    [entry], [args] and the environment script [env]. With an [audit],
+    every core either side visits is audited for hash collisions.
 
     Both modules are loaded with their own global environment (the passes
     preserve global declarations, so the block layouts coincide) and the
@@ -167,8 +173,7 @@ let run_to_switch (type code core) (lang : (code, core) Lang.t) fl core mem
 let check_verdict (type code1 core1 code2 core2)
     ~(src : (code1, core1) Lang.t * code1)
     ~(tgt : (code2, core2) Lang.t * code2) ~(entry : string)
-    ~(args : Value.t list) ?(env = default_env) ?(max_switches = 64)
-    ?(tau_bound = 50_000) () : verdict =
+    ~(args : Value.t list) ?(env = default_env) ?audit () : verdict =
   let src_lang, src_code = src in
   let tgt_lang, tgt_code = tgt in
   let steps_s_total = ref 0 and steps_t_total = ref 0 in
@@ -240,7 +245,9 @@ let check_verdict (type code1 core1 code2 core2)
               steps_tgt = !steps_t_total;
             }
         else
-          match run_to_switch src_lang fl c_s mem_s ~bound:tau_bound with
+          match
+            run_to_switch ?audit src_lang fl c_s mem_s ~bound:tau_bound
+          with
           | Run_diverge ->
             Sim_inconclusive "source diverges before next switch point"
           | Run_nondet ->
@@ -256,7 +263,9 @@ let check_verdict (type code1 core1 code2 core2)
               }
           | Switch (msg_s, delta, c_s', mem_s', n_s) -> (
             steps_s_total := !steps_s_total + n_s;
-            match run_to_switch tgt_lang fl c_t mem_t ~bound:tau_bound with
+            match
+              run_to_switch ?audit tgt_lang fl c_t mem_t ~bound:tau_bound
+            with
             | Run_diverge ->
               Sim_fail
                 {
@@ -339,7 +348,9 @@ let check_verdict (type code1 core1 code2 core2)
                         reason = side ^ " cannot resume after call";
                       }
                   | Some core -> (
-                    match run_to_switch lang fl core mem ~bound:tau_bound with
+                    match
+                      run_to_switch ?audit lang fl core mem ~bound:tau_bound
+                    with
                     | Switch (Msg.Ret v, _, _, _, _)
                       when values_match beta v ret || values_match beta ret v
                       ->
@@ -409,9 +420,8 @@ let check_verdict (type code1 core1 code2 core2)
 
 (** Check (sl, ge, γ) ≼ (tl, ge', π), outcome only (see [check_verdict]
     for the reusable certificate). *)
-let check ~src ~tgt ~entry ~args ?env ?max_switches ?tau_bound () : outcome =
-  (check_verdict ~src ~tgt ~entry ~args ?env ?max_switches ?tau_bound ())
-    .v_outcome
+let check ~src ~tgt ~entry ~args ?env () : outcome =
+  (check_verdict ~src ~tgt ~entry ~args ?env ()).v_outcome
 
 (* ------------------------------------------------------------------ *)
 (* Determinism of a module language on reachable cores — det(tl)       *)
@@ -435,9 +445,6 @@ let det_on_run (type code core) (lang : (code, core) Lang.t) fl core mem
 (* ------------------------------------------------------------------ *)
 
 type rc_violation = { rc_step : int; rc_reason : string }
-
-let pp_rc_violation ppf v =
-  Fmt.pf ppf "step %d: %s" v.rc_step v.rc_reason
 
 (** Executable check of ReachClose(sl, ge, γ) (Def. 4): along an execution
     of the module — interleaved with environment steps satisfying the rely

@@ -1,12 +1,12 @@
 (** Capture: turn a negative verdict into a schedule.
 
-    Race capture threads a [Cas_mc.Recorder] through the chosen engine's
-    exploration of the SC thread-selection view and, on a racy verdict,
-    reconstructs the recorded spanning-tree path to the racy world.
-    Deterministically — the racy world is chosen by minimal
+    Race capture is [Cas_conc.Race.drf] over the fingerprint-keyed
+    selection view with a [Cas_mc.Recorder] attached and, on a racy
+    verdict, reconstructs the recorded spanning-tree path to the racy
+    world. Deterministically — the racy world is chosen by minimal
     [Cas_conc.Race.witness_key] over every racy world visited, not by
     visit order — so the captured schedule is a function of the program
-    and engine, stable across [--jobs] (satellite 1).
+    and engine, stable across [--jobs].
 
     Refinement and abort capture search the uniform [Sem.state] view
     directly (depth-first with on-path cycle cutting): a refinement
@@ -23,38 +23,22 @@ type race_capture = {
   rc_verdict : Witness.verdict option;
 }
 
-(** Run the race predictor over the selection view with a recorder
-    attached, and reconstruct the schedule to the minimal racy world.
-    The predictor is [Race.witness_visitor], the one [Race.drf] runs,
-    reading predictions off the transitions the engine explores, over
-    the graph [Race.drf] explores under every engine: the captured race
-    is the one [casc drf] reports. *)
+(** Run [Race.drf] with a recorder attached, and reconstruct the
+    schedule to the minimal racy world: the captured race is the one
+    [casc drf] reports. Witness step digests are [Sem.digest] of the
+    recorder's child keys, so capture explores under the full
+    fingerprint strings, not the engines' fixed-width hash keys —
+    recorded witnesses stay stable across the key representation. *)
 let race ?(engine = Cas_mc.Engine.Naive) ?jobs ?max_worlds
     (w0 : Cas_conc.World.t) : race_capture =
+  let keys = Cas_mc.Mcsys.Fingerprint in
+  let key = (Cas_conc.Engine.selection keys).Cas_mc.Mcsys.fingerprint in
   let recorder = Cas_mc.Recorder.create () in
-  (* witness step digests are [Sem.digest] of the recorder's child keys,
-     so capture must explore under the full fingerprint strings, not the
-     engines' fixed-width hash keys — recorded witnesses stay stable
-     across the key representation *)
-  let sys =
-    {
-      Cas_conc.Engine.selection_system with
-      Cas_mc.Mcsys.fingerprint = Cas_conc.World.fingerprint_nocur;
-    }
-  in
-  let visit, report = Cas_conc.Race.witness_visitor () in
-  let r =
-    report
-      (Cas_mc.Engine.reachable_trans ~engine ?jobs ?max_worlds ~recorder sys
-         [ w0 ] ~visit)
-  in
+  let r = Cas_conc.Race.drf ~engine ?jobs ?max_worlds ~keys ~recorder w0 in
   match (r.Cas_conc.Race.witness, r.Cas_conc.Race.witness_world) with
   | Some (t1, _, t2, _), Some w ->
     let steps =
-      match
-        Cas_mc.Recorder.path recorder
-          ~target:(Cas_conc.World.fingerprint_nocur w)
-      with
+      match Cas_mc.Recorder.path recorder ~target:(key w) with
       | None -> [] (* unreachable: every visited world is recorded *)
       | Some path ->
         List.map

@@ -1,8 +1,8 @@
-(** A uniform, replayable view of the global semantics: both the SC
-    thread-selection system ([Cas_conc.Engine.selection_system]) and the
-    x86-TSO machine ([Cas_tso.Tso.mc_system]) unfold into the same
-    first-order [state] type, so replay, shrinking, and schedule search
-    are written once and work on either.
+(** A uniform, replayable view of the global semantics: one constructor
+    ([make]) unfolds a fingerprint-keyed system into a first-order
+    [state] type, and both the SC thread-selection view ([sc]) and the
+    x86-TSO machine ([tso]) are instances of it, so replay, shrinking,
+    and schedule search are written once and work on either.
 
     A [state] exposes exactly what the diagnosis algorithms need: the
     enabled transitions with their recorded-step view ([info]: thread,
@@ -60,32 +60,23 @@ let event_of_label = function
   | Cas_mc.Mcsys.Levt e -> Some e
   | Cas_mc.Mcsys.Ltau | Cas_mc.Mcsys.Lsw -> None
 
-(* ------------------------------------------------------------------ *)
-(* SC: the preemptive thread-selection view                            *)
-(* ------------------------------------------------------------------ *)
-
-(** Race prediction restricted to a thread pair (the pairwise core of
-    [Cas_conc.Race.race_witness]). *)
-let sc_race_between (w : Cas_conc.World.t) t1 t2 =
-  t1 <> t2
-  && List.exists
-       (fun p1 ->
-         List.exists
-           (fun p2 -> Footprint.conflict_bits p1 p2)
-           (Cas_conc.Race.predict w t2))
-       (Cas_conc.Race.predict w t1)
-
-let of_world (w0 : Cas_conc.World.t) : state =
-  let sys = Cas_conc.Engine.selection_system in
-  let rec make w =
+(** The uniform view of [sys] from [w0]. [sys] must be keyed by full
+    fingerprint strings ([Cas_mc.Mcsys.Fingerprint]): state and target
+    digests are [digest] of its keys, so witnesses are byte-stable
+    across the engines' hash keys. [race w t1 t2] is the semantics' race
+    predicate on a thread pair, and [drain w w' t] tells whether the
+    step [w] → [w'] of thread [t] drained its store buffer. *)
+let make (sys : 'w Cas_mc.Mcsys.t) ~(race : 'w -> int -> int -> bool)
+    ~(drain : 'w -> 'w -> int -> bool) (w0 : 'w) : state =
+  let rec unfold w =
     {
-      s_done = Cas_conc.World.all_done w;
-      s_digest = digest (Cas_conc.World.fingerprint_nocur w);
-      s_race = (fun t1 t2 -> sc_race_between w t1 t2);
+      s_done = sys.Cas_mc.Mcsys.all_done w;
+      s_digest = digest (sys.Cas_mc.Mcsys.fingerprint w);
+      s_race = race w;
       s_succ =
         (fun () ->
           List.map
-            (fun (tr : Cas_conc.World.t Cas_mc.Mcsys.trans) ->
+            (fun (tr : 'w Cas_mc.Mcsys.trans) ->
               match tr.Cas_mc.Mcsys.target with
               | Cas_mc.Mcsys.Abort ->
                 ( {
@@ -102,53 +93,28 @@ let of_world (w0 : Cas_conc.World.t) : state =
                     i_tid = tr.Cas_mc.Mcsys.tid;
                     i_event = event_of_label tr.Cas_mc.Mcsys.label;
                     i_fp = tr.Cas_mc.Mcsys.fp;
-                    i_flush = false;
+                    i_flush = drain w w' tr.Cas_mc.Mcsys.tid;
                     i_abort = false;
-                    i_dst = digest (Cas_conc.World.fingerprint_nocur w');
+                    i_dst = digest (sys.Cas_mc.Mcsys.fingerprint w');
                   },
-                  Some (make w') ))
+                  Some (unfold w') ))
             (sys.Cas_mc.Mcsys.trans w));
     }
   in
-  make w0
+  unfold w0
 
-(* ------------------------------------------------------------------ *)
-(* TSO: the store-buffer machine                                       *)
-(* ------------------------------------------------------------------ *)
+let never _ _ _ = false
 
-let of_tso (w0 : Cas_tso.Tso.world) : state =
-  let sys = Cas_tso.Tso.mc_system in
-  let rec make w =
-    {
-      s_done = Cas_tso.Tso.all_done w;
-      s_digest = digest (Cas_tso.Tso.fingerprint_nocur w);
-      s_race = (fun _ _ -> false);
-      s_succ =
-        (fun () ->
-          List.map
-            (fun (tr : Cas_tso.Tso.world Cas_mc.Mcsys.trans) ->
-              match tr.Cas_mc.Mcsys.target with
-              | Cas_mc.Mcsys.Abort ->
-                ( {
-                    i_tid = tr.Cas_mc.Mcsys.tid;
-                    i_event = None;
-                    i_fp = tr.Cas_mc.Mcsys.fp;
-                    i_flush = false;
-                    i_abort = true;
-                    i_dst = "";
-                  },
-                  None )
-              | Cas_mc.Mcsys.Next w' ->
-                ( {
-                    i_tid = tr.Cas_mc.Mcsys.tid;
-                    i_event = event_of_label tr.Cas_mc.Mcsys.label;
-                    i_fp = tr.Cas_mc.Mcsys.fp;
-                    i_flush = Cas_tso.Tso.is_drain w w' tr.Cas_mc.Mcsys.tid;
-                    i_abort = false;
-                    i_dst = digest (Cas_tso.Tso.fingerprint_nocur w');
-                  },
-                  Some (make w') ))
-            (sys.Cas_mc.Mcsys.trans w));
-    }
-  in
-  make w0
+(** SC: the preemptive thread-selection view, with the race predictor's
+    pairwise check. It has no store buffers. *)
+let sc =
+  make
+    (Cas_conc.Engine.selection Cas_mc.Mcsys.Fingerprint)
+    ~race:Cas_conc.Race.race_between ~drain:never
+
+(** x86-TSO: the store-buffer machine. Its witnesses record refinement
+    failures and aborts, never races. *)
+let tso =
+  make
+    (Cas_tso.Tso.system Cas_mc.Mcsys.Fingerprint)
+    ~race:never ~drain:Cas_tso.Tso.is_drain

@@ -15,9 +15,9 @@
       the bounded trace sets of the source Clight world and the compiled
       Asm world must be ≈-equivalent;
     - fingerprint oracle: every [paranoid_every]-th program re-runs the
-      naive search under [Fpmode] paranoid fingerprints and must
-      reproduce the same verdict and world count with zero recorded
-      hash collisions.
+      naive search with worlds keyed by their full fingerprint strings
+      ([--paranoid-fp]) and must reproduce the same verdict and world
+      count.
 
     Outcomes land in buckets (agree / verdict-divergence /
     world-count-divergence / crash / timeout). Every verdict divergence
@@ -164,7 +164,7 @@ let engine_oracle ~budget ~paranoid ~engine_par (g : Gen.t) w0 :
               ~with_lock:g.Gen.g_with_lock ~semantics:Witness.Sc
               ~engine:(Cas_mc.Engine.to_string racy_engine)
               ~seed:0 ~verdict rc.Cas_diag.Capture.rc_steps,
-            Cas_diag.Sem.of_world w0 )
+            Cas_diag.Sem.sc w0 )
       | None -> None
     in
     Error
@@ -235,35 +235,25 @@ let engine_oracle ~budget ~paranoid ~engine_par (g : Gen.t) w0 :
     | Some o -> Error o
     | None ->
   if paranoid then begin
-    (* fingerprint spot-check: rerun the naive search under paranoid
-       fingerprints; verdict, world count, and the collision audit must
-       all come back clean *)
-    Lang.audit_reset ();
-    Fpmode.set_paranoid true;
+    (* fingerprint spot-check: rerun the naive search with fingerprint
+       keys; verdict and world count must not change *)
     let pnaive =
-      Fun.protect
-        ~finally:(fun () -> Fpmode.set_paranoid false)
-        (fun () ->
-          Cas_conc.Race.drf ~max_worlds:budget ~engine:Cas_mc.Engine.Naive w0)
+      Cas_conc.Race.drf ~max_worlds:budget ~engine:Cas_mc.Engine.Naive
+        ~keys:Cas_mc.Mcsys.Fingerprint w0
     in
-    let collisions = Lang.audit_collisions () in
     if
       pnaive.Cas_conc.Race.drf <> naive.Cas_conc.Race.drf
       || pnaive.Cas_conc.Race.stats.Cas_conc.Explore.visited
          <> naive.Cas_conc.Race.stats.Cas_conc.Explore.visited
-      || collisions <> []
     then
       Error
         {
           o_bucket = Verdict_div;
           o_detail =
-            Fmt.str
-              "paranoid-fp mismatch: verdict %b/%b, worlds %d/%d, %d \
-               collisions"
+            Fmt.str "paranoid-fp mismatch: verdict %b/%b, worlds %d/%d"
               naive.Cas_conc.Race.drf pnaive.Cas_conc.Race.drf
               naive.Cas_conc.Race.stats.Cas_conc.Explore.visited
-              pnaive.Cas_conc.Race.stats.Cas_conc.Explore.visited
-              (List.length collisions);
+              pnaive.Cas_conc.Race.stats.Cas_conc.Explore.visited;
           o_drf = None;
           o_witness = None;
         }
@@ -329,7 +319,7 @@ let compiler_oracle ~budget ~(g : Gen.t) ~src_w0 ~tgt_w0 : outcome =
           o_witness = None;
         }
       | Some (verdict, w, events) ->
-        let s0 = Cas_diag.Sem.of_world w in
+        let s0 = Cas_diag.Sem.sc w in
         let steps =
           match events with
           | Some es ->

@@ -71,9 +71,8 @@ let compose_digest ~(entries : string list) (objs : Objfile.t list) : string =
 (** Link already-loaded (and integrity-verified) objects. [label] names
     objects in resolver errors (defaults to the module name; [link_files]
     passes the on-disk file name). *)
-let link ?bounds ?max_switches ?tau_bound ?(jobs = 1) ?(certify = false)
-    ?label ~(entries : string list) (objs : Objfile.t list) :
-    (outcome, error) result =
+let link ?(jobs = 1) ?(certify = false) ?label ~(entries : string list)
+    (objs : Objfile.t list) : (outcome, error) result =
   let t0 = Unix.gettimeofday () in
   match Resolve.resolve ~entries ?label objs with
   | Error es -> Error (Resolve_errors es)
@@ -160,13 +159,11 @@ let link ?bounds ?max_switches ?tau_bound ?(jobs = 1) ?(certify = false)
                    Version.v,
                    Lang.digest_fundef src_mod entry,
                    Lang.digest_fundef tgt_mod entry,
-                   (sl.Lang.globals_of sc, tl.Lang.globals_of tc),
-                   max_switches,
-                   tau_bound ))
+                   (sl.Lang.globals_of sc, tl.Lang.globals_of tc) ))
         in
         let compose =
-          Cascompcert.Framework.compose_certificates ?bounds ?max_switches
-            ?tau_bound ~jobs ~verdict_key ~modules ~entries ()
+          Cascompcert.Framework.compose_certificates ~jobs ~verdict_key
+            ~modules ~entries ()
         in
         if not compose.Cascompcert.Framework.comp_ok then
           Error (Certify_failed compose)
@@ -175,8 +172,8 @@ let link ?bounds ?max_switches ?tau_bound ?(jobs = 1) ?(certify = false)
             ~cert_digest:(compose_digest ~entries objs) ())
 
 (** Load, verify and link object files from disk. *)
-let link_files ?bounds ?max_switches ?tau_bound ?jobs ?certify ~entries
-    (files : string list) : (outcome, error) result =
+let link_files ?jobs ?certify ~entries (files : string list) :
+    (outcome, error) result =
   let rec load acc = function
     | [] -> Ok (List.rev acc)
     | file :: rest -> (
@@ -193,4 +190,4 @@ let link_files ?bounds ?max_switches ?tau_bound ?jobs ?certify ~entries
     let label o =
       match List.assq_opt o labels with Some f -> f | None -> o.Objfile.o_name
     in
-    link ?bounds ?max_switches ?tau_bound ?jobs ?certify ~label ~entries objs
+    link ?jobs ?certify ~label ~entries objs

@@ -140,18 +140,14 @@ let to_string (o : t) : string = Json.to_string (to_json o)
     object. [Error] reports parse failures or a certificate with failing
     verdicts (a pass that does not simulate must not produce an object
     file). *)
-let build ?(options = Cas_compiler.Driver.default_options) ?max_switches
-    ?tau_bound ?(cache = true) ~name ~(source : string) () :
-    (t, string) result =
+let build ?(options = Cas_compiler.Driver.default_options) ?(cache = true)
+    ~name ~(source : string) () : (t, string) result =
   match Parse.clight source with
   | exception Parse.Error (msg, pos) ->
     Error (Fmt.str "%s: parse error: %s at %a" name msg Lexer.pp_pos pos)
   | p ->
     let c = Cas_compiler.Driver.compile_unit ~options ~cache p in
-    let reports =
-      Cascompcert.Framework.check_passes ?max_switches ?tau_bound ~cache
-        ~options p
-    in
+    let reports = Cascompcert.Framework.check_passes ~cache ~options p in
     let o =
       {
         o_name = name;

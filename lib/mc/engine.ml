@@ -51,13 +51,13 @@ let reachable_trans ?(engine = Naive) ?jobs ?(max_worlds = 200_000) ?recorder
          ~on_world:visit)
 
 (** [reachable_trans] for a visitor that needs only the world. *)
-let reachable ?engine ?jobs ?max_worlds ?recorder sys initials ~visit =
-  reachable_trans ?engine ?jobs ?max_worlds ?recorder sys initials
+let reachable ?engine ?jobs ?max_worlds sys initials ~visit =
+  reachable_trans ?engine ?jobs ?max_worlds sys initials
     ~visit:(fun w _ -> visit w)
 
 (** Trace enumeration with the selected engine. *)
 let traces ?(engine = Naive) ?jobs ?(max_steps = 4000)
-    ?(max_paths = 200_000) ?recorder (sys : 'w Mcsys.t)
+    ?(max_paths = 200_000) (sys : 'w Mcsys.t)
     (initials : 'w list) : Trace.result * Stats.t =
   match engine with
   | Naive -> Naive.traces ~max_steps ~max_paths sys initials
@@ -66,5 +66,5 @@ let traces ?(engine = Naive) ?jobs ?(max_steps = 4000)
       { Dpor.default_cfg with Dpor.max_depth = max_steps; max_paths }
     in
     let jobs = if engine = Dpor then 1 else resolve_jobs jobs in
-    Dpor.run ~jobs ~collect:true ~cfg ?recorder sys initials
+    Dpor.run ~jobs ~collect:true ~cfg sys initials
       ~on_world:(fun _ _ -> ())

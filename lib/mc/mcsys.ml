@@ -41,6 +41,15 @@ type 'w t = {
   trans : 'w -> 'w trans list;
 }
 
+(** What a system's [fingerprint] returns: fixed-width hash keys, the
+    default, or the full canonical fingerprint strings ([--paranoid-fp]),
+    which are collision-free by construction and are what witness
+    digests are taken of. Each semantics defines one system per choice
+    over the same graph ([Cas_conc.Engine.selection],
+    [Cas_tso.Tso.system]), so verdicts and world counts must not depend
+    on it. *)
+type keys = Hash | Fingerprint
+
 (** Is the transition externally visible? Events obviously; aborts too,
     since an execution's status (done/abort) is part of its trace. *)
 let is_obs (t : 'w trans) =
@@ -56,12 +65,3 @@ let is_obs (t : 'w trans) =
     what licenses DPOR's pruning. *)
 let dependent (a : 'w trans) (b : 'w trans) =
   a.tid = b.tid || Footprint.conflict a.fp b.fp || (is_obs a && is_obs b)
-
-let pp_label ppf = function
-  | Ltau -> Fmt.string ppf "tau"
-  | Levt e -> Event.pp ppf e
-  | Lsw -> Fmt.string ppf "sw"
-
-let pp_trans ppf (t : 'w trans) =
-  Fmt.pf ppf "T%d:%a%a%s" t.tid pp_label t.label Footprint.pp t.fp
-    (match t.target with Abort -> " abort" | Next _ -> "")

@@ -58,6 +58,3 @@ let path t ~target : (step * string) list option =
         | Some (Edge (parent, s)) -> go parent ((s, fp) :: acc)
       in
       go target [])
-
-(** Number of recorded worlds (roots included). *)
-let size t = with_lock t (fun () -> Hashtbl.length t.tbl)

@@ -74,12 +74,5 @@ let inflight_key (t : _ t) (key : string) : bool =
   Mutex.unlock t.lock;
   b
 
-(** Keys currently in flight. *)
-let inflight (t : _ t) : int =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.tbl in
-  Mutex.unlock t.lock;
-  n
-
 let coalesced_total (t : _ t) : int = Atomic.get t.coalesced
 let executed_total (t : _ t) : int = Atomic.get t.executed

@@ -40,11 +40,12 @@ let pp_guarantee ppf r =
     Π^tso = clients + π under x86-TSO refines Π^sc = clients + γ under SC
     (clients are x86 modules, γ is a CImp module). [engine] selects the
     exploration engine on both sides (comparing completed traces and
-    abort reachability, which every engine preserves). *)
+    abort reachability, which every engine preserves), and [keys] the
+    state keys of both sides' systems ([Hash] by default). *)
 let check_drf_guarantee ?(max_steps = 3000) ?(max_paths = 150_000)
-    ?(engine = Cas_mc.Engine.Naive) ?jobs ~(clients : Asm.program list)
-    ~(pi : Asm.program) ~(gamma : Cimp.program) ~(entries : string list) () :
-    guarantee_report =
+    ?(engine = Cas_mc.Engine.Naive) ?jobs ?(keys = Cas_mc.Mcsys.Hash)
+    ~(clients : Asm.program list) ~(pi : Asm.program) ~(gamma : Cimp.program)
+    ~(entries : string list) () : guarantee_report =
   let fail detail =
     {
       holds = false;
@@ -67,12 +68,11 @@ let check_drf_guarantee ?(max_steps = 3000) ?(max_paths = 150_000)
     match World.load sc_prog ~args:[] with
     | Error e -> fail (Fmt.str "SC load: %a" World.pp_load_error e)
     | Ok w_sc ->
-      let t_tso, tso_stats =
-        Tso.mc_traces ~engine ?jobs ~max_steps ~max_paths w_tso
+      let traces sys w =
+        Cas_mc.Engine.traces ~engine ?jobs ~max_steps ~max_paths sys [ w ]
       in
-      let t_sc =
-        fst (Engine.traces ~engine ?jobs ~max_steps ~max_paths w_sc)
-      in
+      let t_tso, tso_stats = traces (Tso.system keys) w_tso in
+      let t_sc = fst (traces (Engine.selection keys) w_sc) in
       let r = Refine.refines ~lhs:t_tso ~rhs:t_sc in
       {
         holds = r.Refine.holds;

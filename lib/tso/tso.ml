@@ -123,8 +123,8 @@ let fingerprint_nocur w =
 
 (** Cheap fixed-width state keys in the fingerprint's equivalence classes
     (cf. [Cas_conc.World.key_nocur]): memoized frame hashes, the store
-    buffers, and the memory's incremental hash. [Fpmode.paranoid] falls
-    back to the collision-free string. *)
+    buffers, and the memory's incremental hash. [system Fingerprint]
+    keys worlds by the collision-free string instead. *)
 let key_stream w =
   let st = Hashx.create () in
   IMap.iter
@@ -149,9 +149,7 @@ let key_stream w =
   Hashx.int st mh2;
   st
 
-let key_nocur w =
-  if Fpmode.paranoid () then fingerprint_nocur w
-  else Hashx.key_of (Hashx.out (key_stream w))
+let key_nocur w = Hashx.key_of (Hashx.out (key_stream w))
 
 (* ------------------------------------------------------------------ *)
 (* TSO-visible memory                                                  *)
@@ -445,18 +443,26 @@ let mc_system : world Cas_mc.Mcsys.t =
         locals @ drains);
   }
 
+(** The TSO machine under the given state keys: [mc_system], or the
+    same graph keyed by [fingerprint_nocur]. *)
+let system : Cas_mc.Mcsys.keys -> world Cas_mc.Mcsys.t =
+  let by_fingerprint =
+    { mc_system with Cas_mc.Mcsys.fingerprint = fingerprint_nocur }
+  in
+  function
+  | Cas_mc.Mcsys.Hash -> mc_system
+  | Cas_mc.Mcsys.Fingerprint -> by_fingerprint
+
 (** Trace enumeration with a selectable engine ([Naive] by default). *)
-let mc_traces ?engine ?jobs ?max_steps ?max_paths ?recorder (w : world) :
+let mc_traces ?engine ?jobs ?max_steps ?max_paths (w : world) :
     Cas_conc.Explore.trace_result * Cas_mc.Stats.t =
-  Cas_mc.Engine.traces ?engine ?jobs ?max_steps ?max_paths ?recorder
-    mc_system [ w ]
+  Cas_mc.Engine.traces ?engine ?jobs ?max_steps ?max_paths mc_system [ w ]
 
 let traces ?engine ?jobs ?max_steps ?max_paths (w : world) :
     Cas_conc.Explore.trace_result =
   fst (mc_traces ?engine ?jobs ?max_steps ?max_paths w)
 
 (** Engine-selected reachability over the TSO machine. *)
-let explore ?engine ?jobs ?max_worlds ?recorder (w : world)
-    ~(visit : world -> unit) : Cas_mc.Stats.t =
-  Cas_mc.Engine.reachable ?engine ?jobs ?max_worlds ?recorder mc_system
-    [ w ] ~visit
+let explore ?engine ?jobs ?max_worlds (w : world) ~(visit : world -> unit) :
+    Cas_mc.Stats.t =
+  Cas_mc.Engine.reachable ?engine ?jobs ?max_worlds mc_system [ w ] ~visit

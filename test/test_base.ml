@@ -1,6 +1,6 @@
 (** Unit and property tests for the base layer: addresses, values,
-    footprints, freelists, permissions, memory, global environments, and
-    the §7.2 layout conversion. *)
+    the collision audit, footprints, freelists, permissions, memory,
+    global environments, and the §7.2 layout conversion. *)
 
 open Cas_base
 
@@ -38,6 +38,39 @@ let test_value_truth () =
 let test_value_addrs () =
   check tint "ptr has addr" 1 (List.length (Value.addrs (Value.Vptr (a 1 0))));
   check tint "int no addr" 0 (List.length (Value.addrs (Value.Vint 3)))
+
+(* ------------------------------------------------------------------ *)
+(* Collision audit                                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* A language whose cores all stream the same hash but print apart: an
+   audit fed two of its cores must report the collision, and only it. *)
+let test_audit_reports_collision () =
+  let lang : (unit, int) Lang.t =
+    {
+      Lang.name = "Mock";
+      init_core = (fun ~genv:_ () ~entry:_ ~args:_ -> None);
+      step = (fun _ _ _ -> []);
+      after_external = (fun _ _ -> None);
+      fingerprint_core = string_of_int;
+      hash_core = (fun st _ -> Hashx.int st 0);
+      hash_fundef = (fun _ () _ -> ());
+      pp_core = Fmt.int;
+      globals_of = (fun () -> []);
+      defs_of = (fun () -> []);
+    }
+  in
+  let collisions = Alcotest.(list (pair string string)) in
+  let audit = Lang.audit () in
+  Lang.audit_core audit lang 1;
+  Lang.audit_core audit lang 1;
+  check collisions "same core twice" [] (Lang.audit_collisions audit);
+  Lang.audit_core audit lang 2;
+  check collisions "one collision"
+    [ ("Mock|1", "Mock|2") ]
+    (Lang.audit_collisions audit);
+  check collisions "a fresh audit saw nothing" []
+    (Lang.audit_collisions (Lang.audit ()))
 
 (* ------------------------------------------------------------------ *)
 (* Footprint                                                           *)
@@ -728,6 +761,11 @@ let () =
         [
           Alcotest.test_case "truth" `Quick test_value_truth;
           Alcotest.test_case "addrs" `Quick test_value_addrs;
+        ] );
+      ( "audit",
+        [
+          Alcotest.test_case "reports a collision" `Quick
+            test_audit_reports_collision;
         ] );
       ( "footprint",
         [

@@ -270,7 +270,7 @@ let test_capture_replay_racy engine () =
   in
   check tbool "schedule nonempty" true (wit.Witness.steps <> []);
   let wit = roundtrip wit in
-  let o = Replay.run (Sem.of_world (world_of (Corpus.racy_prog ()))) wit in
+  let o = Replay.run (Sem.sc (world_of (Corpus.racy_prog ()))) wit in
   check tbool (Fmt.str "strict replay ok (%s)" o.Replay.detail) true
     o.Replay.ok;
   check tbool "verdict reached" true o.Replay.verdict_reached;
@@ -286,7 +286,7 @@ let test_capture_replay_observer () =
       (Corpus.observer_prog ())
   in
   let o =
-    Replay.run (Sem.of_world (world_of (Corpus.observer_prog ()))) (roundtrip wit)
+    Replay.run (Sem.sc (world_of (Corpus.observer_prog ()))) (roundtrip wit)
   in
   check tbool (Fmt.str "replay ok (%s)" o.Replay.detail) true o.Replay.ok
 
@@ -311,7 +311,7 @@ let test_replay_detects_tampering () =
           wit.Witness.steps;
     }
   in
-  let o = Replay.run (Sem.of_world (world_of (Corpus.racy_prog ()))) tampered in
+  let o = Replay.run (Sem.sc (world_of (Corpus.racy_prog ()))) tampered in
   check tbool "tampered schedule rejected" false o.Replay.ok
 
 (* ------------------------------------------------------------------ *)
@@ -349,7 +349,7 @@ let test_shrink_preserves_verdict () =
     capture_witness ~src:Corpus.racy_counter_src ~entries:[ "inc"; "inc" ]
       (Corpus.racy_prog ())
   in
-  let s0 () = Sem.of_world (world_of (Corpus.racy_prog ())) in
+  let s0 () = Sem.sc (world_of (Corpus.racy_prog ())) in
   let r = Shrink.shrink (s0 ()) wit in
   check tbool "switches never increase" true
     (r.Shrink.sh_min_switches <= r.Shrink.sh_orig_switches);
@@ -371,7 +371,7 @@ let test_shrink_drops_padding () =
       (Corpus.racy_prog ())
   in
   let padded = { wit with Witness.steps = wit.Witness.steps @ wit.Witness.steps } in
-  let s0 () = Sem.of_world (world_of (Corpus.racy_prog ())) in
+  let s0 () = Sem.sc (world_of (Corpus.racy_prog ())) in
   let r = Shrink.shrink (s0 ()) padded in
   check tbool "padding removed" true
     (r.Shrink.sh_min_steps <= List.length wit.Witness.steps);
@@ -416,7 +416,7 @@ let tso_world modules entries =
 
 let test_tso_refine_capture_and_replay () =
   let target = [ Event.Print 0; Event.Print 0 ] in
-  let s0 () = Sem.of_tso (tso_world [ sb_module ] [ "t1"; "t2" ]) in
+  let s0 () = Sem.tso (tso_world [ sb_module ] [ "t1"; "t2" ]) in
   match Capture.schedule_for_events (s0 ()) ~events:target () with
   | None -> Alcotest.fail "no schedule for the TSO-only trace"
   | Some steps ->
@@ -453,7 +453,7 @@ let snoop_client : Asm.program =
 
 let test_tso_abort_capture_and_replay () =
   let s0 () =
-    Sem.of_tso (tso_world [ snoop_client; Cas_tso.Locks.pi_lock ] [ "snoop" ])
+    Sem.tso (tso_world [ snoop_client; Cas_tso.Locks.pi_lock ] [ "snoop" ])
   in
   match Capture.schedule_to_abort (s0 ()) () with
   | None -> Alcotest.fail "confinement abort not found"

@@ -629,7 +629,9 @@ let test_dpor_reduction () =
    dropped or held (259→161, 2328→362, 118→94; the rescue coverage
    filter prunes redundant spin-retry subtrees), and dpor-par must
    reproduce them exactly: the visited-world set may not depend on steal
-   interleaving. *)
+   interleaving. Each count holds under both state keys
+   ([Engine.selection Hash] and [Fingerprint], as [--paranoid-fp]
+   explores), and so do the TSO counter's. *)
 let test_world_counts_pinned () =
   let corpus =
     [
@@ -639,19 +641,44 @@ let test_world_counts_pinned () =
       ("prints-3", prints_prog 3, 216, 94);
     ]
   in
+  let worlds sys e w =
+    (Cas_mc.Engine.reachable ~engine:e sys [ w ] ~visit:ignore)
+      .Cas_mc.Stats.worlds
+  in
+  let key_name = function
+    | Cas_mc.Mcsys.Hash -> "hash"
+    | Cas_mc.Mcsys.Fingerprint -> "fingerprint"
+  in
   List.iter
-    (fun (name, p, exp_naive, exp_dpor) ->
-      let w = load p in
-      let worlds e =
-        (Engine.explore ~engine:e w ~visit:(fun _ -> ())).Cas_mc.Stats.worlds
-      in
-      check tint (name ^ ": naive worlds") exp_naive (worlds Engine.Naive);
-      check tint (name ^ ": dpor worlds") exp_dpor (worlds Engine.Dpor);
-      check tint
-        (name ^ ": dpor-par worlds")
-        exp_dpor
-        (worlds Engine.Dpor_par))
-    corpus
+    (fun keys ->
+      List.iter
+        (fun (name, p, exp_naive, exp_dpor) ->
+          let w = load p in
+          let worlds e = worlds (Engine.selection keys) e w in
+          let name = Fmt.str "%s (%s keys)" name (key_name keys) in
+          check tint (name ^ ": naive worlds") exp_naive (worlds Engine.Naive);
+          check tint (name ^ ": dpor worlds") exp_dpor (worlds Engine.Dpor);
+          check tint
+            (name ^ ": dpor-par worlds")
+            exp_dpor
+            (worlds Engine.Dpor_par))
+        corpus)
+    [ Cas_mc.Mcsys.Hash; Cas_mc.Mcsys.Fingerprint ];
+  (* the TSO counter against the TTAS lock, under either keys *)
+  let w =
+    tso_world [ compiled_counter (); Cas_tso.Locks.pi_lock ] [ "inc"; "inc" ]
+  in
+  List.iter
+    (fun (e, expected) ->
+      List.iter
+        (fun keys ->
+          check tint
+            (Fmt.str "tso counter (%s keys): %a worlds" (key_name keys)
+               Engine.pp e)
+            expected
+            (worlds (Cas_tso.Tso.system keys) e w))
+        [ Cas_mc.Mcsys.Hash; Cas_mc.Mcsys.Fingerprint ])
+    [ (Engine.Naive, 1723); (Engine.Dpor, 305) ]
 
 (* Naive trace enumeration's transitions, trace count and completeness,
    at the values of the path-per-visit enumerator it replaced: the state

@@ -239,22 +239,18 @@ let prop_every_stage_refines =
           run_one Asm.lang a.asm;
         ])
 
-(* The streamed per-IR hashes must refine fingerprint equality: under
-   --paranoid-fp the checker cross-checks the 16-byte key against the
-   canonical fingerprint string on every core it visits, and it
-   co-executes every pipeline stage, so one check_passes run sweeps all
-   ten IRs' streamers over live states. *)
+(* The streamed per-IR hashes must refine fingerprint equality: with a
+   collision audit (--paranoid-fp) the checker cross-checks the 16-byte
+   key against the canonical fingerprint string on every core it visits,
+   and it co-executes every pipeline stage, so one check_passes run
+   sweeps all ten IRs' streamers over live states. *)
 let prop_hash_refines_fingerprint_on_random =
   QCheck.Test.make
     ~name:"streamed hash refines fingerprint on every IR (paranoid sweep)"
     ~count:40 arb_program (fun p ->
-      Lang.audit_reset ();
-      Fpmode.set_paranoid true;
-      Fun.protect
-        ~finally:(fun () -> Fpmode.set_paranoid false)
-        (fun () ->
-          ignore (Cascompcert.Framework.check_passes ~cache:false p));
-      Lang.audit_collisions () = [])
+      let audit = Lang.audit () in
+      ignore (Cascompcert.Framework.check_passes ~cache:false ~audit p);
+      Lang.audit_collisions audit = [])
 
 (* Fundef digests are a pure function of the code: recompiling the same
    random program yields bit-identical per-stage digests for every

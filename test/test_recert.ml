@@ -218,16 +218,13 @@ let test_fundef_digests_along_trace () =
     (Lang.digest_fundef first1 "sq" = Lang.digest_fundef first2 "sq")
 
 (* Deterministic companion of the random paranoid sweep: a full
-   check_passes run under --paranoid-fp observes no hash collision on any
-   core of any IR the checker visits. *)
+   check_passes run with a collision audit (--paranoid-fp) observes no
+   hash collision on any core of any IR the checker visits. *)
 let test_paranoid_no_collisions () =
   fresh ();
-  Lang.audit_reset ();
-  Fpmode.set_paranoid true;
-  Fun.protect
-    ~finally:(fun () -> Fpmode.set_paranoid false)
-    (fun () -> ignore (Framework.check_passes ~cache:false sq_unit_v1));
-  check tint "no collisions" 0 (List.length (Lang.audit_collisions ()))
+  let audit = Lang.audit () in
+  ignore (Framework.check_passes ~cache:false ~audit sq_unit_v1);
+  check tint "no collisions" 0 (List.length (Lang.audit_collisions audit))
 
 let () =
   Alcotest.run "recert"
