@@ -46,6 +46,9 @@ let read_file path =
   close_in ic;
   s
 
+(* a JSON string literal, for the compact one-line [--json] outputs *)
+let json_string s = Cas_diag.Json.(to_string (Str s))
+
 let ( let* ) = Result.bind
 let ( let+ ) r f = Result.map f r
 
@@ -339,13 +342,13 @@ let compile_cmd =
                 fns;
             if json then
               json_units :=
-                Fmt.str {|{"file":%S,"functions":[%s]}|} file
+                Fmt.str {|{"file":%s,"functions":[%s]}|} (json_string file)
                   (String.concat ","
                      (List.map
                         (fun (fn, (v, hits, s)) ->
                           Fmt.str
-                            {|{"name":%S,"verdicts":%d,"cached":%d,"steps":%d}|}
-                            fn v hits s)
+                            {|{"name":%s,"verdicts":%d,"cached":%d,"steps":%d}|}
+                            (json_string fn) v hits s)
                         fns))
                 :: !json_units;
             Fmt.pr
@@ -973,8 +976,14 @@ let fuzz_cmd =
           Fmt.epr "[%04d] %s@." index (Cas_fuzz.Driver.bucket_name bucket)
       in
       let rep =
-        Cas_fuzz.Driver.run ~size ~budget ~shrink_budget ~paranoid_every
-          ~inject ?engine_par ?out_dir ~progress ~seed ~count lang
+        (* an [out_dir] that cannot be used or written: [msg] names the
+           path *)
+        try
+          Cas_fuzz.Driver.run ~size ~budget ~shrink_budget ~paranoid_every
+            ~inject ?engine_par ?out_dir ~progress ~seed ~count lang
+        with Sys_error msg ->
+          Fmt.epr "error: cannot write %s@." msg;
+          exit 1
       in
       Fmt.pr "%a@." Cas_fuzz.Driver.pp_report rep;
       List.iter
@@ -989,11 +998,8 @@ let fuzz_cmd =
         rep.Cas_fuzz.Driver.r_cases;
       (match json with
       | Some file ->
-        let json = Cas_fuzz.Driver.report_to_json rep in
         write_file ~file (fun ~file ->
-            Out_channel.with_open_text file (fun oc ->
-                output_string oc (Cas_diag.Json.to_string json);
-                output_char oc '\n'));
+            Cas_diag.Json.save ~file (Cas_fuzz.Driver.report_to_json rep));
         Fmt.pr "triage report written to %s@." file
       | None -> ());
       (* an [--inject] campaign is *expected* to diverge — its exit code

@@ -1,6 +1,6 @@
 (** Splittable deterministic randomness.
 
-    The fuzz generator and the bench load driver both need streams that
+    The fuzz generator and the serve load tests both need streams that
     are (a) fully determined by an integer seed, (b) cheap, and (c)
     *splittable*: handing a child generator to a subtree must not
     perturb the parent's stream, so inserting one more draw in one
@@ -70,7 +70,7 @@ let weighted (t : t) (xs : (int * 'a) array) : 'a =
   go 0 0
 
 (* ------------------------------------------------------------------ *)
-(* Zipf sampling (hoisted from bench/load.ml)                          *)
+(* Zipf sampling                                                       *)
 (* ------------------------------------------------------------------ *)
 
 (** Cumulative distribution of a Zipf law with exponent [s] over ranks

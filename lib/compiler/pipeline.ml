@@ -3,7 +3,7 @@
     Every pass module registers its first-class [Pass.t] into the typed
     chain [fig11] (the Fig. 11 pipeline, plus the ConstProp/CSE
     extensions); everything else — the driver, the per-pass simulation
-    sweep, the bench harness, [casc compile] — is generic over this
+    sweep, [casc compile] — is generic over this
     chain. Adding a pass means registering it here; no other layer
     changes.
 

@@ -6,8 +6,8 @@
     program: DRF by exhaustive race prediction, ≈/⊑ by bounded trace-set
     comparison, the module-local simulation by lockstep co-execution, and
     det(tl) along target runs. A [run] therefore returns one report per
-    arrow of Fig. 2, which the test-suite asserts and the bench harness
-    times. *)
+    arrow of Fig. 2, which the test-suite asserts and the figures
+    example prints. *)
 
 open Cas_base
 open Cas_langs

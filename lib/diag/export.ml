@@ -121,10 +121,7 @@ let chrome (w : Witness.t) : Json.t =
     ]
 
 let save_chrome (w : Witness.t) ~(file : string) : unit =
-  let oc = open_out_bin file in
-  output_string oc (Json.to_string (chrome w));
-  output_char oc '\n';
-  close_out oc
+  Json.save ~file (chrome w)
 
 (* ------------------------------------------------------------------ *)
 (* casc explain                                                        *)

@@ -316,6 +316,29 @@ let parse (s : string) : (t, string) result =
   | Error e -> Error (Fmt.str "%a" pp_parse_error e)
 
 (* ------------------------------------------------------------------ *)
+(* Files                                                               *)
+(* ------------------------------------------------------------------ *)
+
+(** [j] and a newline, written atomically: to a temporary file beside
+    [file], then renamed over it, so a crash mid-write never leaves a
+    truncated file. Raises [Sys_error] naming the temporary file when
+    [file]'s directory cannot be written. *)
+let save ~(file : string) (j : t) : unit =
+  let tmp =
+    Fmt.str "%s.tmp.%d.%d" file (Unix.getpid ()) (Domain.self () :> int)
+  in
+  Out_channel.with_open_bin tmp (fun oc ->
+      output_string oc (to_string j);
+      output_char oc '\n');
+  Sys.rename tmp file
+
+(** [file]'s JSON tree; an unreadable file or a parse error is [Error]. *)
+let load ~(file : string) : (t, string) result =
+  match In_channel.with_open_bin file In_channel.input_all with
+  | exception Sys_error e -> Error e
+  | s -> parse s
+
+(* ------------------------------------------------------------------ *)
 (* Accessors (decoding helpers)                                        *)
 (* ------------------------------------------------------------------ *)
 

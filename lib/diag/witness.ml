@@ -224,22 +224,12 @@ let to_string (w : t) : string = Json.to_string (to_json w)
 let of_string (s : string) : (t, string) result =
   match Json.parse s with Error e -> Error e | Ok j -> of_json j
 
-let save (w : t) ~(file : string) : unit =
-  let oc = open_out_bin file in
-  output_string oc (to_string w);
-  output_char oc '\n';
-  close_out oc
+(** Written atomically ([Json.save]): a crash mid-write must not leave a
+    truncated witness. *)
+let save (w : t) ~(file : string) : unit = Json.save ~file (to_json w)
 
 let load ~(file : string) : (t, string) result =
-  match
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | s -> of_string s
+  Result.bind (Json.load ~file) of_json
 
 (* ------------------------------------------------------------------ *)
 (* Printing                                                            *)

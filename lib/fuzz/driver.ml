@@ -424,6 +424,15 @@ let run_one ~budget ~paranoid ~inject ~engine_par (g : Gen.t) : outcome =
 (* The campaign                                                        *)
 (* ------------------------------------------------------------------ *)
 
+(* Writes to [out_dir] raise [Sys_error] naming the path that failed. *)
+let write_text ~file text =
+  Out_channel.with_open_bin file (fun oc -> output_string oc text)
+
+let prepare_out_dir dir =
+  if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+  else if not (Sys.is_directory dir) then
+    raise (Sys_error (dir ^ ": Not a directory"))
+
 let shrink_and_backtranslate ~shrink_budget ~out_dir ~index
     ((wit : Witness.t), (s0 : Cas_diag.Sem.state)) :
     (int * int) option * string option * string option =
@@ -444,19 +453,18 @@ let shrink_and_backtranslate ~shrink_budget ~out_dir ~index
     | None -> (shrink_info, None, Some replay)
     | Some dir ->
       let file = Filename.concat dir (Fmt.str "repro-%04d.cimp" index) in
-      let oc = open_out file in
-      output_string oc repro.Backtrans.r_source;
-      close_out oc;
+      write_text ~file repro.Backtrans.r_source;
       (shrink_info, Some file, Some replay))
 
 type progress = index:int -> bucket -> unit
 
+(** Raises [Sys_error] naming the path, before the first program, when
+    [out_dir] is not a directory and cannot be created, and later when
+    a case or repro file cannot be written there. *)
 let run ?(size = 8) ?(budget = 20_000) ?(shrink_budget = 2_000)
     ?(paranoid_every = 50) ?(inject = false) ?engine_par ?out_dir
     ?(progress : progress option) ~seed ~count (lang : Gen.lang) : report =
-  (match out_dir with
-  | Some dir when not (Sys.file_exists dir) -> Unix.mkdir dir 0o755
-  | _ -> ());
+  Option.iter prepare_out_dir out_dir;
   let master = Rng.make ~seed in
   let agree = ref 0
   and verdict_div = ref 0
@@ -497,10 +505,9 @@ let run ?(size = 8) ?(budget = 20_000) ?(shrink_budget = 2_000)
       (match out_dir with
       | Some dir ->
         let ext = match lang with Gen.Clight -> "c" | Gen.Cimp -> "cimp" in
-        let file = Filename.concat dir (Fmt.str "case-%04d.%s" index ext) in
-        let oc = open_out file in
-        output_string oc g.Gen.g_source;
-        close_out oc
+        write_text
+          ~file:(Filename.concat dir (Fmt.str "case-%04d.%s" index ext))
+          g.Gen.g_source
       | None -> ());
       let shrink_info, repro, replay =
         match o.o_witness with

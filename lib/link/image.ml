@@ -126,44 +126,29 @@ let of_json (j : Json.t) : (t, string) result =
       })
     j
 
-let of_string (s : string) : (t, string) result =
-  match Json.parse s with
+(* a decoded image whose recorded digest matches its body *)
+let of_verified_json (j : Json.t) : (t, string) result =
+  match of_json j with
   | Error e -> Error e
-  | Ok j -> (
-    match of_json j with
-    | Error e -> Error e
-    | Ok img ->
-      let recomputed = digest_of img in
-      if String.equal recomputed img.i_digest then Ok img
-      else
-        Error
-          (Fmt.str
-             "image digest mismatch: recorded %s, recomputed %s (image \
-              tampered or corrupted)"
-             img.i_digest recomputed))
+  | Ok img ->
+    let recomputed = digest_of img in
+    if String.equal recomputed img.i_digest then Ok img
+    else
+      Error
+        (Fmt.str
+           "image digest mismatch: recorded %s, recomputed %s (image \
+            tampered or corrupted)"
+           img.i_digest recomputed)
 
-(** Written atomically (temp file + [Sys.rename]), like [Objfile.save]:
-    a crash mid-write must not leave a truncated image behind. *)
-let save (img : t) ~(file : string) : unit =
-  let tmp =
-    Fmt.str "%s.tmp.%d.%d" file (Unix.getpid ()) (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  output_string oc (to_string img);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp file
+let of_string (s : string) : (t, string) result =
+  Result.bind (Json.parse s) of_verified_json
+
+(** Written atomically ([Json.save]), like [Objfile.save]: a crash
+    mid-write must not leave a truncated image behind. *)
+let save (img : t) ~(file : string) : unit = Json.save ~file (to_json img)
 
 let load ~(file : string) : (t, string) result =
-  match
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | s -> of_string s
+  Result.bind (Json.load ~file) of_verified_json
 
 let pp ppf (img : t) =
   Fmt.pf ppf "@[<v>image %s (%d module%s)%s@ entries: %a@ %a@]" img.i_digest

@@ -219,37 +219,19 @@ let verify (o : t) : (unit, string) result =
          o.o_body_digest recomputed)
   else Cert.verify ~seed:(cert_seed o) o.o_cert
 
-let of_string (s : string) : (t, string) result =
-  match Json.parse s with
-  | Error e -> Error e
-  | Ok j -> (
-    match of_json j with
-    | Error e -> Error e
-    | Ok o -> ( match verify o with Ok () -> Ok o | Error e -> Error e))
+(* a decoded object that passed [verify] *)
+let of_verified_json (j : Json.t) : (t, string) result =
+  Result.bind (of_json j) (fun o -> Result.map (fun () -> o) (verify o))
 
-(** Written atomically (temp file in the target directory, then
-    [Sys.rename], as [Cas_compiler.Cache] does): a crash mid-write must
-    not leave a truncated object at the destination. *)
-let save (o : t) ~(file : string) : unit =
-  let tmp =
-    Fmt.str "%s.tmp.%d.%d" file (Unix.getpid ()) (Domain.self () :> int)
-  in
-  let oc = open_out_bin tmp in
-  output_string oc (to_string o);
-  output_char oc '\n';
-  close_out oc;
-  Sys.rename tmp file
+let of_string (s : string) : (t, string) result =
+  Result.bind (Json.parse s) of_verified_json
+
+(** Written atomically ([Json.save]): a crash mid-write must not leave a
+    truncated object at the destination. *)
+let save (o : t) ~(file : string) : unit = Json.save ~file (to_json o)
 
 let load ~(file : string) : (t, string) result =
-  match
-    let ic = open_in_bin file in
-    let n = in_channel_length ic in
-    let s = really_input_string ic n in
-    close_in ic;
-    s
-  with
-  | exception Sys_error e -> Error e
-  | s -> of_string s
+  Result.bind (Json.load ~file) of_verified_json
 
 let pp ppf (o : t) =
   Fmt.pf ppf "@[<v>%s (%s, format %d)@ exports: %a@ imports: %a@ body %s@]"

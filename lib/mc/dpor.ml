@@ -23,7 +23,7 @@
     sleep set would later block. Sleep sets still carry explored
     siblings forward ([survives_sleep]), but because insertion is
     source-set-filtered, branches are (on the corpus, gated in
-    bench-regress) never spawned into a sleep-set wall: the
+    test_mc) never spawned into a sleep-set wall: the
     [sleep_prunings] counter — pure waste in the old persistent-set
     engine — is the optimality meter and should read 0.
 

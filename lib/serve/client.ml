@@ -3,7 +3,7 @@
 
     Connections are synchronous (one request in flight at a time) —
     concurrency comes from opening many connections, which is exactly
-    what the load driver and the smoke tests do. *)
+    what the serve tests' client fleet does. *)
 
 module Json = Cas_diag.Json
 
@@ -53,8 +53,8 @@ let with_connection ~(socket : string) (f : t -> 'a) : ('a, string) result =
     r
 
 (** Poll until the daemon accepts connections and answers a ping, or
-    [timeout] seconds pass — startup synchronization for tests, CI and
-    the bench driver. *)
+    [timeout] seconds pass — startup synchronization for tests and
+    CI. *)
 let wait_ready ~(socket : string) ?(timeout = 10.) () : (unit, string) result =
   let deadline = Unix.gettimeofday () +. timeout in
   let rec go () =

@@ -32,7 +32,7 @@ type config = {
   queue_cap : int;  (** max distinct jobs outstanding before [overloaded] *)
   delay : float;  (** artificial seconds added to every job — a test hook
                       ([--delay-ms]) that widens the in-flight window so
-                      smoke tests can provoke coalescing deterministically *)
+                      tests can provoke coalescing deterministically *)
 }
 
 let default_config =
@@ -124,7 +124,21 @@ let create (cfg : config) : (t, string) result =
   (* a peer hanging up mid-write must be an EPIPE result, not a fatal
      signal *)
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
-  (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
+  (* a socket at the path is an earlier daemon's and is replaced;
+     anything else there is the user's and is left alone *)
+  let path_free =
+    match Unix.lstat cfg.socket with
+    | { Unix.st_kind = Unix.S_SOCK; _ } ->
+      (try Unix.unlink cfg.socket with Unix.Unix_error _ -> ());
+      true
+    | _ -> false
+    | exception Unix.Unix_error _ -> true
+  in
+  if not path_free then
+    Error
+      (Fmt.str "cannot listen on %s: the path exists and is not a socket"
+         cfg.socket)
+  else
   match
     let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
     Unix.bind fd (Unix.ADDR_UNIX cfg.socket);

@@ -7,7 +7,8 @@
       release. The plain load and store race with other threads'
       lock-prefixed accesses: the confined benign races of §7.3.
     - [pi_lock_fenced] — a conservative variant whose release is fenced;
-      used by the benchmarks to quantify what the benign race buys.
+      the figures example compares the two to show what the benign
+      race buys.
 
     The lock word [L] lives in [Object]-permission memory: client code
     cannot touch it, which is the confinement the extended framework

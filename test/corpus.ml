@@ -1,5 +1,5 @@
 (** Shared corpus of source programs used across the test suites and the
-    benchmark harness. Client modules are written in the mini-C surface
+    figures example. Client modules are written in the mini-C surface
     syntax and parsed; object modules in CImp. *)
 
 open Cas_langs
@@ -293,9 +293,9 @@ let observer_prog () : Cas_base.Lang.prog =
     [ "writer"; "reader" ]
 
 (** A small multi-module program with disjoint symbol tables, for the
-    certified-linker benchmarks: [f] calls across into [g] (the paper's
-    §2.1 pair), and two self-contained modules pad the link so per-module
-    re-verification has enough tasks for [--jobs] to matter. *)
+    recertification tests: [f] calls across into [g] (the paper's §2.1
+    pair), and two self-contained modules make one edited function a
+    small share of the whole. *)
 let link_module_srcs : (string * string) list =
   [
     ("f", cross_module_f_src);

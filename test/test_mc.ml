@@ -741,8 +741,7 @@ let test_dpor_counters_pinned () =
    into a sleep-set wall: on the whole corpus, sleep-set-blocked
    explorations (the old engine's pure waste, [Stats.sleep_prunings])
    must be exactly 0 — for the sequential engine and under stealing at
-   every domain count. This is the optimality acceptance gate; the
-   bench-regress gate enforces the same invariant on the bench corpus. *)
+   every domain count. This is the optimality acceptance gate. *)
 let test_no_sleep_blocked () =
   let corpus =
     [

@@ -295,7 +295,7 @@ let test_drf_preserved_by_compilation () =
     (List.filter
        (fun i ->
          i.Cascompcert.Framework.name <> "producer-consumer"
-         (* excluded here only for test runtime; covered in the bench *))
+         (* excluded for test runtime, as in test_framework *))
        (Corpus.framework_inputs ()))
 
 (* ------------------------------------------------------------------ *)

@@ -18,28 +18,40 @@ let fresh () =
   Cas_compiler.Cache.set_default_dir None;
   Cas_compiler.Cache.clear_memory ()
 
-let sq_unit_v1 =
+let sq_v1 = "int sq(int n) { return n * n; }"
+
+(* [sq] respelled, still squaring *)
+let sq_v2 = "int sq(int n) { int t; t = n * n; return t; }"
+
+let sq_unit sq =
   Parse.clight
-    {|
-    int sq(int n) { return n * n; }
+    (sq
+    ^ {|
     void main() {
       int r;
       r = sq(4);
       print(r);
     }
 |}
+    )
+
+let sq_unit_v1 = sq_unit sq_v1
 
 (* same unit with only [sq]'s body respelled — [main] is byte-identical *)
-let sq_unit_v2 =
-  Parse.clight
-    {|
-    int sq(int n) { int t; t = n * n; return t; }
-    void main() {
-      int r;
-      r = sq(4);
-      print(r);
-    }
-|}
+let sq_unit_v2 = sq_unit sq_v2
+
+(* the four-module link corpus, with [powers]' [sq] respelled when
+   [edited]: one function of seven changes *)
+let link_corpus ~edited =
+  let respell src =
+    String.split_on_char '\n' src
+    |> List.map (fun l -> if String.trim l = sq_v1 then sq_v2 else l)
+    |> String.concat "\n"
+  in
+  List.map
+    (fun (name, src) ->
+      Parse.clight (if edited && name = "powers" then respell src else src))
+    Corpus.link_module_srcs
 
 (* the counters' single source of truth: a verdict came from the cache
    iff the checker executed no steps for it in this run (holds for every
@@ -67,39 +79,76 @@ let by_entry entry reports =
   List.filter (fun (r : Framework.pass_sim_report) -> r.Framework.entry = entry)
     reports
 
-(* Editing one function of the unit re-runs the checker only for that
-   function: the untouched [main] is a pure cache hit on every pass. *)
-let test_edit_one_function () =
+let certify units = List.concat_map (fun u -> Framework.check_passes u) units
+
+let checker_steps reports =
+  List.fold_left
+    (fun acc (r : Framework.pass_sim_report) -> acc + r.Framework.checker_steps)
+    0 reports
+
+(* Editing one function costs less than half the cold run's checker
+   steps: the checker re-runs only for that function, and every other
+   function is a pure cache hit on every pass. *)
+let edit_one_function ~name ~before ~after =
   fresh ();
-  let cold = Framework.check_passes sq_unit_v1 in
+  let cold = certify before in
   assert_all_ok cold;
-  assert_stats_consistent cold;
   List.iter
     (fun (r : Framework.pass_sim_report) ->
       check tbool
-        (Fmt.str "cold %s/%s not cached" r.Framework.pass r.Framework.entry)
+        (Fmt.str "%s: cold %s/%s not cached" name r.Framework.pass
+           r.Framework.entry)
         false r.Framework.cached)
     cold;
-  let recert = Framework.check_passes sq_unit_v2 in
+  let recert = certify after in
   assert_all_ok recert;
-  assert_stats_consistent recert;
-  check tbool "recert has verdicts for both functions" true
-    (by_entry "sq" recert <> [] && by_entry "main" recert <> []);
+  let cold_steps = checker_steps cold and edit_steps = checker_steps recert in
+  check tbool
+    (Fmt.str "%s: edit costs %d checker steps, under half of cold's %d" name
+       edit_steps cold_steps)
+    true
+    (2 * edit_steps < cold_steps);
+  let edited, untouched =
+    List.partition
+      (fun (r : Framework.pass_sim_report) -> r.Framework.entry = "sq")
+      recert
+  in
+  check tbool
+    (Fmt.str "%s: recert has verdicts for sq and the others" name)
+    true
+    (edited <> [] && untouched <> []);
   List.iter
     (fun (r : Framework.pass_sim_report) ->
       check tbool
-        (Fmt.str "edited sq: %s re-verified" r.Framework.pass)
+        (Fmt.str "%s: edited sq: %s re-verified" name r.Framework.pass)
         false r.Framework.cached)
-    (by_entry "sq" recert);
+    edited;
   List.iter
     (fun (r : Framework.pass_sim_report) ->
       check tbool
-        (Fmt.str "untouched main: %s cached" r.Framework.pass)
+        (Fmt.str "%s: untouched %s: %s cached" name r.Framework.entry
+           r.Framework.pass)
         true r.Framework.cached;
       check tint
-        (Fmt.str "untouched main: %s zero steps" r.Framework.pass)
+        (Fmt.str "%s: untouched %s: %s zero steps" name r.Framework.entry
+           r.Framework.pass)
         0 r.Framework.checker_steps)
-    (by_entry "main" recert)
+    untouched;
+  (cold, recert)
+
+let test_edit_one_function () =
+  let cold, recert =
+    edit_one_function ~name:"sq unit" ~before:[ sq_unit_v1 ]
+      ~after:[ sq_unit_v2 ]
+  in
+  (* the link corpus's [g] certifies in zero steps, so the counters'
+     consistency is checked on the sq unit only *)
+  assert_stats_consistent cold;
+  assert_stats_consistent recert;
+  ignore
+    (edit_one_function ~name:"link corpus"
+       ~before:(link_corpus ~edited:false)
+       ~after:(link_corpus ~edited:true))
 
 (* An unchanged unit re-certifies entirely from the cache. *)
 let test_unchanged_all_cached () =

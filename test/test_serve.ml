@@ -3,9 +3,10 @@
     persistent worker pool's drain semantics under a multi-domain
     hammer, in-flight dedup (N identical requests → one execution, N
     responses), admission control, graceful drain, metrics consistency,
-    cross-process disk-cache safety, and an in-process end-to-end
-    daemon whose verdict texts must be byte-identical to the one-shot
-    CLI rendering. *)
+    cross-process disk-cache safety, an in-process end-to-end daemon
+    whose verdict texts must be byte-identical to the one-shot CLI
+    rendering, and (a [`Slow] case) the daemon's throughput under a Zipf
+    client fleet against one [casc sim] process per request. *)
 
 open Cas_serve
 
@@ -723,6 +724,156 @@ let test_daemon_overload_and_drain () =
     (int_at [ "scheduler"; "coalesced" ] !final);
   check tbool "socket removed on exit" true (not (Sys.file_exists socket))
 
+(* The daemon replaces a stale socket at its path, and refuses any other
+   file there, leaving it as it was. *)
+let test_daemon_keeps_non_socket () =
+  let path = socket_path () in
+  Out_channel.with_open_bin path (fun oc -> output_string oc "precious\n");
+  let cfg = { Daemon.default_config with Daemon.socket = path } in
+  (match Daemon.create cfg with
+  | Ok _ -> Alcotest.fail "daemon listened on a regular file"
+  | Error e ->
+    check tbool "error names the path" true (contains ~sub:path e));
+  check tstr "regular file keeps its bytes" "precious\n"
+    (In_channel.with_open_bin path In_channel.input_all);
+  Sys.remove path;
+  (* a socket no daemon listens on any more *)
+  let fd = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
+  Unix.bind fd (Unix.ADDR_UNIX path);
+  Unix.close fd;
+  let _d, th, _final = start_daemon cfg in
+  ignore (request_ok ~socket:path Protocol.Shutdown);
+  Thread.join th
+
+(* A Zipf-distributed fleet against a warm daemon. The daemon must serve
+   every request, at no less than 5x the rate of one [casc sim] process
+   per request: what the daemon replaces, each spawn paying process
+   start-up and a cacheless certification. *)
+
+(* one certify source per rank: a call chain across several functions,
+   so certification, not the socket round trip, dominates a cold
+   request *)
+let fleet_source rank =
+  Fmt.str
+    {|
+      int x%d = %d;
+      int scale%d(int n) { int t; t = n * %d; return t; }
+      int twice%d(int n) {
+        int s;
+        int u;
+        s = scale%d(n);
+        u = scale%d(n);
+        return s + u;
+      }
+      int probe%d(int n) { int u; u = twice%d(n); return u + x%d; }
+      void m%d() {
+        int a;
+        int b;
+        a = probe%d(%d);
+        b = twice%d(a);
+        x%d = b;
+        print(a + b);
+      }
+|}
+    rank rank rank (rank + 2) rank rank rank rank rank rank rank rank
+    (rank + 1) rank rank
+
+(* [clients] connections, each sending [requests] requests in turn;
+   returns the number answered ok and the wall time. The client threads
+   are spread over up to four domains: real clients are separate
+   processes, so their encoding and decoding must not time-share the
+   daemon's domain. *)
+let run_fleet ~socket ~clients ~requests ~kind_of =
+  let ok = Atomic.make 0 in
+  let client i () =
+    match Client.connect ~socket with
+    | Error _ -> ()
+    | Ok c ->
+      for j = 1 to requests do
+        match Client.request c (kind_of ~client:i ~request:j) with
+        | Ok { Protocol.status = Protocol.Sok; _ } -> Atomic.incr ok
+        | Ok _ | Error _ -> ()
+      done;
+      Client.close c
+  in
+  let run_threads ids =
+    List.iter Thread.join
+      (List.map (fun i -> Thread.create (client i) ()) ids)
+  in
+  let ids = List.init clients Fun.id in
+  let domains =
+    max 1 (min 4 (min clients (Domain.recommended_domain_count () - 1)))
+  in
+  let t0 = Unix.gettimeofday () in
+  if domains = 1 then run_threads ids
+  else
+    List.iter Domain.join
+      (List.init domains (fun d ->
+           Domain.spawn (fun () ->
+               run_threads (List.filter (fun i -> i mod domains = d) ids))));
+  (Atomic.get ok, Unix.gettimeofday () -. t0)
+
+let test_daemon_throughput () =
+  Cas_compiler.Cache.set_default_dir None;
+  Cas_compiler.Cache.clear_memory ();
+  let modules = 24 in
+  let cdf = Cas_base.Rng.zipf_cdf ~n:modules ~s:1.1 in
+  let certify rank = certify_req (fleet_source rank) in
+  (* one process per request, timed before the daemon exists; the
+     fastest of 12 spawns sets the rate *)
+  let casc =
+    (* test/test_serve.exe and bin/casc.exe are siblings in the build *)
+    Filename.concat
+      (Filename.dirname (Filename.dirname Sys.executable_name))
+      (Filename.concat "bin" "casc.exe")
+  in
+  let src = Filename.temp_file "cascd-fleet" ".c" in
+  let rng = Cas_base.Rng.make ~seed:42 in
+  let spawn () =
+    Out_channel.with_open_bin src (fun oc ->
+        output_string oc (fleet_source (Cas_base.Rng.sample cdf rng)));
+    let null = Unix.openfile "/dev/null" [ Unix.O_RDWR ] 0 in
+    let t0 = Unix.gettimeofday () in
+    let pid = Unix.create_process casc [| casc; "sim"; src |] null null null in
+    let _, status = Unix.waitpid [] pid in
+    let dt = Unix.gettimeofday () -. t0 in
+    Unix.close null;
+    check tbool "casc sim exits 0" true (status = Unix.WEXITED 0);
+    dt
+  in
+  let fastest =
+    List.fold_left min infinity (List.init 12 (fun _ -> spawn ()))
+  in
+  Sys.remove src;
+  let process_rps = 1. /. fastest in
+  let socket = socket_path () in
+  let cfg = { Daemon.socket; jobs = 4; queue_cap = 256; delay = 0. } in
+  let _d, th, _final = start_daemon cfg in
+  (* warm: every module certified once, the steady state a long-lived
+     daemon serves *)
+  for rank = 0 to modules - 1 do
+    check tbool
+      (Fmt.str "warm-up certify %d" rank)
+      true
+      ((request_ok ~socket (certify rank)).Protocol.status = Protocol.Sok)
+  done;
+  let clients = 120 and requests = 20 in
+  let ok, wall =
+    run_fleet ~socket ~clients ~requests ~kind_of:(fun ~client ~request ->
+        certify
+          (Cas_base.Rng.sample cdf
+             (Cas_base.Rng.make ~seed:((client * 1009) + request))))
+  in
+  ignore (request_ok ~socket Protocol.Shutdown);
+  Thread.join th;
+  check tint "every fleet request answered ok" (clients * requests) ok;
+  let daemon_rps = float_of_int ok /. wall in
+  check tbool
+    (Fmt.str "daemon %.0f req/s >= 5x one process per request (%.0f req/s)"
+       daemon_rps process_rps)
+    true
+    (daemon_rps >= 5. *. process_rps)
+
 let test_daemon_rejects_garbage () =
   let socket = socket_path () in
   let cfg = { Daemon.socket; jobs = 1; queue_cap = 4; delay = 0. } in
@@ -832,5 +983,9 @@ let () =
             test_daemon_rejects_garbage;
           Alcotest.test_case "every kind answers as the CLI" `Quick
             test_daemon_matches_cli;
+          Alcotest.test_case "stale socket replaced, other files kept" `Quick
+            test_daemon_keeps_non_socket;
+          Alcotest.test_case "warm fleet beats a process per request" `Slow
+            test_daemon_throughput;
         ] );
     ]
