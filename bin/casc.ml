@@ -255,7 +255,8 @@ let print_ir (a : Cas_compiler.Driver.artifacts) ir =
             Fmt.pr "%s (stack %d):@.  %a@." f.Cminor.fname f.Cminor.stacksize
               Cminor.pp_stmt f.Cminor.fbody)
           a.cminorsel.Cminor.funcs
-      | `Rtl -> Fmt.pr "%a@." Fmt.(list ~sep:cut Rtl.pp_func) a.rtl_cse.Rtl.funcs
+      | `Rtl ->
+        Fmt.pr "%a@." Fmt.(list ~sep:cut Rtl.pp_func) a.rtl_deadcode.Rtl.funcs
       | `Ltl ->
         Fmt.pr "%a@." Fmt.(list ~sep:cut Ltl.pp_func) a.ltl_tunneled.Ltl.funcs
       | `Linear ->

@@ -40,7 +40,7 @@ let () =
     Cas_compiler.Driver.pass_names;
   Fmt.pr "RTL after optimizations:@.%a@.@."
     Fmt.(list ~sep:cut Rtl.pp_func)
-    arts.Cas_compiler.Driver.rtl_cse.Rtl.funcs;
+    arts.Cas_compiler.Driver.rtl_deadcode.Rtl.funcs;
   Fmt.pr "x86 assembly:@.%a@.@."
     Fmt.(list ~sep:cut Asm.pp_func)
     arts.Cas_compiler.Driver.asm.Asm.funcs;

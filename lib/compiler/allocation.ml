@@ -38,15 +38,18 @@ let build_interference (f : Rtl.func) (live : Liveness.t) :
     end
   in
   List.iter ensure f.Rtl.fparams;
-  IMap.iter
-    (fun n i ->
+  (* nodes in ascending order and live-out registers in ascending order:
+     the coloring below walks [g], so the insertion order is part of the
+     output *)
+  Array.iteri
+    (fun k i ->
       List.iter ensure (Rtl.uses i);
       match Rtl.defs i with
       | None -> ()
       | Some d ->
         ensure d;
-        ISet.iter (fun r -> edge d r) (Liveness.live_out live n))
-    f.Rtl.code;
+        Liveness.iter_live_out (edge d) live k)
+    Liveness.(live.cfg.instrs);
   (* parameters are simultaneously live at entry *)
   let rec param_pairs = function
     | [] -> ()
@@ -60,18 +63,21 @@ let build_interference (f : Rtl.func) (live : Liveness.t) :
 (** Pseudo-registers live across a call: the call sequence writes the
     conventional argument registers and the result register, so such
     values must live in stack slots (caller-save-everything policy). *)
-let live_across_calls (f : Rtl.func) (live : Liveness.t) : ISet.t =
-  IMap.fold
-    (fun n i acc ->
+let live_across_calls (live : Liveness.t) : ISet.t =
+  let across = ref ISet.empty in
+  Array.iteri
+    (fun k i ->
       match i with
       | Rtl.Icall (_, _, dst, _) ->
-        let out = Liveness.live_out live n in
-        let out =
-          match dst with Some d -> ISet.remove d out | None -> out
-        in
-        ISet.union acc out
-      | _ -> acc)
-    f.Rtl.code ISet.empty
+        Liveness.iter_live_out
+          (fun r ->
+            match dst with
+            | Some d when d = r -> ()
+            | _ -> across := ISet.add r !across)
+          live k
+      | _ -> ())
+    Liveness.(live.cfg.instrs);
+  !across
 
 (** Greedy coloring in decreasing-degree order; uncolorable nodes spill to
     fresh slots. Returns the assignment and the number of slots used. *)
@@ -281,10 +287,10 @@ let tr_instr em asn (heads : int IMap.t) (n : Rtl.node) (i : Rtl.instr) : unit =
     let entry = emit_move em (loc_of asn r) (Mreg.R Mreg.res_reg) ret in
     chain_to entry
 
-let tr_func (f : Rtl.func) : Ltl.func =
-  let live = Liveness.analyze f in
-  let g = build_interference f live in
-  let asn, nspill = color ~forced_slots:(live_across_calls f live) g in
+(** Color the interference graph [g], with [forced_slots] spilled, and
+    emit [f]'s LTL. *)
+let emit_func (f : Rtl.func) ~forced_slots g : Ltl.func =
+  let asn, nspill = color ~forced_slots g in
   let em = { next_node = 1; out = Ltl.IMap.empty; next_slot = nspill } in
   (* reserve a head node for every RTL node *)
   let heads =
@@ -314,6 +320,10 @@ let tr_func (f : Rtl.func) : Ltl.func =
     entry;
     code = em.out;
   }
+
+let tr_func (f : Rtl.func) : Ltl.func =
+  let live = Liveness.analyze f in
+  emit_func f ~forced_slots:(live_across_calls live) (build_interference f live)
 
 let compile (p : Rtl.program) : Ltl.program =
   { Ltl.funcs = List.map tr_func p.Rtl.funcs; globals = p.Rtl.globals }

@@ -9,7 +9,6 @@
 
 open Cas_langs
 module IMap = Rtl.IMap
-module ISet = Liveness.ISet
 
 let pure_def = function
   | Rtl.Iop (_, d, n) -> Some (d, n)
@@ -17,21 +16,39 @@ let pure_def = function
   | _ -> None
 
 (* One sweep exposes new dead code (removing a dead move kills its
-   source's last use), so iterate to a fixpoint. *)
-let rec tr_func (f : Rtl.func) : Rtl.func =
-  let live = Liveness.analyze f in
-  let changed = ref false in
-  let code =
-    IMap.mapi
-      (fun n i ->
+   source's last use), so sweep until nothing changes. [Inop succ] keeps
+   the edge of the instruction it replaces, so one CFG serves every
+   round; each round solves liveness from empty sets, because only the
+   least fixpoint of the current code says which results are dead. *)
+let tr_func (f : Rtl.func) : Rtl.func =
+  let g = Liveness.cfg f in
+  let rec sweep removed_any =
+    let live = Liveness.solve g in
+    let removed = ref false in
+    Array.iteri
+      (fun k i ->
         match pure_def i with
-        | Some (d, succ) when not (ISet.mem d (Liveness.live_out live n)) ->
-          changed := true;
-          Rtl.Inop succ
-        | _ -> i)
-      f.Rtl.code
+        | Some (d, succ) when not (Liveness.mem_live_out live k d) ->
+          g.Liveness.instrs.(k) <- Rtl.Inop succ;
+          removed := true
+        | _ -> ())
+      g.Liveness.instrs;
+    if !removed then sweep true else removed_any
   in
-  if !changed then tr_func { f with Rtl.code } else f
+  if not (sweep false) then f
+  else
+    (* [IMap.map] visits nodes in ascending order, the order of [g]'s
+       indices, and keeps the map's shape, which structural equality and
+       marshalled digests ([Cache.digest]) see *)
+    let k = ref (-1) in
+    let code =
+      IMap.map
+        (fun _ ->
+          incr k;
+          g.Liveness.instrs.(!k))
+        f.Rtl.code
+    in
+    { f with Rtl.code }
 
 let compile (p : Rtl.program) : Rtl.program =
   { p with Rtl.funcs = List.map tr_func p.Rtl.funcs }

@@ -15,7 +15,9 @@
 open Cas_base
 open Cas_langs
 
-type options = Pass.options = { optimize : bool  (** run Tailcall/ConstProp/CSE *) }
+type options = Pass.options = {
+  optimize : bool;  (** run Tailcall/ConstProp/CSE/Deadcode *)
+}
 
 let default_options = Pass.default_options
 

@@ -228,34 +228,36 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
   in
   let args_of e = List.init (entry_arity e) (fun i -> Value.Vint (7 + i)) in
   let memoizable = cache && env = None && audit = None in
-  let rec stage_pairs = function
-    | (_, m1) :: (((pname, m2) :: _) as rest) ->
-      (pname, m1, m2) :: stage_pairs rest
-    | _ -> []
-  in
-  (* Per-pass pairs, plus the whole compiler end to end (Lem. 13 /
-     Correct(CompCert)). *)
+  let stages = Array.of_list c.Driver.c_trace in
+  let last = Array.length stages - 1 in
+  (* Per-pass pairs of stage indices, plus the whole compiler end to end
+     (Lem. 13 / Correct(CompCert)). *)
   let pairs =
-    stage_pairs c.Driver.c_trace
-    @
-    match (c.Driver.c_trace, List.rev c.Driver.c_trace) with
-    | (_, first) :: _, (_, last) :: _ -> [ ("Compiler", first, last) ]
-    | _ -> []
+    List.init last (fun k -> (fst stages.(k + 1), k, k + 1))
+    @ [ ("Compiler", 0, last) ]
+  in
+  (* Every stage's function bodies, digested once per (stage, entry): a
+     stage is the target of one pair and the source of the next. *)
+  let body_digests =
+    lazy
+      (Array.map
+         (fun (_, m) -> Array.of_list (List.map (Lang.digest_fundef m) entries))
+         stages)
   in
   (* Function-tier hits recorded while producing the sweep, consulted
      when the reports are assembled below. *)
   let fn_hits : (string * string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let chk (pass, src_mod, tgt_mod) =
-    let (Lang.Mod (src_lang, src_code)) = src_mod in
-    let (Lang.Mod (tgt_lang, tgt_code)) = tgt_mod in
+  let chk (pass, src, tgt) =
+    let (Lang.Mod (src_lang, src_code)) = snd stages.(src) in
+    let (Lang.Mod (tgt_lang, tgt_code)) = snd stages.(tgt) in
     let glbs =
       lazy
         (Cache.digest
            ( src_lang.Lang.globals_of src_code,
              tgt_lang.Lang.globals_of tgt_code ))
     in
-    List.map
-      (fun entry ->
+    List.mapi
+      (fun e entry ->
         let run () =
           Simulation.check_verdict ~src:(src_lang, src_code)
             ~tgt:(tgt_lang, tgt_code) ~entry ~args:(args_of entry) ?env ?audit
@@ -264,12 +266,13 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
         let v, hit =
           if not memoizable then (run (), `Off)
           else
+            let digests = Lazy.force body_digests in
             let key =
               Cache.digest
                 ( "sim-fn",
                   pass,
-                  Lang.digest_fundef src_mod entry,
-                  Lang.digest_fundef tgt_mod entry,
+                  digests.(src).(e),
+                  digests.(tgt).(e),
                   Lazy.force glbs,
                   options,
                   args_of entry )

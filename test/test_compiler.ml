@@ -219,6 +219,28 @@ let test_deadcode_removes_dead_load () =
   check tbool "dead load removed" true
     (count_loads a.Driver.rtl_deadcode < count_loads a.Driver.rtl_cse)
 
+let test_deadcode_loop_carried () =
+  (* x is live around the loop only for the dead copy d = x. Once the
+     copy goes, liveness carried over from the previous round would keep
+     x live around the back edge, and with it the load; solved from
+     empty, x is dead and the load goes too *)
+  let src =
+    {| int g = 7;
+       void main() { int x; int d; int i;
+                     x = g; i = 0;
+                     while (i < 3) { d = x; i = i + 1; }
+                     print(i); } |}
+  in
+  let a = rtl_of src "main" in
+  let fn =
+    List.find
+      (fun (x : Rtl.func) -> x.Rtl.fname = "main")
+      a.Driver.rtl_deadcode.Rtl.funcs
+  in
+  check tbool "load removed" false
+    (Rtl.IMap.exists (fun _ i -> match i with Rtl.Iload _ -> true | _ -> false)
+       fn.Rtl.code)
+
 let test_deadcode_keeps_stores_and_calls () =
   let src = {| int g = 0; void main() { g = 5; print(1); } |} in
   let a = rtl_of src "main" in
@@ -266,6 +288,228 @@ let test_liveness_dead_after_return () =
           (Liveness.ISet.cardinal (Liveness.live_out live n))
       | _ -> ())
     fn.Rtl.code
+
+(* The map-and-set liveness solver and the round-by-round Deadcode that
+   the dense CFG replaced, kept as references: a FIFO worklist seeded
+   with every node in ascending order over [IMap]s of [ISet]s, and a full
+   re-analysis of the rewritten code map per Deadcode round. Allocation's
+   interference construction over them is the reference for the order
+   in which interference edges enter its table. *)
+module Reference = struct
+  module IMap = Rtl.IMap
+  module ISet = Liveness.ISet
+
+  type t = { live_in : ISet.t IMap.t; live_out : ISet.t IMap.t }
+
+  let get m n = Option.value ~default:ISet.empty (IMap.find_opt n m)
+  let live_in t n = get t.live_in n
+  let live_out t n = get t.live_out n
+
+  let analyze (f : Rtl.func) : t =
+    let live_in = ref IMap.empty in
+    let live_out = ref IMap.empty in
+    let preds =
+      IMap.fold
+        (fun n i acc ->
+          List.fold_left
+            (fun acc s ->
+              IMap.update s
+                (fun l -> Some (n :: Option.value ~default:[] l))
+                acc)
+            acc (Rtl.successors i))
+        f.Rtl.code IMap.empty
+    in
+    let worklist = Queue.create () in
+    IMap.iter (fun n _ -> Queue.add n worklist) f.Rtl.code;
+    while not (Queue.is_empty worklist) do
+      let n = Queue.pop worklist in
+      match IMap.find_opt n f.Rtl.code with
+      | None -> ()
+      | Some i ->
+        let out =
+          List.fold_left
+            (fun acc s -> ISet.union acc (get !live_in s))
+            ISet.empty (Rtl.successors i)
+        in
+        let ins =
+          let minus_def =
+            match Rtl.defs i with Some d -> ISet.remove d out | None -> out
+          in
+          List.fold_left (fun acc u -> ISet.add u acc) minus_def (Rtl.uses i)
+        in
+        live_out := IMap.add n out !live_out;
+        if not (ISet.equal ins (get !live_in n)) then begin
+          live_in := IMap.add n ins !live_in;
+          List.iter
+            (fun p -> Queue.add p worklist)
+            (Option.value ~default:[] (IMap.find_opt n preds))
+        end
+    done;
+    { live_in = !live_in; live_out = !live_out }
+
+  let rec deadcode (f : Rtl.func) : Rtl.func =
+    let live = analyze f in
+    let changed = ref false in
+    let code =
+      IMap.mapi
+        (fun n i ->
+          match Deadcode.pure_def i with
+          | Some (d, succ) when not (ISet.mem d (live_out live n)) ->
+            changed := true;
+            Rtl.Inop succ
+          | _ -> i)
+        f.Rtl.code
+    in
+    if !changed then deadcode { f with Rtl.code } else f
+
+  let build_interference (f : Rtl.func) (live : t) : (int, ISet.t) Hashtbl.t =
+    let g : (int, ISet.t) Hashtbl.t = Hashtbl.create 64 in
+    let ensure r = if not (Hashtbl.mem g r) then Hashtbl.add g r ISet.empty in
+    let edge a b =
+      if a <> b then begin
+        ensure a;
+        ensure b;
+        Hashtbl.replace g a (ISet.add b (Hashtbl.find g a));
+        Hashtbl.replace g b (ISet.add a (Hashtbl.find g b))
+      end
+    in
+    List.iter ensure f.Rtl.fparams;
+    IMap.iter
+      (fun n i ->
+        List.iter ensure (Rtl.uses i);
+        match Rtl.defs i with
+        | None -> ()
+        | Some d ->
+          ensure d;
+          ISet.iter (fun r -> edge d r) (live_out live n))
+      f.Rtl.code;
+    let rec param_pairs = function
+      | [] -> ()
+      | p :: rest ->
+        List.iter (edge p) rest;
+        param_pairs rest
+    in
+    param_pairs f.Rtl.fparams;
+    g
+
+  let live_across_calls (f : Rtl.func) (live : t) : ISet.t =
+    IMap.fold
+      (fun n i acc ->
+        match i with
+        | Rtl.Icall (_, _, dst, _) ->
+          let out = live_out live n in
+          let out = match dst with Some d -> ISet.remove d out | None -> out in
+          ISet.union acc out
+        | _ -> acc)
+      f.Rtl.code ISet.empty
+end
+
+(* Where the dense liveness, Deadcode or Allocation part from the
+   reference on [f], if anywhere: live-in and live-out sets at every
+   node, Deadcode's output, and Allocation's output on that output with
+   its interference table's bindings in walk order. *)
+let reference_mismatch (f : Rtl.func) : string option =
+  let module ISet = Liveness.ISet in
+  let live = Liveness.analyze f and reference = Reference.analyze f in
+  let node_mismatch =
+    Rtl.IMap.to_seq f.Rtl.code
+    |> Seq.find_map (fun (n, _) ->
+           let live_in = Liveness.live_in live n
+           and live_out = Liveness.live_out live n in
+           if not (ISet.equal live_in (Reference.live_in reference n)) then
+             Some (Fmt.str "live-in at node %d" n)
+           else if not (ISet.equal live_out (Reference.live_out reference n))
+           then Some (Fmt.str "live-out at node %d" n)
+           else None)
+  in
+  let dead = Deadcode.tr_func f in
+  let table_order g = Hashtbl.fold (fun r adj acc -> (r, adj) :: acc) g [] in
+  let allocation_mismatch () =
+    let live = Liveness.analyze dead and reference = Reference.analyze dead in
+    let g = Allocation.build_interference dead live in
+    let g_ref = Reference.build_interference dead reference in
+    if table_order g <> table_order g_ref then Some "interference table order"
+    else if
+      not
+        (ISet.equal
+           (Allocation.live_across_calls live)
+           (Reference.live_across_calls dead reference))
+    then Some "registers live across calls"
+    else if
+      Allocation.tr_func dead
+      <> Allocation.emit_func dead
+           ~forced_slots:(Reference.live_across_calls dead reference)
+           g_ref
+    then Some "Allocation output"
+    else None
+  in
+  match node_mismatch with
+  | Some _ -> node_mismatch
+  | None ->
+    if dead <> Reference.deadcode f then Some "Deadcode output"
+    else allocation_mismatch ()
+
+(* RTLgen's output (sparse node ids) and Deadcode's input, per function. *)
+let reference_failures (p : Clight.program) : string list =
+  let a = Driver.compile_artifacts p in
+  List.concat_map
+    (fun (stage, (prog : Rtl.program)) ->
+      List.filter_map
+        (fun (f : Rtl.func) ->
+          Option.map
+            (Fmt.str "%s after %s: %s" f.Rtl.fname stage)
+            (reference_mismatch f))
+        prog.Rtl.funcs)
+    [ ("RTLgen", a.Driver.rtl); ("CSE", a.Driver.rtl_cse) ]
+
+let check_against_reference name p =
+  match reference_failures p with
+  | [] -> ()
+  | msg :: _ -> Alcotest.failf "%s: %s differs from the reference" name msg
+
+let corpus_modules () =
+  List.map (fun (name, p, _) -> (name, p)) (Corpus.sequential_clients ())
+  @ [
+      ("racy_counter", Corpus.racy_counter ());
+      ("racy_writer", Corpus.racy_writer ());
+      ("racy_reader", Corpus.racy_reader ());
+    ]
+  @ List.map
+      (fun (name, src) -> (name, Parse.clight src))
+      Corpus.link_module_srcs
+
+let test_liveness_reference_corpus () =
+  List.iter
+    (fun (name, p) -> check_against_reference name p)
+    (corpus_modules ())
+
+(* Generated programs of every shape the fuzzer draws: sizes 4, 8 and 15,
+   one to three threads, with and without the lock; eight of each. *)
+let test_liveness_reference_generated () =
+  let rng = Rng.make ~seed:18 in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun (threads, lock) ->
+          for i = 1 to 8 do
+            let rec draw () =
+              let g = Cas_fuzz.Gen.clight (Rng.split rng) ~size in
+              if List.length g.g_entries = threads && g.g_with_lock = lock
+              then g
+              else draw ()
+            in
+            let g = draw () in
+            check_against_reference
+              (Fmt.str "size %d, %d thread(s), lock %b, #%d" size threads
+                 lock i)
+              (Parse.clight g.g_source)
+          done)
+        [ (1, false); (2, false); (3, false); (1, true); (2, true); (3, true) ])
+    [ 4; 8; 15 ]
+
+let prop_liveness_reference_random =
+  QCheck.Test.make ~name:"liveness, Deadcode and Allocation match the reference"
+    ~count:200 Randprog.arb_program (fun p -> reference_failures p = [])
 
 (* ------------------------------------------------------------------ *)
 (* Allocation discipline and Stacking                                  *)
@@ -410,7 +654,20 @@ let test_optimize_flag () =
 
 (* ------------------------------------------------------------------ *)
 
-let qsuite = List.map QCheck_alcotest.to_alcotest [ prop_selection_fig12 ]
+(* Pinned generator seed for the random-program property; override with
+   QCHECK_SEED=n to explore a different slice of the input space. *)
+let qcheck_seed =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some s -> (try int_of_string s with _ -> 0x5ca1ab1e)
+  | None -> 0x5ca1ab1e
+
+let qsuite =
+  QCheck_alcotest.to_alcotest prop_selection_fig12
+  :: [
+       QCheck_alcotest.to_alcotest
+         ~rand:(Random.State.make [| qcheck_seed |])
+         prop_liveness_reference_random;
+     ]
 
 let () =
   Alcotest.run "compiler"
@@ -435,6 +692,8 @@ let () =
           Alcotest.test_case "cse dedups" `Quick test_cse_dedups;
           Alcotest.test_case "deadcode removes dead load" `Quick
             test_deadcode_removes_dead_load;
+          Alcotest.test_case "deadcode removes loop-carried dead load" `Quick
+            test_deadcode_loop_carried;
           Alcotest.test_case "deadcode keeps effects" `Quick
             test_deadcode_keeps_stores_and_calls;
           Alcotest.test_case "deadcode keeps live ops" `Quick
@@ -446,6 +705,10 @@ let () =
             test_liveness_params_live_at_entry;
           Alcotest.test_case "dead after return" `Quick
             test_liveness_dead_after_return;
+          Alcotest.test_case "matches the reference on the corpus" `Quick
+            test_liveness_reference_corpus;
+          Alcotest.test_case "matches the reference on generated programs"
+            `Quick test_liveness_reference_generated;
         ] );
       ( "allocation/stacking",
         [
