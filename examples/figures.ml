@@ -115,9 +115,11 @@ let fig11 () =
       (Corpus.sequential_clients ())
   in
   let count p = List.length (List.filter p reports) in
-  let ok (r : Framework.pass_sim_report) = Framework.sim_ok r.outcome in
+  let ok (r : Framework.pass_sim_report) =
+    Framework.sim_ok r.verdict.v_outcome
+  in
   let inconclusive (r : Framework.pass_sim_report) =
-    match r.outcome with
+    match r.verdict.v_outcome with
     | Cascompcert.Simulation.Sim_inconclusive _ -> true
     | Sim_ok _ | Sim_fail _ -> false
   in

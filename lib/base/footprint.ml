@@ -7,9 +7,10 @@
     an O(transitions²) loop, so conflict/subset/union are O(words) with a
     one-word nonzero summary as the fast path ([summary] bit [i mod 63] is
     set iff word [i] is nonzero, so disjoint summaries prove disjoint
-    sets). The [Addr.Set] views ([rs_set]/[ws_set]/[locs]) serve
-    pretty-printing and the meta-level checkers ([Memory.eq_on], [Wd]),
-    which are off the hot path. *)
+    sets). The simulation checker's switch-point obligations walk the
+    bits in place too ([for_all], [fpmatch]). The [Addr.Set] views
+    ([rs_set]/[ws_set]/[locs]) serve pretty-printing and the meta-level
+    checkers ([Memory.eq_on], [Wd]), which are off the hot path. *)
 
 module Bits = struct
   type t = { summary : int; words : int array }
@@ -159,17 +160,54 @@ let inter_locs d s =
   let sb = bits_of_addrs (Addr.Set.elements s) in
   { rs = Bits.inter d.rs sb; ws = Bits.inter d.ws sb }
 
-(** Is the footprint confined to [region]? Used for the "in scope"
-    premises δ ⊆ (F ∪ µ.S) of Def. 3. *)
-let within d ~mem:region =
-  let rb = bits_of_addrs (Addr.Set.elements region) in
-  Bits.subset d.rs rb && Bits.subset d.ws rb
-
 (** Membership in the write set without materializing the view. *)
 let mem_ws d a =
   match Addr.Interner.find_id a with
   | None -> false
   | Some id -> Bits.mem d.ws id
+
+(* ---- Allocation-free checks for the switch points of Def. 3 ---- *)
+
+let word (b : Bits.t) i =
+  if i < Array.length b.Bits.words then b.Bits.words.(i) else 0
+
+(** Every location of δ (rs ∪ ws) satisfies [p]: [Addr.Set.for_all p
+    (locs d)], walking the bits in place instead of building the view.
+    The scope checks of Def. 3 and Def. 4 and the linker's confinement
+    check run it on every step they inspect. *)
+let for_all p d =
+  let n = max (Array.length d.rs.Bits.words) (Array.length d.ws.Bits.words) in
+  let rec bits base w j =
+    w = 0
+    || ((w land 1 = 0 || p (Addr.Interner.addr (base + j)))
+       && bits base (w lsr 1) (j + 1))
+  in
+  let rec go i =
+    i >= n
+    || (bits (i * Bits.bpw) (word d.rs i lor word d.ws i) 0 && go (i + 1))
+  in
+  go 0
+
+(** A fixed set of locations (the shared region S of Def. 3), as a
+    bitset for [fpmatch]. *)
+type region = Bits.t
+
+let region (s : Addr.Set.t) : region = bits_of_addrs (Addr.Set.elements s)
+
+(** FPmatch(µ, ∆, δ) of Fig. 8 with φ = id on the region [shared]: the
+    target's shared reads are source reads or writes, and its shared
+    writes are source writes. Word by word, without allocating. *)
+let fpmatch ~(shared : region) ~src ~tgt =
+  let n = Array.length shared.Bits.words in
+  let rec go i =
+    i >= n
+    ||
+    let s = shared.Bits.words.(i) in
+    word tgt.rs i land s land lnot (word src.rs i lor word src.ws i) = 0
+    && word tgt.ws i land s land lnot (word src.ws i) = 0
+    && go (i + 1)
+  in
+  go 0
 
 let pp ppf d =
   Fmt.pf ppf "(rs=%a, ws=%a)" Addr.Set.pp (rs_set d) Addr.Set.pp (ws_set d)

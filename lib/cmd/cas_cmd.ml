@@ -128,7 +128,11 @@ type certify = {
   reports : Framework.pass_sim_report list;
   sim_ok : bool;  (** every pass simulates *)
   cached : int;  (** verdicts served by the certificate cache *)
-  steps : int;  (** checker steps executed in this run *)
+  steps : int;
+      (** the reports' [checker_steps], summed: the length of every
+          co-execution certified in this call. Two pairs that share a
+          stage's run each count it, so this is not the number of steps
+          the checker executed *)
 }
 
 (** The per-pass footprint-preserving simulation verdicts of a client.
@@ -139,7 +143,10 @@ let certify ?audit (client : Clight.program) : certify =
   {
     reports;
     sim_ok =
-      List.for_all (fun r -> Framework.sim_ok r.Framework.outcome) reports;
+      List.for_all
+        (fun (r : Framework.pass_sim_report) ->
+          Framework.sim_ok r.verdict.v_outcome)
+        reports;
     cached = List.length (List.filter (fun r -> r.Framework.cached) reports);
     steps =
       List.fold_left (fun acc r -> acc + r.Framework.checker_steps) 0 reports;

@@ -140,15 +140,20 @@ let check_fig2 ?(bounds = default_bounds) ?options (i : input) : run =
 type pass_sim_report = {
   pass : string;
   entry : string;
-  outcome : Simulation.outcome;
+  verdict : Simulation.verdict;  (** the pair's certificate *)
   cached : bool;
-      (** the verdict came from the certificate cache — no checker steps
-          were executed for it in this run *)
-  checker_steps : int;  (** steps executed by the checker in *this* run *)
+      (** the verdict came from the certificate cache — the checker did
+          not run for it in this call *)
+  checker_steps : int;
+      (** the length of the co-execution the verdict certifies, both
+          sides' steps, when the checker ran for it in this call; 0 when
+          it was cached. A stage's run shared by two pairs counts in
+          both, so this is not the number of steps executed *)
 }
 
 let pp_pass_sim ppf r =
-  Fmt.pf ppf "%-14s %-12s %a%s" r.pass r.entry Simulation.pp_outcome r.outcome
+  Fmt.pf ppf "%-14s %-12s %a%s" r.pass r.entry Simulation.pp_outcome
+    r.verdict.v_outcome
     (if r.cached then " (cached)" else "")
 
 let sim_ok = function
@@ -215,7 +220,16 @@ let module_verdicts :
     from the registered pipeline ([Cas_compiler.Pipeline.fig11]) via the
     packed trace of [Driver.compile_unit], so a newly registered pass is
     certified without touching this module. [cache:false] forces
-    re-checking, and so does an [audit] ([Simulation.check_verdict]). *)
+    re-checking, and so does an [audit] ([Simulation.check_verdict]).
+
+    Each stage's run of an entry is computed once and shared by the
+    checks that read it ([Simulation.side]): the two pairs the stage
+    borders, the [Compiler] pair for the first and last stage, and every
+    pair whose pass left the entry's body unchanged. A side is keyed by
+    what its run reads: the entry's body digest (which names the IR),
+    the stage's globals and the freelist. The table is local to one
+    entry of one call, and a side leaves it after the last pair that
+    reads it. *)
 let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
     pass_sim_report list =
   let open Cas_compiler in
@@ -244,46 +258,106 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
          (fun (_, m) -> Array.of_list (List.map (Lang.digest_fundef m) entries))
          stages)
   in
+  let globals_of k =
+    let (Lang.Mod (l, code)) = snd stages.(k) in
+    l.Lang.globals_of code
+  in
+  (* Per stage, built the first time a side of the stage is: its global
+     environment and the digest of its globals. *)
+  let genvs =
+    Array.init (last + 1) (fun k -> lazy (Genv.link [ globals_of k ]))
+  in
+  let globals_digests =
+    Array.init (last + 1) (fun k -> lazy (Cache.digest (globals_of k)))
+  in
+  (* Both sides' globals, for the verdict key of each pair. *)
+  let pair_globals =
+    List.map
+      (fun (_, src, tgt) ->
+        lazy (Cache.digest (globals_of src, globals_of tgt)))
+      pairs
+  in
   (* Function-tier hits recorded while producing the sweep, consulted
      when the reports are assembled below. *)
   let fn_hits : (string * string, bool) Hashtbl.t = Hashtbl.create 64 in
-  let chk (pass, src, tgt) =
-    let (Lang.Mod (src_lang, src_code)) = snd stages.(src) in
-    let (Lang.Mod (tgt_lang, tgt_code)) = snd stages.(tgt) in
-    let glbs =
-      lazy
-        (Cache.digest
-           ( src_lang.Lang.globals_of src_code,
-             tgt_lang.Lang.globals_of tgt_code ))
+  (* How many pairs read each stage. *)
+  let reads = Array.make (last + 1) 0 in
+  List.iter
+    (fun (_, src, tgt) ->
+      reads.(src) <- reads.(src) + 1;
+      reads.(tgt) <- reads.(tgt) + 1)
+    pairs;
+  (* Every pair's verdict for entry [e], one side per distinct run. A
+     side leaves the table after the last pair that reads a stage
+     holding it, so that it dies young (a pair the cache serves reads
+     its stages too, without building their sides). *)
+  let entry_verdicts e entry =
+    let sides = Hashtbl.create 17 in
+    let keys = Array.make (last + 1) None and unread = Array.copy reads in
+    let side k ~fl =
+      let key =
+        ((Lazy.force body_digests).(k).(e), Lazy.force globals_digests.(k), fl)
+      in
+      keys.(k) <- Some key;
+      match Hashtbl.find_opt sides key with
+      | Some s -> s
+      | None ->
+        let s =
+          Simulation.side ?env ?audit (snd stages.(k))
+            ~genv:(Lazy.force genvs.(k)) ~fl ~entry ~args:(args_of entry)
+        in
+        Hashtbl.add sides key s;
+        s
     in
-    List.mapi
-      (fun e entry ->
-        let run () =
-          Simulation.check_verdict ~src:(src_lang, src_code)
-            ~tgt:(tgt_lang, tgt_code) ~entry ~args:(args_of entry) ?env ?audit
-            ()
-        in
-        let v, hit =
-          if not memoizable then (run (), `Off)
-          else
-            let digests = Lazy.force body_digests in
-            let key =
-              Cache.digest
-                ( "sim-fn",
-                  pass,
-                  digests.(src).(e),
-                  digests.(tgt).(e),
-                  Lazy.force glbs,
-                  options,
-                  args_of entry )
-            in
-            Cache.find_or_add verdicts key run
-        in
-        Hashtbl.replace fn_hits (pass, entry) (hit = `Hit);
-        (pass, entry, v))
-      entries
+    let read k =
+      unread.(k) <- unread.(k) - 1;
+      match keys.(k) with
+      | Some key
+        when not
+               (Array.exists2
+                  (fun n key' -> n > 0 && key' = Some key)
+                  unread keys) ->
+        Hashtbl.remove sides key
+      | _ -> ()
+    in
+    let verdict (pass, src, tgt) glbs =
+      let run () =
+        let fl = Simulation.freelist (Lazy.force genvs.(src)) in
+        Simulation.check_sides (side src ~fl) (side tgt ~fl)
+      in
+      let v, hit =
+        if not memoizable then (run (), `Off)
+        else
+          let digests = Lazy.force body_digests in
+          let key =
+            Cache.digest
+              ( "sim-fn",
+                pass,
+                digests.(src).(e),
+                digests.(tgt).(e),
+                Lazy.force glbs,
+                options,
+                args_of entry )
+          in
+          Cache.find_or_add verdicts key run
+      in
+      Hashtbl.replace fn_hits (pass, entry) (hit = `Hit);
+      read src;
+      read tgt;
+      v
+    in
+    Array.of_list (List.map2 verdict pairs pair_globals)
   in
-  let sweep () = List.concat_map chk pairs in
+  (* Entry by entry, so that one entry's sides are alive at a time; the
+     triples come out pass by pass. *)
+  let sweep () =
+    let by_entry = List.mapi entry_verdicts entries in
+    List.concat
+      (List.mapi
+         (fun i (pass, _, _) ->
+           List.map2 (fun entry vs -> (pass, entry, vs.(i))) entries by_entry)
+         pairs)
+  in
   let triples, module_hit =
     if not memoizable then (sweep (), `Off)
     else
@@ -301,7 +375,7 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
       {
         pass;
         entry;
-        outcome = v.Simulation.v_outcome;
+        verdict = v;
         cached;
         checker_steps = (if cached then 0 else Simulation.verdict_steps v);
       })
@@ -319,7 +393,10 @@ type compose_module_report = {
   cm_entry : string;
   cm_outcome : Simulation.outcome;
   cm_cached : bool;
-  cm_steps : int;  (** checker steps executed in *this* run (0 if cached) *)
+  cm_steps : int;
+      (** the length of the co-execution the verdict certifies, both
+          sides' steps, when the checker ran for it in this call; 0 if
+          cached *)
 }
 
 let pp_compose_module ppf r =
@@ -391,11 +468,11 @@ let check_confinement (tgt : Lang.prog) : step_report =
                   | World.LAbort -> ()
                   | World.LNext (_, fp, _) ->
                     let confined =
-                      Addr.Set.for_all
+                      Footprint.for_all
                         (fun (a : Addr.t) ->
                           a.Addr.block < nglobals
                           || Flist.owns_addr t.World.flist a)
-                        (Footprint.locs fp)
+                        fp
                     in
                     if (not confined) && !violation = None then
                       violation := Some (tid, fp))

@@ -21,7 +21,18 @@
     address mapping φ is inferred on the fly as a partial bijection β,
     seeded with the identity on globals (the paper's ⌊φ⌋(ge) = ge'
     requirement instantiated to our pass pipeline, which preserves global
-    layouts). *)
+    layouts).
+
+    The checker has two parts. A [side] is one module's run from its
+    entry, cut at switch points and computed lazily, as far as a check
+    forces it. A core holds only its entry function and its globals, and
+    every call leaves at a switch point, where the side resumes with the
+    environment's answer and Rely write; so a side never reads the other
+    side, and one side serves every check of the same run. [check_sides]
+    applies the obligations above to two sides, switch point by switch
+    point. [Framework.check_passes] thereby runs each pipeline stage
+    once for the two passes it borders; [check_verdict] is the one-pair
+    form. *)
 
 open Cas_base
 
@@ -56,16 +67,16 @@ let pp_outcome ppf = function
   | Sim_fail f -> Fmt.pf ppf "FAIL at switch %d: %s" f.at_switch f.reason
   | Sim_inconclusive s -> Fmt.pf ppf "inconclusive: %s" s
 
-(** A reusable certificate of one checker run: the outcome plus the work
-    it took to establish it. Verdicts are pure data, so the certificate
-    cache can memoize them ([Cascompcert.Framework]) — a cache hit
-    re-delivers the verdict with zero checker steps executed, which is
+(** A reusable certificate of one check: the outcome plus the length of
+    the co-execution that established it. Verdicts are pure data, so the
+    certificate cache can memoize them ([Cascompcert.Framework]) — a
+    cache hit re-delivers the verdict with zero checker steps, which is
     the per-module half of the paper's certified separate compilation. *)
 type verdict = {
   v_outcome : outcome;
   v_switches : int;  (** switch points crossed before the checker stopped *)
-  v_steps_src : int;  (** source-side small steps executed *)
-  v_steps_tgt : int;  (** target-side small steps executed *)
+  v_steps_src : int;  (** the source side's small steps in the co-execution *)
+  v_steps_tgt : int;  (** the target side's small steps in the co-execution *)
 }
 
 let verdict_steps v = v.v_steps_src + v.v_steps_tgt
@@ -121,39 +132,7 @@ let msgs_match b (m1 : Msg.t) (m2 : Msg.t) =
   | _ -> false
 
 (* ------------------------------------------------------------------ *)
-(* Running one side to its next switch point                           *)
-(* ------------------------------------------------------------------ *)
-
-type 'core run_result =
-  | Switch of Msg.t * Footprint.t * 'core * Memory.t * int
-  | Run_abort
-  | Run_nondet  (** target language must be deterministic (det(tl)) *)
-  | Run_diverge
-
-let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl core
-    mem ~bound : core run_result =
-  let rec go core mem acc steps =
-    if steps > bound then Run_diverge
-    else begin
-      (* With an audit (--paranoid-fp), cross-check the streamed hash
-         against the fingerprint string on every core the checker visits.
-         The checker co-executes every pipeline stage, so this sweeps all
-         IRs. *)
-      (match audit with Some a -> Lang.audit_core a lang core | None -> ());
-      match lang.Lang.step fl core mem with
-      | [] -> Run_abort
-      | [ Lang.Stuck_abort ] -> Run_abort
-      | [ Lang.Next (Msg.Tau, fp, core', mem') ] ->
-        go core' mem' (Footprint.union acc fp) (steps + 1)
-      | [ Lang.Next (msg, fp, core', mem') ] ->
-        Switch (msg, Footprint.union acc fp, core', mem', steps + 1)
-      | _ :: _ :: _ -> Run_nondet
-    end
-  in
-  go core mem Footprint.empty 0
-
-(* ------------------------------------------------------------------ *)
-(* The checker                                                          *)
+(* One side: a module's run from its entry, cut at switch points       *)
 (* ------------------------------------------------------------------ *)
 
 (** The checker's bounds: a run stops as passed after [max_switches]
@@ -162,6 +141,289 @@ let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl core
 let max_switches = 64
 
 let tau_bound = 50_000
+
+(** A run from some core up to its next switch point, and the run after
+    it. *)
+type 'core run =
+  | Switch of 'core switch
+  | Abort
+  | Nondet  (** the language must be deterministic (det(tl)) *)
+  | Diverge  (** [tau_bound] silent steps without a switch point *)
+
+and 'core switch = {
+  msg : Msg.t;
+  fp : Footprint.t;  (** accumulated since the previous switch point *)
+  core : 'core;  (** the core and memory at the switch point, before the Rely *)
+  mem : Memory.t;
+  steps : int;  (** steps since the previous switch point *)
+  next : 'core run Lazy.t option;
+      (** the run after the switch point: as-is after an event or an
+          atomic-block marker, and with the environment's answer and Rely
+          write after a [Call]. [None] after a return, a tail call, or a
+          call the core cannot resume from. *)
+}
+
+let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl core
+    mem ~(next : Msg.t -> core -> Memory.t -> core run Lazy.t option) :
+    core run =
+  let rec go core mem acc steps =
+    if steps > tau_bound then Diverge
+    else begin
+      (* With an audit (--paranoid-fp), cross-check the streamed hash
+         against the fingerprint string on every core the checker visits.
+         The checker runs every pipeline stage, so this sweeps all IRs. *)
+      (match audit with Some a -> Lang.audit_core a lang core | None -> ());
+      match lang.Lang.step fl core mem with
+      | [] -> Abort
+      | [ Lang.Stuck_abort ] -> Abort
+      | [ Lang.Next (Msg.Tau, fp, core', mem') ] ->
+        go core' mem' (Footprint.union acc fp) (steps + 1)
+      | [ Lang.Next (msg, fp, core', mem') ] ->
+        Switch
+          {
+            msg;
+            fp = Footprint.union acc fp;
+            core = core';
+            mem = mem';
+            steps = steps + 1;
+            next = next msg core' mem';
+          }
+      | _ :: _ :: _ -> Nondet
+    end
+  in
+  go core mem Footprint.empty 0
+
+(** The environment's Rely write (global, offset, value), where the
+    store is allowed. *)
+let perturb_mem genv mem (g, ofs, v) =
+  match Genv.find_block genv g with
+  | None -> mem
+  | Some b -> (
+    match
+      Memory.store ~perm:Perm.Normal mem (Addr.make b ofs) (Value.Vint v)
+    with
+    | Ok m -> m
+    | Error _ -> mem)
+
+(** One side of a check: a module's run from its entry, under the
+    environment script [env], cut at switch points and computed only as
+    far as a check forces it. The run reads nothing but the entry's
+    body, the module's globals, the freelist, the arguments and the
+    environment; in particular it never reads the other side, so one
+    side serves every check it takes part in. *)
+type side =
+  | Unlinked of string  (** the module's globals do not link, on this name *)
+  | Side : {
+      lang : ('code, 'core) Lang.t;
+      fl : Flist.t;
+      shared : Addr.Set.t Lazy.t;
+          (** S: the global addresses, the domain of the initial memory *)
+      region : Footprint.region Lazy.t;  (** S as a bitset *)
+      env : env;
+      audit : Lang.audit option;
+      run : 'core run Lazy.t option;
+          (** [None]: the module does not define the entry *)
+    }
+      -> side
+
+(** The freelist of a check: the blocks above the source's globals (from
+    block 0 when they do not link; such a check runs nothing). *)
+let freelist = function
+  | Ok genv -> Flist.make ~offset:(Genv.block_count genv) ~stride:1
+  | Error _ -> Flist.make ~offset:0 ~stride:1
+
+(** The side of module [m], whose globals linked to [genv], on the
+    freelist [fl]. Both sides of a check take the source's freelist. *)
+let side ?(env = default_env) ?audit (Lang.Mod (lang, code)) ~genv ~fl
+    ~entry ~args : side =
+  match genv with
+  | Error n -> Unlinked n
+  | Ok genv ->
+    let mem0 = Genv.init_memory genv in
+    let rec from i core mem =
+      run_to_switch ?audit lang fl core mem ~next:(fun msg core mem ->
+          match msg with
+          | Msg.Ret _ | Msg.TailCall _ -> None
+          | Msg.Call _ -> (
+            let act = env i in
+            match lang.Lang.after_external core (Some act.ret) with
+            | None -> None
+            | Some core ->
+              let mem =
+                Option.fold ~none:mem ~some:(perturb_mem genv mem) act.perturb
+              in
+              Some (lazy (from (i + 1) core mem)))
+          | _ -> Some (lazy (from (i + 1) core mem)))
+    in
+    let shared = lazy (Memory.dom mem0) in
+    Side
+      {
+        lang;
+        fl;
+        shared;
+        region = lazy (Footprint.region (Lazy.force shared));
+        env;
+        audit;
+        run =
+          Option.map
+            (fun core -> lazy (from 0 core mem0))
+            (lang.Lang.init_core ~genv code ~entry ~args);
+      }
+
+(* ------------------------------------------------------------------ *)
+(* The checker                                                          *)
+(* ------------------------------------------------------------------ *)
+
+(* Run a side's core, resumed after its call with [ret] from the memory
+   before the Rely write, to its final Ret: the other side tail-called
+   away, so the forwarded return value must be the environment's. *)
+let expect_ret (type code core) ?audit (lang : (code, core) Lang.t) fl beta
+    (sw : core switch) (ret : Value.t) ~side ~at_switch ~finished =
+  match lang.Lang.after_external sw.core (Some ret) with
+  | None -> Sim_fail { at_switch; reason = side ^ " cannot resume after call" }
+  | Some core -> (
+    match
+      run_to_switch ?audit lang fl core sw.mem ~next:(fun _ _ _ -> None)
+    with
+    | Switch { msg = Msg.Ret v; _ }
+      when values_match beta v ret || values_match beta ret v ->
+      finished ()
+    | Switch { msg; _ } ->
+      Sim_fail
+        {
+          at_switch;
+          reason =
+            Fmt.str "%s should forward the tail-callee's return but emitted %a"
+              side Msg.pp msg;
+        }
+    | _ ->
+      Sim_fail
+        {
+          at_switch;
+          reason =
+            side
+            ^ " diverges/aborts instead of forwarding the tail-callee's return";
+        })
+
+(** Check (sl, ge, γ) ≼ (tl, ge', π) on two sides of one entry, switch
+    point by switch point. At every switch point the checker verifies
+    the obligations of Def. 3 in this order: the messages match, both
+    footprints are in scope, FPmatch, and the shared memories are
+    related. Steps count the co-execution this verdict certifies: a side
+    shared with other checks counts in each of them. *)
+let check_sides (src : side) (tgt : side) : verdict =
+  let steps_s_total = ref 0 and steps_t_total = ref 0 in
+  let switches_seen = ref 0 in
+  let outcome =
+    match (src, tgt) with
+    | Unlinked n, _ | _, Unlinked n ->
+      Sim_inconclusive (Fmt.str "global linking failed on %s" n)
+    | Side s, Side t -> (
+      match (s.run, t.run) with
+      | None, None -> Sim_inconclusive "entry not defined in either module"
+      | Some _, None ->
+        Sim_fail { at_switch = 0; reason = "entry missing in target" }
+      | None, Some _ ->
+        Sim_fail { at_switch = 0; reason = "entry missing in source" }
+      | Some run_s, Some run_t ->
+        (* shared region S: the source's global blocks *)
+        let shared = Lazy.force s.shared in
+        let region = Lazy.force s.region in
+        let fl = s.fl in
+        let in_scope fp =
+          Footprint.for_all
+            (fun a -> Addr.Set.mem a shared || Flist.owns_addr fl a)
+            fp
+        in
+        let beta = beta_create () in
+        Addr.Set.iter (fun a -> ignore (beta_match beta a a)) shared;
+        let shared_related mem_s mem_t =
+          Addr.Set.for_all
+            (fun a ->
+              match (Memory.peek mem_s a, Memory.peek mem_t a) with
+              | Some v1, Some v2 -> values_match beta v1 v2
+              | None, None -> true
+              | _ -> false)
+            shared
+        in
+        let ok switches =
+          Sim_ok
+            { switches; steps_src = !steps_s_total; steps_tgt = !steps_t_total }
+        in
+        let rec loop run_s run_t switches =
+          switches_seen := switches;
+          if switches >= max_switches then ok switches
+          else
+            let fail reason = Sim_fail { at_switch = switches; reason } in
+            match Lazy.force run_s with
+            | Diverge ->
+              Sim_inconclusive "source diverges before next switch point"
+            | Nondet -> fail "source module nondeterministic"
+            | Abort ->
+              (* source aborts: target is allowed anything (refinement) *)
+              ok switches
+            | Switch a -> (
+              steps_s_total := !steps_s_total + a.steps;
+              match Lazy.force run_t with
+              | Diverge -> fail "target diverges where source switches"
+              | Nondet ->
+                fail "target language nondeterministic (det(tl) fails)"
+              | Abort -> fail "target aborts, source does not"
+              | Switch b -> (
+                steps_t_total := !steps_t_total + b.steps;
+                if not (msgs_match beta a.msg b.msg) then
+                  fail
+                    (Fmt.str "messages differ: source %a, target %a" Msg.pp
+                       a.msg Msg.pp b.msg)
+                else if not (in_scope a.fp) then
+                  fail
+                    (Fmt.str "source footprint out of scope: %a" Footprint.pp
+                       a.fp)
+                else if not (in_scope b.fp) then
+                  fail
+                    (Fmt.str "target footprint out of scope: %a" Footprint.pp
+                       b.fp)
+                else if
+                  not (Footprint.fpmatch ~shared:region ~src:a.fp ~tgt:b.fp)
+                then
+                  fail
+                    (Fmt.str "FPmatch fails: source %a, target %a" Footprint.pp
+                       a.fp Footprint.pp b.fp)
+                else if not (shared_related a.mem b.mem) then
+                  fail "shared memories unrelated at switch point"
+                else
+                  (* Switch point passed: the sides' runs go on after the
+                     environment (Rely), with footprints cleared. *)
+                  let finished () =
+                    switches_seen := switches + 1;
+                    ok (switches + 1)
+                  in
+                  match (a.msg, b.msg) with
+                  | Msg.Ret _, _ | Msg.TailCall _, Msg.TailCall _ ->
+                    finished ()
+                  | Msg.Call _, Msg.TailCall _ ->
+                    (* target reuses its frame; source must return the
+                       callee's value unchanged *)
+                    expect_ret ?audit:s.audit s.lang fl beta a
+                      (s.env switches).ret ~side:"source" ~at_switch:switches
+                      ~finished
+                  | Msg.TailCall _, Msg.Call _ ->
+                    expect_ret ?audit:t.audit t.lang fl beta b
+                      (t.env switches).ret ~side:"target" ~at_switch:switches
+                      ~finished
+                  | _ -> (
+                    match (a.next, b.next) with
+                    | Some run_s, Some run_t -> loop run_s run_t (switches + 1)
+                    | _ -> fail "resume after external failed")))
+        in
+        loop run_s run_t 0)
+  in
+  {
+    v_outcome = outcome;
+    v_switches = !switches_seen;
+    v_steps_src = !steps_s_total;
+    v_steps_tgt = !steps_t_total;
+  }
 
 (** Check (sl, ge, γ) ≼ (tl, ge', π) on the execution determined by
     [entry], [args] and the environment script [env]. With an [audit],
@@ -173,250 +435,14 @@ let tau_bound = 50_000
 let check_verdict (type code1 core1 code2 core2)
     ~(src : (code1, core1) Lang.t * code1)
     ~(tgt : (code2, core2) Lang.t * code2) ~(entry : string)
-    ~(args : Value.t list) ?(env = default_env) ?audit () : verdict =
-  let src_lang, src_code = src in
-  let tgt_lang, tgt_code = tgt in
-  let steps_s_total = ref 0 and steps_t_total = ref 0 in
-  let switches_seen = ref 0 in
-  let outcome =
-  let genv_of glb = Genv.link [ glb ] in
-  match
-    ( genv_of (src_lang.Lang.globals_of src_code),
-      genv_of (tgt_lang.Lang.globals_of tgt_code) )
-  with
-  | Error n, _ | _, Error n ->
-    Sim_inconclusive (Fmt.str "global linking failed on %s" n)
-  | Ok genv_s, Ok genv_t -> (
-    let mem_s0 = Genv.init_memory genv_s in
-    let mem_t0 = Genv.init_memory genv_t in
-    let nglobals = Genv.block_count genv_s in
-    let fl = Flist.make ~offset:nglobals ~stride:1 in
-    (* shared region S: the global blocks; identical on both sides *)
-    let shared = Memory.dom mem_s0 in
-    let in_scope fp =
-      Addr.Set.for_all
-        (fun a -> Addr.Set.mem a shared || Flist.owns_addr fl a)
-        (Footprint.locs fp)
-    in
-    let beta = beta_create () in
-    Addr.Set.iter (fun a -> ignore (beta_match beta a a)) shared;
-    let shared_related mem_s mem_t =
-      Addr.Set.for_all
-        (fun a ->
-          match (Memory.peek mem_s a, Memory.peek mem_t a) with
-          | Some v1, Some v2 -> values_match beta v1 v2
-          | None, None -> true
-          | _ -> false)
-        shared
-    in
-    let fpmatch (delta : Footprint.t) (d : Footprint.t) =
-      (* FPmatch(µ, ∆, δ) with φ = id on S (Fig. 8) *)
-      let s_rs = Addr.Set.inter (Footprint.rs_set d) shared in
-      let s_ws = Addr.Set.inter (Footprint.ws_set d) shared in
-      Addr.Set.subset s_rs
-        (Addr.Set.union (Footprint.rs_set delta) (Footprint.ws_set delta))
-      && Addr.Set.subset s_ws (Footprint.ws_set delta)
-    in
-    let perturb_mem genv mem (g, ofs, v) ~perm =
-      match Genv.find_block genv g with
-      | None -> mem
-      | Some b -> (
-        match Memory.store ~perm mem (Addr.make b ofs) (Value.Vint v) with
-        | Ok m -> m
-        | Error _ -> mem)
-    in
-    match
-      ( src_lang.Lang.init_core ~genv:genv_s src_code ~entry ~args,
-        tgt_lang.Lang.init_core ~genv:genv_t tgt_code ~entry ~args )
-    with
-    | None, None -> Sim_inconclusive "entry not defined in either module"
-    | Some _, None ->
-      Sim_fail { at_switch = 0; reason = "entry missing in target" }
-    | None, Some _ ->
-      Sim_fail { at_switch = 0; reason = "entry missing in source" }
-    | Some c_s, Some c_t ->
-      let rec loop c_s mem_s c_t mem_t switches =
-        switches_seen := switches;
-        if switches >= max_switches then
-          Sim_ok
-            {
-              switches;
-              steps_src = !steps_s_total;
-              steps_tgt = !steps_t_total;
-            }
-        else
-          match
-            run_to_switch ?audit src_lang fl c_s mem_s ~bound:tau_bound
-          with
-          | Run_diverge ->
-            Sim_inconclusive "source diverges before next switch point"
-          | Run_nondet ->
-            Sim_fail
-              { at_switch = switches; reason = "source module nondeterministic" }
-          | Run_abort ->
-            (* source aborts: target is allowed anything (refinement) *)
-            Sim_ok
-              {
-                switches;
-                steps_src = !steps_s_total;
-                steps_tgt = !steps_t_total;
-              }
-          | Switch (msg_s, delta, c_s', mem_s', n_s) -> (
-            steps_s_total := !steps_s_total + n_s;
-            match
-              run_to_switch ?audit tgt_lang fl c_t mem_t ~bound:tau_bound
-            with
-            | Run_diverge ->
-              Sim_fail
-                {
-                  at_switch = switches;
-                  reason = "target diverges where source switches";
-                }
-            | Run_nondet ->
-              Sim_fail
-                {
-                  at_switch = switches;
-                  reason = "target language nondeterministic (det(tl) fails)";
-                }
-            | Run_abort ->
-              Sim_fail
-                { at_switch = switches; reason = "target aborts, source does not" }
-            | Switch (msg_t, d, c_t', mem_t', n_t) ->
-              steps_t_total := !steps_t_total + n_t;
-              if not (msgs_match beta msg_s msg_t) then
-                Sim_fail
-                  {
-                    at_switch = switches;
-                    reason =
-                      Fmt.str "messages differ: source %a, target %a" Msg.pp
-                        msg_s Msg.pp msg_t;
-                  }
-              else if not (in_scope delta) then
-                Sim_fail
-                  {
-                    at_switch = switches;
-                    reason =
-                      Fmt.str "source footprint out of scope: %a" Footprint.pp
-                        delta;
-                  }
-              else if not (in_scope d) then
-                Sim_fail
-                  {
-                    at_switch = switches;
-                    reason =
-                      Fmt.str "target footprint out of scope: %a" Footprint.pp d;
-                  }
-              else if not (fpmatch delta d) then
-                Sim_fail
-                  {
-                    at_switch = switches;
-                    reason =
-                      Fmt.str "FPmatch fails: source %a, target %a"
-                        Footprint.pp delta Footprint.pp d;
-                  }
-              else if not (shared_related mem_s' mem_t') then
-                Sim_fail
-                  {
-                    at_switch = switches;
-                    reason = "shared memories unrelated at switch point";
-                  }
-              else
-                (* Switch point passed. Apply the environment (Rely), then
-                   resume both sides with footprints cleared. *)
-                let continue_after c_s c_t mem_s mem_t =
-                  loop c_s mem_s c_t mem_t (switches + 1)
-                in
-                let finished () =
-                  switches_seen := switches + 1;
-                  Sim_ok
-                    {
-                      switches = switches + 1;
-                      steps_src = !steps_s_total;
-                      steps_tgt = !steps_t_total;
-                    }
-                in
-                (* Run one side to its final Ret after the other side
-                   tail-called away; the forwarded return value must be
-                   the environment's. *)
-                let expect_ret (type code core) (lang : (code, core) Lang.t)
-                    core mem (ret : Value.t) ~side =
-                  match lang.Lang.after_external core (Some ret) with
-                  | None ->
-                    Sim_fail
-                      {
-                        at_switch = switches;
-                        reason = side ^ " cannot resume after call";
-                      }
-                  | Some core -> (
-                    match
-                      run_to_switch ?audit lang fl core mem ~bound:tau_bound
-                    with
-                    | Switch (Msg.Ret v, _, _, _, _)
-                      when values_match beta v ret || values_match beta ret v
-                      ->
-                      finished ()
-                    | Switch (m, _, _, _, _) ->
-                      Sim_fail
-                        {
-                          at_switch = switches;
-                          reason =
-                            Fmt.str
-                              "%s should forward the tail-callee's return \
-                               but emitted %a"
-                              side Msg.pp m;
-                        }
-                    | _ ->
-                      Sim_fail
-                        {
-                          at_switch = switches;
-                          reason =
-                            side
-                            ^ " diverges/aborts instead of forwarding the \
-                               tail-callee's return";
-                        })
-                in
-                (match (msg_s, msg_t) with
-                | Msg.Ret _, _ -> finished ()
-                | Msg.TailCall _, Msg.TailCall _ -> finished ()
-                | Msg.Call _, Msg.TailCall _ ->
-                  (* target reuses its frame; source must return the
-                     callee's value unchanged *)
-                  let act = env switches in
-                  expect_ret src_lang c_s' mem_s' act.ret ~side:"source"
-                | Msg.TailCall _, Msg.Call _ ->
-                  let act = env switches in
-                  expect_ret tgt_lang c_t' mem_t' act.ret ~side:"target"
-                | Msg.Call _, Msg.Call _ -> (
-                  let act = env switches in
-                  let mem_s, mem_t =
-                    match act.perturb with
-                    | None -> (mem_s', mem_t')
-                    | Some p ->
-                      ( perturb_mem genv_s mem_s' p ~perm:Perm.Normal,
-                        perturb_mem genv_t mem_t' p ~perm:Perm.Normal )
-                  in
-                  match
-                    ( src_lang.Lang.after_external c_s' (Some act.ret),
-                      tgt_lang.Lang.after_external c_t' (Some act.ret) )
-                  with
-                  | Some c_s, Some c_t -> continue_after c_s c_t mem_s mem_t
-                  | _ ->
-                    Sim_fail
-                      {
-                        at_switch = switches;
-                        reason = "resume after external failed";
-                      })
-                | _ -> continue_after c_s' c_t' mem_s' mem_t')
-          )
-      in
-      loop c_s mem_s0 c_t mem_t0 0)
+    ~(args : Value.t list) ?env ?audit () : verdict =
+  let genv (lang, code) = Genv.link [ lang.Lang.globals_of code ] in
+  let genv_s = genv src in
+  let fl = freelist genv_s in
+  let side (lang, code) genv =
+    side ?env ?audit (Lang.Mod (lang, code)) ~genv ~fl ~entry ~args
   in
-  {
-    v_outcome = outcome;
-    v_switches = !switches_seen;
-    v_steps_src = !steps_s_total;
-    v_steps_tgt = !steps_t_total;
-  }
+  check_sides (side src genv_s) (side tgt (genv tgt))
 
 (** Check (sl, ge, γ) ≼ (tl, ge', π), outcome only (see [check_verdict]
     for the reusable certificate). *)
@@ -472,9 +498,9 @@ let check_reach_close (type code core) (lang : (code, core) Lang.t)
       let check_hg step (fp : Footprint.t) mem' =
         if
           not
-            (Addr.Set.for_all
+            (Footprint.for_all
                (fun a -> Addr.Set.mem a shared || Flist.owns_addr fl a)
-               (Footprint.locs fp))
+               fp)
         then record step (Fmt.str "footprint out of scope: %a" Footprint.pp fp);
         if not (Memory.closed_on shared mem') then
           record step "shared region not closed (stack pointer escaped)"
@@ -492,17 +518,8 @@ let check_reach_close (type code core) (lang : (code, core) Lang.t)
               (* rely step: the environment may write shared integers *)
               let act = env ncalls in
               let mem' =
-                match act.perturb with
-                | None -> mem'
-                | Some (g, ofs, v) -> (
-                  match Genv.find_block genv g with
-                  | None -> mem'
-                  | Some b -> (
-                    match
-                      Memory.store mem' (Addr.make b ofs) (Value.Vint v)
-                    with
-                    | Ok m -> m
-                    | Error _ -> mem'))
+                Option.fold ~none:mem' ~some:(perturb_mem genv mem')
+                  act.perturb
               in
               match lang.Lang.after_external core' (Some act.ret) with
               | Some core'' -> go core'' mem' (step + 1) (ncalls + 1)

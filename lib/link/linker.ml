@@ -18,7 +18,9 @@ type stats = {
   l_objects : int;
   l_verdicts : int;  (** module-entry simulation verdicts consulted *)
   l_cached : int;  (** of which were certificate-cache hits *)
-  l_checker_steps : int;  (** checker steps actually executed *)
+  l_checker_steps : int;
+      (** the checker steps of the verdicts not served by the cache: the
+          length of each co-execution they certify, summed *)
   l_wall_ns : float;
 }
 

@@ -112,7 +112,8 @@ let test_verdicts_memoized () =
   check tbool "same outcomes" true
     (List.for_all2
        (fun a b ->
-         a.Cascompcert.Framework.outcome = b.Cascompcert.Framework.outcome)
+         a.Cascompcert.Framework.verdict.v_outcome
+         = b.Cascompcert.Framework.verdict.v_outcome)
        r1 r2)
 
 (* ------------------------------------------------------------------ *)

@@ -50,7 +50,7 @@ let test_passes_on_corpus () =
           check tbool
             (Fmt.str "%s %s/%s" name r.Framework.pass r.Framework.entry)
             true
-            (Framework.sim_ok r.Framework.outcome))
+            (Framework.sim_ok r.Framework.verdict.v_outcome))
         reports)
     (Corpus.sequential_clients ())
 

@@ -72,7 +72,7 @@ let assert_all_ok reports =
       check tbool
         (Fmt.str "%s/%s verdict ok" r.Framework.pass r.Framework.entry)
         true
-        (Framework.sim_ok r.Framework.outcome))
+        (Framework.sim_ok r.Framework.verdict.v_outcome))
     reports
 
 let by_entry entry reports =
@@ -174,7 +174,7 @@ let test_unchanged_all_cached () =
         true
         (a.Framework.pass = b.Framework.pass
         && a.Framework.entry = b.Framework.entry
-        && a.Framework.outcome = b.Framework.outcome))
+        && a.Framework.verdict.v_outcome = b.Framework.verdict.v_outcome))
     cold warm
 
 (* A same-named function with a different body in another unit can never

@@ -52,9 +52,8 @@ let test_cross_process_cache () =
             if
               not
                 (List.for_all
-                   (fun r ->
-                     Cascompcert.Framework.sim_ok
-                       r.Cascompcert.Framework.outcome)
+                   (fun (r : Cascompcert.Framework.pass_sim_report) ->
+                     Cascompcert.Framework.sim_ok r.verdict.v_outcome)
                    reports)
             then Unix._exit 3)
           srcs
@@ -85,7 +84,8 @@ let test_cross_process_cache () =
   in
   check tbool "warm reread verdicts ok" true
     (List.for_all
-       (fun r -> Cascompcert.Framework.sim_ok r.Cascompcert.Framework.outcome)
+       (fun (r : Cascompcert.Framework.pass_sim_report) ->
+         Cascompcert.Framework.sim_ok r.verdict.v_outcome)
        reports);
   Cas_compiler.Cache.set_default_dir None
 

@@ -3,7 +3,9 @@
     reject miscompilations of every flavour the definition guards
     against: wrong events, extra shared writes (FPmatch), optimizations
     that cache shared state across switch points (the §2.2 example), and
-    nondeterministic targets (det(tl)). *)
+    nondeterministic targets (det(tl)). Its verdicts over shared runs
+    must equal, record for record, those of the lockstep checker kept
+    here as [Reference]. *)
 
 open Cas_base
 open Cas_langs
@@ -15,11 +17,29 @@ let tbool = Alcotest.bool
 let is_ok = function Simulation.Sim_ok _ -> true | _ -> false
 let is_fail = function Simulation.Sim_fail _ -> true | _ -> false
 
-let clight_sim src ~entry ~tweak =
-  let p = Parse.clight src in
-  let bad = tweak p in
-  Simulation.check ~src:(Clight.lang, p) ~tgt:(Clight.lang, bad) ~entry
-    ~args:[] ()
+(* One check's inputs: two modules of any languages, the entry and the
+   environment. The negative tests below are pairs, so the reference
+   comparison can run each of them again. *)
+type pair =
+  | Pair : {
+      src : ('c1, 'k1) Lang.t * 'c1;
+      tgt : ('c2, 'k2) Lang.t * 'c2;
+      entry : string;
+      env : Simulation.env option;
+    }
+      -> pair
+
+let pair_outcome (Pair p) =
+  Simulation.check ~src:p.src ~tgt:p.tgt ~entry:p.entry ~args:[] ?env:p.env ()
+
+let clight_pair ?env src ~entry ~tweak =
+  Pair
+    {
+      src = (Clight.lang, Parse.clight src);
+      tgt = (Clight.lang, Parse.clight tweak);
+      entry;
+      env;
+    }
 
 (* ------------------------------------------------------------------ *)
 (* Positive cases                                                      *)
@@ -74,97 +94,84 @@ let test_sim_with_rely_perturbation () =
 (* Negative cases: the checker must catch miscompilations              *)
 (* ------------------------------------------------------------------ *)
 
-let test_detects_wrong_event () =
-  let src = {| void f() { print(1); } |} in
-  let o =
-    clight_sim src ~entry:"f" ~tweak:(fun _ -> Parse.clight {| void f() { print(2); } |})
-  in
-  check tbool "wrong print detected" true (is_fail o)
+let wrong_event () =
+  clight_pair {| void f() { print(1); } |} ~entry:"f"
+    ~tweak:{| void f() { print(2); } |}
 
-let test_detects_extra_shared_write () =
-  (* target writes a shared global the source never touches: FPmatch *)
-  let src = {| int x = 0; void f() { print(0); } |} in
-  let o =
-    clight_sim src ~entry:"f"
-      ~tweak:(fun _ -> Parse.clight {| int x = 0; void f() { x = 1; print(0); } |})
-  in
-  check tbool "extra shared write detected" true (is_fail o)
+(* target writes a shared global the source never touches: FPmatch *)
+let extra_shared_write () =
+  clight_pair {| int x = 0; void f() { print(0); } |} ~entry:"f"
+    ~tweak:{| int x = 0; void f() { x = 1; print(0); } |}
 
-let test_detects_extra_shared_read () =
-  (* a read of shared memory the source never performs: δ.rs ⊄ φ{∆} *)
-  let src = {| int x = 0; void f() { print(7); } |} in
-  let o =
-    clight_sim src ~entry:"f"
-      ~tweak:(fun _ ->
-        Parse.clight {| int x = 0; void f() { int t; t = x; print(7); } |})
-  in
-  check tbool "extra shared read detected" true (is_fail o)
+(* a read of shared memory the source never performs: δ.rs ⊄ φ{∆} *)
+let extra_shared_read () =
+  clight_pair {| int x = 0; void f() { print(7); } |} ~entry:"f"
+    ~tweak:{| int x = 0; void f() { int t; t = x; print(7); } |}
 
-let test_allows_write_to_read_weakening () =
-  (* FPmatch allows target reads where the source wrote *)
-  let src = {| int x = 0; void f() { x = 5; print(1); } |} in
-  let o =
-    clight_sim src ~entry:"f"
-      ~tweak:(fun _ ->
-        Parse.clight {| int x = 0; void f() { int t; x = 5; t = x; print(1); } |})
-  in
-  check tbool "read-after-write within source ws allowed" false (is_fail o)
+(* FPmatch allows target reads where the source wrote *)
+let write_to_read_weakening () =
+  clight_pair {| int x = 0; void f() { x = 5; print(1); } |} ~entry:"f"
+    ~tweak:{| int x = 0; void f() { int t; x = 5; t = x; print(1); } |}
 
-let test_detects_caching_across_switch_points () =
-  (* the §2.2 example: the compiler may not assume a shared global is
-     unchanged across an external call. Source re-reads x after the
-     call; a 'bad optimizer' caches the first read. *)
-  let src =
+(* the §2.2 example: the compiler may not assume a shared global is
+   unchanged across an external call. Source re-reads x after the call;
+   a 'bad optimizer' caches the first read. The environment (callee)
+   writes x := 9 during the call. *)
+let caching_across_switch_points () =
+  clight_pair
+    ~env:(fun i ->
+      { Simulation.ret = Value.Vint 0; perturb = Some ("x", 0, 9 + i) })
     {| int x = 0;
        void f() { int a; int b; a = x; g(); b = x; print(a + b); } |}
-  in
-  let cached =
-    {| int x = 0;
-       void f() { int a; int b; a = x; g(); b = a; print(a + b); } |}
-  in
-  let env i =
-    (* the environment (callee) writes x := 9 during the call *)
-    { Simulation.ret = Value.Vint 0; perturb = Some ("x", 0, 9 + i) }
-  in
-  let p = Parse.clight src in
-  let bad = Parse.clight cached in
-  let o =
-    Simulation.check ~src:(Clight.lang, p) ~tgt:(Clight.lang, bad) ~entry:"f"
-      ~args:[] ~env ()
-  in
-  check tbool "caching across call detected" true (is_fail o)
+    ~entry:"f"
+    ~tweak:
+      {| int x = 0;
+         void f() { int a; int b; a = x; g(); b = a; print(a + b); } |}
 
-let test_detects_wrong_return () =
-  let src = {| int f() { return 3; } |} in
-  let o =
-    clight_sim src ~entry:"f" ~tweak:(fun _ -> Parse.clight {| int f() { return 4; } |})
+let wrong_return () =
+  clight_pair {| int f() { return 3; } |} ~entry:"f"
+    ~tweak:{| int f() { return 4; } |}
+
+let target_abort () =
+  clight_pair {| void f() { print(1); } |} ~entry:"f"
+    ~tweak:{| void f() { int t; t = *0; print(1); } |}
+
+let event_reorder () =
+  clight_pair {| void f() { print(1); print(2); } |} ~entry:"f"
+    ~tweak:{| void f() { print(2); print(1); } |}
+
+(* a tail call where the source adds a global to the callee's result:
+   the source must forward the callee's return and does not *)
+let tailcall_drops_work () =
+  let src =
+    Cas_compiler.Driver.compile_artifacts
+      (Parse.clight {| int x = 1; int f() { int r; r = g(); return r + x; } |})
   in
-  check tbool "wrong return value detected" true (is_fail o)
-
-let test_detects_target_abort () =
-  let src = {| void f() { print(1); } |} in
-  let o =
-    clight_sim src ~entry:"f"
-      ~tweak:(fun _ -> Parse.clight {| void f() { int t; t = *0; print(1); } |})
+  let tgt =
+    Cas_compiler.Driver.compile_artifacts
+      (Parse.clight {| int x = 1; int f() { return g(); } |})
   in
-  check tbool "target abort detected" true (is_fail o)
+  Pair
+    {
+      src = (Rtl.lang, src.Cas_compiler.Driver.rtl);
+      tgt = (Rtl.lang, tgt.Cas_compiler.Driver.rtl_tailcall);
+      entry = "f";
+      env =
+        Some
+          (fun i ->
+            {
+              Simulation.ret = Value.Vint 100;
+              perturb = Some ("x", 0, 40 + i);
+            });
+    }
 
-let test_detects_event_reorder () =
-  let src = {| void f() { print(1); print(2); } |} in
-  let o =
-    clight_sim src ~entry:"f"
-      ~tweak:(fun _ -> Parse.clight {| void f() { print(2); print(1); } |})
+(* A deliberately broken compiler pass caught by the per-pass check:
+   pretend reads of globals yield 0 and fold them. *)
+let broken_constprop () =
+  let a =
+    Cas_compiler.Driver.compile_artifacts
+      (Parse.clight {| int x = 5; int f() { return x + 1; } |})
   in
-  check tbool "event reordering detected" true (is_fail o)
-
-(* ------------------------------------------------------------------ *)
-(* A deliberately broken compiler pass caught by the per-pass check    *)
-(* ------------------------------------------------------------------ *)
-
-let test_broken_constprop_detected () =
-  (* miscompile: pretend reads of globals yield 0 and fold them *)
-  let p = Parse.clight {| int x = 5; int f() { return x + 1; } |} in
-  let a = Cas_compiler.Driver.compile_artifacts p in
   let break_fn (f : Rtl.func) =
     {
       f with
@@ -176,15 +183,37 @@ let test_broken_constprop_detected () =
           f.Rtl.code;
     }
   in
-  let bad =
-    { a.Cas_compiler.Driver.rtl with Rtl.funcs = List.map break_fn a.Cas_compiler.Driver.rtl.Rtl.funcs }
-  in
-  let o =
-    Simulation.check
-      ~src:(Rtl.lang, a.Cas_compiler.Driver.rtl)
-      ~tgt:(Rtl.lang, bad) ~entry:"f" ~args:[] ()
-  in
-  check tbool "folding a global load is caught" true (is_fail o)
+  let rtl = a.Cas_compiler.Driver.rtl in
+  Pair
+    {
+      src = (Rtl.lang, rtl);
+      tgt =
+        (Rtl.lang, { rtl with Rtl.funcs = List.map break_fn rtl.Rtl.funcs });
+      entry = "f";
+      env = None;
+    }
+
+(* every pair above, for the reference comparison *)
+let unit_pairs =
+  [
+    ("wrong event", wrong_event);
+    ("extra shared write", extra_shared_write);
+    ("extra shared read", extra_shared_read);
+    ("write-to-read weakening", write_to_read_weakening);
+    ("caching across switch points", caching_across_switch_points);
+    ("wrong return", wrong_return);
+    ("target abort", target_abort);
+    ("event reorder", event_reorder);
+    ("tail call drops work", tailcall_drops_work);
+    ("broken pass", broken_constprop);
+  ]
+
+let rejects what pair () =
+  check tbool (what ^ " detected") true (is_fail (pair_outcome (pair ())))
+
+let test_allows_write_to_read_weakening () =
+  check tbool "read-after-write within source ws allowed" false
+    (is_fail (pair_outcome (write_to_read_weakening ())))
 
 (* ------------------------------------------------------------------ *)
 (* det(tl)                                                             *)
@@ -257,6 +286,430 @@ let test_reach_close_catches_escape () =
   let vs = Simulation.check_reach_close Clight.lang escaping ~entry:"f" ~args:[] () in
   check tbool "stack-pointer escape detected" true (List.length vs > 0)
 
+(* ------------------------------------------------------------------ *)
+(* The lockstep checker, kept as the reference for shared runs         *)
+(* ------------------------------------------------------------------ *)
+
+(* The checker as it was before each stage's run was shared between
+   the pairs that read it: both sides stepped from scratch, in lockstep,
+   for every pair, with the scope and FPmatch obligations over [Addr.Set]
+   views. Kept verbatim as an executable oracle: [Simulation.check_sides]
+   over shared sides must give the same verdict record, counters and
+   reason text included. *)
+module Reference = struct
+  open Simulation
+
+  type 'core run_result =
+    | Switch of Msg.t * Footprint.t * 'core * Memory.t * int
+    | Run_abort
+    | Run_nondet
+    | Run_diverge
+
+  let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl
+      core mem ~bound : core run_result =
+    let rec go core mem acc steps =
+      if steps > bound then Run_diverge
+      else begin
+        (match audit with Some a -> Lang.audit_core a lang core | None -> ());
+        match lang.Lang.step fl core mem with
+        | [] -> Run_abort
+        | [ Lang.Stuck_abort ] -> Run_abort
+        | [ Lang.Next (Msg.Tau, fp, core', mem') ] ->
+          go core' mem' (Footprint.union acc fp) (steps + 1)
+        | [ Lang.Next (msg, fp, core', mem') ] ->
+          Switch (msg, Footprint.union acc fp, core', mem', steps + 1)
+        | _ :: _ :: _ -> Run_nondet
+      end
+    in
+    go core mem Footprint.empty 0
+
+  let check_verdict (type code1 core1 code2 core2)
+      ~(src : (code1, core1) Lang.t * code1)
+      ~(tgt : (code2, core2) Lang.t * code2) ~(entry : string)
+      ~(args : Value.t list) ?(env = default_env) ?audit () : verdict =
+    let src_lang, src_code = src in
+    let tgt_lang, tgt_code = tgt in
+    let steps_s_total = ref 0 and steps_t_total = ref 0 in
+    let switches_seen = ref 0 in
+    let outcome =
+      let genv_of glb = Genv.link [ glb ] in
+      match
+        ( genv_of (src_lang.Lang.globals_of src_code),
+          genv_of (tgt_lang.Lang.globals_of tgt_code) )
+      with
+      | Error n, _ | _, Error n ->
+        Sim_inconclusive (Fmt.str "global linking failed on %s" n)
+      | Ok genv_s, Ok genv_t -> (
+        let mem_s0 = Genv.init_memory genv_s in
+        let mem_t0 = Genv.init_memory genv_t in
+        let nglobals = Genv.block_count genv_s in
+        let fl = Flist.make ~offset:nglobals ~stride:1 in
+        let shared = Memory.dom mem_s0 in
+        let in_scope fp =
+          Addr.Set.for_all
+            (fun a -> Addr.Set.mem a shared || Flist.owns_addr fl a)
+            (Footprint.locs fp)
+        in
+        let beta = beta_create () in
+        Addr.Set.iter (fun a -> ignore (beta_match beta a a)) shared;
+        let shared_related mem_s mem_t =
+          Addr.Set.for_all
+            (fun a ->
+              match (Memory.peek mem_s a, Memory.peek mem_t a) with
+              | Some v1, Some v2 -> values_match beta v1 v2
+              | None, None -> true
+              | _ -> false)
+            shared
+        in
+        let fpmatch (delta : Footprint.t) (d : Footprint.t) =
+          let s_rs = Addr.Set.inter (Footprint.rs_set d) shared in
+          let s_ws = Addr.Set.inter (Footprint.ws_set d) shared in
+          Addr.Set.subset s_rs
+            (Addr.Set.union (Footprint.rs_set delta) (Footprint.ws_set delta))
+          && Addr.Set.subset s_ws (Footprint.ws_set delta)
+        in
+        let perturb_mem genv mem (g, ofs, v) ~perm =
+          match Genv.find_block genv g with
+          | None -> mem
+          | Some b -> (
+            match Memory.store ~perm mem (Addr.make b ofs) (Value.Vint v) with
+            | Ok m -> m
+            | Error _ -> mem)
+        in
+        match
+          ( src_lang.Lang.init_core ~genv:genv_s src_code ~entry ~args,
+            tgt_lang.Lang.init_core ~genv:genv_t tgt_code ~entry ~args )
+        with
+        | None, None -> Sim_inconclusive "entry not defined in either module"
+        | Some _, None ->
+          Sim_fail { at_switch = 0; reason = "entry missing in target" }
+        | None, Some _ ->
+          Sim_fail { at_switch = 0; reason = "entry missing in source" }
+        | Some c_s, Some c_t ->
+          let rec loop c_s mem_s c_t mem_t switches =
+            switches_seen := switches;
+            if switches >= max_switches then
+              Sim_ok
+                {
+                  switches;
+                  steps_src = !steps_s_total;
+                  steps_tgt = !steps_t_total;
+                }
+            else
+              match
+                run_to_switch ?audit src_lang fl c_s mem_s ~bound:tau_bound
+              with
+              | Run_diverge ->
+                Sim_inconclusive "source diverges before next switch point"
+              | Run_nondet ->
+                Sim_fail
+                  {
+                    at_switch = switches;
+                    reason = "source module nondeterministic";
+                  }
+              | Run_abort ->
+                Sim_ok
+                  {
+                    switches;
+                    steps_src = !steps_s_total;
+                    steps_tgt = !steps_t_total;
+                  }
+              | Switch (msg_s, delta, c_s', mem_s', n_s) -> (
+                steps_s_total := !steps_s_total + n_s;
+                match
+                  run_to_switch ?audit tgt_lang fl c_t mem_t ~bound:tau_bound
+                with
+                | Run_diverge ->
+                  Sim_fail
+                    {
+                      at_switch = switches;
+                      reason = "target diverges where source switches";
+                    }
+                | Run_nondet ->
+                  Sim_fail
+                    {
+                      at_switch = switches;
+                      reason =
+                        "target language nondeterministic (det(tl) fails)";
+                    }
+                | Run_abort ->
+                  Sim_fail
+                    {
+                      at_switch = switches;
+                      reason = "target aborts, source does not";
+                    }
+                | Switch (msg_t, d, c_t', mem_t', n_t) ->
+                  steps_t_total := !steps_t_total + n_t;
+                  if not (msgs_match beta msg_s msg_t) then
+                    Sim_fail
+                      {
+                        at_switch = switches;
+                        reason =
+                          Fmt.str "messages differ: source %a, target %a"
+                            Msg.pp msg_s Msg.pp msg_t;
+                      }
+                  else if not (in_scope delta) then
+                    Sim_fail
+                      {
+                        at_switch = switches;
+                        reason =
+                          Fmt.str "source footprint out of scope: %a"
+                            Footprint.pp delta;
+                      }
+                  else if not (in_scope d) then
+                    Sim_fail
+                      {
+                        at_switch = switches;
+                        reason =
+                          Fmt.str "target footprint out of scope: %a"
+                            Footprint.pp d;
+                      }
+                  else if not (fpmatch delta d) then
+                    Sim_fail
+                      {
+                        at_switch = switches;
+                        reason =
+                          Fmt.str "FPmatch fails: source %a, target %a"
+                            Footprint.pp delta Footprint.pp d;
+                      }
+                  else if not (shared_related mem_s' mem_t') then
+                    Sim_fail
+                      {
+                        at_switch = switches;
+                        reason = "shared memories unrelated at switch point";
+                      }
+                  else
+                    let continue_after c_s c_t mem_s mem_t =
+                      loop c_s mem_s c_t mem_t (switches + 1)
+                    in
+                    let finished () =
+                      switches_seen := switches + 1;
+                      Sim_ok
+                        {
+                          switches = switches + 1;
+                          steps_src = !steps_s_total;
+                          steps_tgt = !steps_t_total;
+                        }
+                    in
+                    let expect_ret (type code core)
+                        (lang : (code, core) Lang.t) core mem (ret : Value.t)
+                        ~side =
+                      match lang.Lang.after_external core (Some ret) with
+                      | None ->
+                        Sim_fail
+                          {
+                            at_switch = switches;
+                            reason = side ^ " cannot resume after call";
+                          }
+                      | Some core -> (
+                        match
+                          run_to_switch ?audit lang fl core mem
+                            ~bound:tau_bound
+                        with
+                        | Switch (Msg.Ret v, _, _, _, _)
+                          when values_match beta v ret
+                               || values_match beta ret v ->
+                          finished ()
+                        | Switch (m, _, _, _, _) ->
+                          Sim_fail
+                            {
+                              at_switch = switches;
+                              reason =
+                                Fmt.str
+                                  "%s should forward the tail-callee's \
+                                   return but emitted %a"
+                                  side Msg.pp m;
+                            }
+                        | _ ->
+                          Sim_fail
+                            {
+                              at_switch = switches;
+                              reason =
+                                side
+                                ^ " diverges/aborts instead of forwarding \
+                                   the tail-callee's return";
+                            })
+                    in
+                    (match (msg_s, msg_t) with
+                    | Msg.Ret _, _ -> finished ()
+                    | Msg.TailCall _, Msg.TailCall _ -> finished ()
+                    | Msg.Call _, Msg.TailCall _ ->
+                      let act = env switches in
+                      expect_ret src_lang c_s' mem_s' act.ret ~side:"source"
+                    | Msg.TailCall _, Msg.Call _ ->
+                      let act = env switches in
+                      expect_ret tgt_lang c_t' mem_t' act.ret ~side:"target"
+                    | Msg.Call _, Msg.Call _ -> (
+                      let act = env switches in
+                      let mem_s, mem_t =
+                        match act.perturb with
+                        | None -> (mem_s', mem_t')
+                        | Some p ->
+                          ( perturb_mem genv_s mem_s' p ~perm:Perm.Normal,
+                            perturb_mem genv_t mem_t' p ~perm:Perm.Normal )
+                      in
+                      match
+                        ( src_lang.Lang.after_external c_s' (Some act.ret),
+                          tgt_lang.Lang.after_external c_t' (Some act.ret) )
+                      with
+                      | Some c_s, Some c_t -> continue_after c_s c_t mem_s mem_t
+                      | _ ->
+                        Sim_fail
+                          {
+                            at_switch = switches;
+                            reason = "resume after external failed";
+                          })
+                    | _ -> continue_after c_s' c_t' mem_s' mem_t'))
+          in
+          loop c_s mem_s0 c_t mem_t0 0)
+    in
+    {
+      v_outcome = outcome;
+      v_switches = !switches_seen;
+      v_steps_src = !steps_s_total;
+      v_steps_tgt = !steps_t_total;
+    }
+end
+
+let pp_verdict ppf (v : Simulation.verdict) =
+  Fmt.pf ppf "%a [switches %d, steps %d/%d]" Simulation.pp_outcome
+    v.Simulation.v_outcome v.v_switches v.v_steps_src v.v_steps_tgt
+
+let verdict_eq what (expected : Simulation.verdict) (got : Simulation.verdict)
+    =
+  if expected <> got then
+    Alcotest.failf "%s: reference %a, shared runs %a" what pp_verdict expected
+      pp_verdict got
+
+let args_for (p : Clight.program) entry =
+  match List.find_opt (fun f -> f.Clight.fname = entry) p.Clight.funcs with
+  | Some f ->
+    List.init (List.length f.Clight.fparams) (fun i -> Value.Vint (7 + i))
+  | None -> []
+
+(* Every verdict of [check_passes ~cache:false] equals the reference's
+   on the same pair of stages. *)
+let check_passes_against_reference ?env name (p : Clight.program) =
+  let c = Cas_compiler.Driver.compile_unit ~cache:false p in
+  let stages = Array.of_list c.Cas_compiler.Driver.c_trace in
+  let last = Array.length stages - 1 in
+  let index pass =
+    if pass = "Compiler" then (0, last)
+    else
+      let rec find k =
+        if fst stages.(k) = pass then (k - 1, k) else find (k + 1)
+      in
+      find 1
+  in
+  List.iter
+    (fun (r : Framework.pass_sim_report) ->
+      let i, j = index r.pass in
+      let (Lang.Mod (sl, sc)) = snd stages.(i) in
+      let (Lang.Mod (tl, tc)) = snd stages.(j) in
+      verdict_eq
+        (Fmt.str "%s %s/%s" name r.pass r.entry)
+        (Reference.check_verdict ~src:(sl, sc) ~tgt:(tl, tc) ~entry:r.entry
+           ~args:(args_for p r.entry) ?env ())
+        r.verdict)
+    (Framework.check_passes ?env ~cache:false p)
+
+let corpus_modules () =
+  List.map (fun (name, p, _) -> (name, p)) (Corpus.sequential_clients ())
+  @ [
+      ("racy_counter", Corpus.racy_counter ());
+      ("racy_writer", Corpus.racy_writer ());
+      ("racy_reader", Corpus.racy_reader ());
+    ]
+  @ List.map
+      (fun (name, src) -> (name, Parse.clight src))
+      Corpus.link_module_srcs
+
+let test_reference_corpus () =
+  List.iter
+    (fun (name, p) -> check_passes_against_reference name p)
+    (corpus_modules ())
+
+(* Generated programs of every shape the fuzzer draws: sizes 4, 8 and 15,
+   one to three threads, with and without the lock; four of each. *)
+let test_reference_generated () =
+  let rng = Rng.make ~seed:19 in
+  List.iter
+    (fun size ->
+      List.iter
+        (fun (threads, lock) ->
+          for i = 1 to 4 do
+            let rec draw () =
+              let g = Cas_fuzz.Gen.clight (Rng.split rng) ~size in
+              if List.length g.g_entries = threads && g.g_with_lock = lock
+              then g
+              else draw ()
+            in
+            let g = draw () in
+            check_passes_against_reference
+              (Fmt.str "size %d, %d thread(s), lock %b, #%d" size threads lock
+                 i)
+              (Parse.clight g.g_source)
+          done)
+        [ (1, false); (2, false); (3, false); (1, true); (2, true); (3, true) ])
+    [ 4; 8; 15 ]
+
+(* The failure branches, which no pass of the pipeline reaches: the
+   pairs of the unit tests above; each stage of a corpus program against
+   the next stage of its [inject_print] variant, whose first print is
+   off by one; and counter.c under an environment that writes x at every
+   call, whose [inc] tail-calls print at Tailcall and at Compiler. *)
+let test_reference_failures () =
+  List.iter
+    (fun (name, pair) ->
+      let (Pair p) = pair () in
+      verdict_eq name
+        (Reference.check_verdict ~src:p.src ~tgt:p.tgt ~entry:p.entry
+           ~args:[] ?env:p.env ())
+        (Simulation.check_verdict ~src:p.src ~tgt:p.tgt ~entry:p.entry
+           ~args:[] ?env:p.env ()))
+    unit_pairs;
+  List.iter
+    (fun (name, p) ->
+      let stages q =
+        Array.of_list
+          (Cas_compiler.Driver.compile_unit ~cache:false q)
+            .Cas_compiler.Driver.c_trace
+      in
+      let good = stages p and bad = stages (Cas_fuzz.Driver.inject_print p) in
+      for k = 0 to Array.length good - 2 do
+        let (Lang.Mod (sl, sc)) = snd good.(k) in
+        let (Lang.Mod (tl, tc)) = snd bad.(k + 1) in
+        List.iter
+          (fun (f : Clight.func) ->
+            let entry = f.Clight.fname and args = args_for p f.Clight.fname in
+            verdict_eq
+              (Fmt.str "%s stage %d vs injected stage %d, %s" name k (k + 1)
+                 entry)
+              (Reference.check_verdict ~src:(sl, sc) ~tgt:(tl, tc) ~entry ~args
+                 ())
+              (Simulation.check_verdict ~src:(sl, sc) ~tgt:(tl, tc) ~entry
+                 ~args ()))
+          p.Clight.funcs
+      done)
+    (corpus_modules ());
+  check_passes_against_reference
+    ~env:(fun i ->
+      { Simulation.ret = Value.Vint (3 + i); perturb = Some ("x", 0, 40 + i) })
+    "counter.c, perturbing environment" (Corpus.counter ())
+
+let prop_reference_random =
+  QCheck.Test.make ~name:"shared runs match the lockstep checker" ~count:100
+    Randprog.arb_program (fun p ->
+      check_passes_against_reference "random program" p;
+      true)
+
+(* Pinned generator seed for the random-program property; override with
+   QCHECK_SEED=n to explore a different slice of the input space. *)
+let qcheck_seed =
+  match Sys.getenv_opt "QCHECK_SEED" with
+  | Some s -> (try int_of_string s with _ -> 0x5ca1ab1e)
+  | None -> 0x5ca1ab1e
+
 let () =
   Alcotest.run "simulation"
     [
@@ -272,22 +725,41 @@ let () =
         ] );
       ( "rejects",
         [
-          Alcotest.test_case "wrong event" `Quick test_detects_wrong_event;
+          Alcotest.test_case "wrong event" `Quick
+            (rejects "wrong print" wrong_event);
           Alcotest.test_case "extra shared write" `Quick
-            test_detects_extra_shared_write;
+            (rejects "extra shared write" extra_shared_write);
           Alcotest.test_case "extra shared read" `Quick
-            test_detects_extra_shared_read;
+            (rejects "extra shared read" extra_shared_read);
           Alcotest.test_case "caching across switch points (§2.2)" `Quick
-            test_detects_caching_across_switch_points;
-          Alcotest.test_case "wrong return" `Quick test_detects_wrong_return;
-          Alcotest.test_case "target abort" `Quick test_detects_target_abort;
-          Alcotest.test_case "event reorder" `Quick test_detects_event_reorder;
-          Alcotest.test_case "broken pass" `Quick test_broken_constprop_detected;
+            (rejects "caching across call" caching_across_switch_points);
+          Alcotest.test_case "wrong return" `Quick
+            (rejects "wrong return value" wrong_return);
+          Alcotest.test_case "target abort" `Quick
+            (rejects "target abort" target_abort);
+          Alcotest.test_case "event reorder" `Quick
+            (rejects "event reordering" event_reorder);
+          Alcotest.test_case "tail call drops work" `Quick
+            (rejects "unforwarded return" tailcall_drops_work);
+          Alcotest.test_case "broken pass" `Quick
+            (rejects "folding a global load" broken_constprop);
         ] );
       ( "machinery",
         [
           Alcotest.test_case "det on run" `Quick test_det_on_run;
           Alcotest.test_case "beta injective" `Quick test_beta_injective;
+        ] );
+      ( "shared runs",
+        [
+          Alcotest.test_case "match the reference on the corpus" `Quick
+            test_reference_corpus;
+          Alcotest.test_case "match the reference on generated programs"
+            `Quick test_reference_generated;
+          Alcotest.test_case "match the reference on failing pairs" `Quick
+            test_reference_failures;
+          QCheck_alcotest.to_alcotest
+            ~rand:(Random.State.make [| qcheck_seed |])
+            prop_reference_random;
         ] );
       ( "reach-close (Def. 4)",
         [
