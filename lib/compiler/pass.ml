@@ -6,14 +6,7 @@
     private certificate store memoizing its outputs under content-hash
     keys ([Cache]). The core types of the two languages are existential —
     consumers that need to *execute* a stage recover a language-typed
-    module via [pack_src]/[pack_tgt] and the [Lang.modu] packing.
-
-    The simulation-check hook is deliberately inverted: the checker lives
-    above the compiler in the dependency graph ([Cascompcert.Simulation]),
-    so a pass does not call the checker — it *admits* one, as a
-    first-class polymorphic record ([checker]), and [check_sim] applies
-    it to the pass's own language witnesses. The verification layer
-    instantiates ['v] with its verdict record. *)
+    module via [pack_tgt] and the [Lang.modu] packing. *)
 
 open Cas_base
 
@@ -62,9 +55,6 @@ let optimizing (Pass p) = p.optimizing
 let src_lang_name (Pass p) = p.src_lang.Lang.name
 let tgt_lang_name (Pass p) = p.tgt_lang.Lang.name
 
-(** Run the bare transformation (no caching, no instrumentation). *)
-let run ?(options = default_options) (Pass p) x = p.transform options x
-
 (** Run through the pass's certificate store: the output for [key] is
     computed at most once per store tier. [cache:false] bypasses the
     store entirely. *)
@@ -73,19 +63,4 @@ let run_cached ?(options = default_options) ~cache ~key (Pass p) x :
   if not cache then (p.transform options x, `Off)
   else Cache.find_or_add p.store key (fun () -> p.transform options x)
 
-let cache_stats (Pass p) = Cache.stats p.store
-let pack_src (Pass p) x = Lang.Mod (p.src_lang, x)
 let pack_tgt (Pass p) y = Lang.Mod (p.tgt_lang, y)
-
-(** A simulation checker, supplied by the verification layer: given both
-    language witnesses and both programs, produce a verdict ['v]. *)
-type 'v checker = {
-  check :
-    'a 'c 'b 'd. ('a, 'c) Lang.t -> 'a -> ('b, 'd) Lang.t -> 'b -> 'v;
-}
-
-(** Apply a checker to this pass's source and target programs, with the
-    pass's own language witnesses. *)
-let check_sim (type a b) (Pass p : (a, b) t) (c : 'v checker) (x : a) (y : b)
-    : 'v =
-  c.check p.src_lang x p.tgt_lang y

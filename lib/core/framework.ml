@@ -191,13 +191,15 @@ let per_function_counts (reports : pass_sim_report list) :
    keyed by the *body digests* of the function on both sides of the
    pass ([Lang.digest_fundef]) plus everything else the checker
    consumes: both sides' global declarations, the compilation options,
-   the entry arguments and the checker bounds. This is sound because
-   [Simulation.check_verdict] co-executes only the entry function —
-   calls are cut at switch points and answered by the environment — so
-   a verdict genuinely depends on nothing but the two bodies, the
-   globals and those inputs. Editing one function of a module therefore
-   re-runs the checker only for that function's path through the
-   pipeline; every untouched function is a pure hit.
+   the entry arguments and the checker bounds. The pipeline version
+   salts the key, as it salts every pass artifact, so a cache directory
+   written by another build serves none of its verdicts. This is sound
+   because [Simulation.check_verdict] co-executes only the entry
+   function — calls are cut at switch points and answered by the
+   environment — so a verdict genuinely depends on nothing but the two
+   bodies, the globals and those inputs. Editing one function of a
+   module therefore re-runs the checker only for that function's path
+   through the pipeline; every untouched function is a pure hit.
 
    Module tier ("SimModule"): the full sweep for one compilation unit,
    keyed by its context hash (pipeline version + options + source). A
@@ -227,9 +229,9 @@ let module_verdicts :
     borders, the [Compiler] pair for the first and last stage, and every
     pair whose pass left the entry's body unchanged. A side is keyed by
     what its run reads: the entry's body digest (which names the IR),
-    the stage's globals and the freelist. The table is local to one
-    entry of one call, and a side leaves it after the last pair that
-    reads it. *)
+    the stage's globals and the freelist. Pairs run in stage order, so
+    an entry holds two sides, the latest built and stage 0's for the
+    [Compiler] pair; the next distinct run replaces the latest. *)
 let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
     pass_sim_report list =
   let open Cas_compiler in
@@ -280,50 +282,33 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
   (* Function-tier hits recorded while producing the sweep, consulted
      when the reports are assembled below. *)
   let fn_hits : (string * string, bool) Hashtbl.t = Hashtbl.create 64 in
-  (* How many pairs read each stage. *)
-  let reads = Array.make (last + 1) 0 in
-  List.iter
-    (fun (_, src, tgt) ->
-      reads.(src) <- reads.(src) + 1;
-      reads.(tgt) <- reads.(tgt) + 1)
-    pairs;
-  (* Every pair's verdict for entry [e], one side per distinct run. A
-     side leaves the table after the last pair that reads a stage
-     holding it, so that it dies young (a pair the cache serves reads
-     its stages too, without building their sides). *)
+  (* Every pair's verdict for entry [e]. A stage reuses the latest side
+     or stage 0's when its key equals that side's; a pair the cache
+     serves builds no side. *)
   let entry_verdicts e entry =
-    let sides = Hashtbl.create 17 in
-    let keys = Array.make (last + 1) None and unread = Array.copy reads in
+    let latest = ref None and first = ref None in
     let side k ~fl =
       let key =
         ((Lazy.force body_digests).(k).(e), Lazy.force globals_digests.(k), fl)
       in
-      keys.(k) <- Some key;
-      match Hashtbl.find_opt sides key with
-      | Some s -> s
-      | None ->
+      match (!latest, !first) with
+      | Some (key', s), _ when key' = key -> s
+      | _, Some (key', s) when key' = key -> s
+      | _ ->
         let s =
           Simulation.side ?env ?audit (snd stages.(k))
             ~genv:(Lazy.force genvs.(k)) ~fl ~entry ~args:(args_of entry)
         in
-        Hashtbl.add sides key s;
+        latest := Some (key, s);
+        if k = 0 then first := Some (key, s);
         s
-    in
-    let read k =
-      unread.(k) <- unread.(k) - 1;
-      match keys.(k) with
-      | Some key
-        when not
-               (Array.exists2
-                  (fun n key' -> n > 0 && key' = Some key)
-                  unread keys) ->
-        Hashtbl.remove sides key
-      | _ -> ()
     in
     let verdict (pass, src, tgt) glbs =
       let run () =
         let fl = Simulation.freelist (Lazy.force genvs.(src)) in
-        Simulation.check_sides (side src ~fl) (side tgt ~fl)
+        (* the source first, while its run is still the latest side *)
+        let s = side src ~fl in
+        Simulation.check_sides s (side tgt ~fl)
       in
       let v, hit =
         if not memoizable then (run (), `Off)
@@ -332,6 +317,7 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
           let key =
             Cache.digest
               ( "sim-fn",
+                Pipeline.version,
                 pass,
                 digests.(src).(e),
                 digests.(tgt).(e),
@@ -342,8 +328,6 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
           Cache.find_or_add verdicts key run
       in
       Hashtbl.replace fn_hits (pass, entry) (hit = `Hit);
-      read src;
-      read tgt;
       v
     in
     Array.of_list (List.map2 verdict pairs pair_globals)
@@ -433,9 +417,9 @@ let pp_compose ppf r =
     Fmt.(list ~sep:cut pp_compose_module)
     r.comp_modules pp_step r.comp_confinement pp_step r.comp_boundary
 
-(* Memoized link-time module verdicts: keyed by the caller (the linker
-   keys them by object-file content digests), so relinking with an
-   unchanged object re-delivers the verdict with zero checker steps. *)
+(* Memoized link-time module verdicts, keyed by function body digests
+   ([compose_certificates]), so relinking with an unchanged object
+   re-delivers the verdict with zero checker steps. *)
 let link_verdicts : Simulation.verdict Cas_compiler.Cache.store =
   Cas_compiler.Cache.store ~name:"LinkVerdict" ()
 
@@ -503,23 +487,18 @@ let check_confinement (tgt : Lang.prog) : step_report =
     the linked program.
 
     [modules] pairs each module name with its source and target forms;
-    [entries] are the linked program's thread entry points.
-    [verdict_key], when it returns [Some k] for a module entry, memoizes
-    that module's simulation verdict in the certificate cache under [k]
-    (the linker passes content digests of the object file, making
-    incremental relinks skip re-verification of unchanged modules). It
-    receives the module's position in [modules] besides its name: names
-    need not be unique (two objects may carry the same module name with
-    disjoint exports), so a key derived from the name alone could serve
-    one module another's verdict.
+    [entries] are the linked program's thread entry points. Each module
+    entry's simulation verdict is memoized in the certificate cache,
+    keyed by the tool version, the entry's body digest on both sides
+    and both sides' globals: an incremental relink skips re-verification
+    of unchanged functions, and two same-named modules with different
+    bodies never share a key (an absent function digests to a bare
+    prefix no defined one can collide with).
     [jobs > 1] fans the per-module checks out over OCaml 5 domains. *)
 let compose_certificates ?(jobs = 1)
-    ?(verdict_key =
-      fun ~mod_index:_ ~mod_name:_ ~entry:_ -> (None : string option))
     ~(modules : (string * Lang.modu * Lang.modu) list)
     ~(entries : string list) () : compose_report =
-  let module_task idx (name, src_mod, tgt_mod) () : compose_module_report list
-      =
+  let module_task (name, src_mod, tgt_mod) () : compose_module_report list =
     match (src_mod, tgt_mod) with
     | Lang.Mod (sl, sc), Lang.Mod (tl, tc) ->
       List.map
@@ -529,11 +508,15 @@ let compose_certificates ?(jobs = 1)
             Simulation.check_verdict ~src:(sl, sc) ~tgt:(tl, tc) ~entry ~args
               ()
           in
-          let v, hit =
-            match verdict_key ~mod_index:idx ~mod_name:name ~entry with
-            | None -> (run (), `Off)
-            | Some key -> Cas_compiler.Cache.find_or_add link_verdicts key run
+          let key =
+            Cas_compiler.Cache.digest
+              ( "link-verdict",
+                Version.v,
+                Lang.digest_fundef src_mod entry,
+                Lang.digest_fundef tgt_mod entry,
+                (sl.Lang.globals_of sc, tl.Lang.globals_of tc) )
           in
+          let v, hit = Cas_compiler.Cache.find_or_add link_verdicts key run in
           let cached = hit = `Hit in
           {
             cm_module = name;
@@ -545,7 +528,7 @@ let compose_certificates ?(jobs = 1)
         (Lang.defs tgt_mod)
   in
   let per_module =
-    List.concat (Pool.run ~jobs (List.mapi module_task modules))
+    List.concat (Pool.run ~jobs (List.map module_task modules))
   in
   let src_prog = Lang.prog (List.map (fun (_, s, _) -> s) modules) entries in
   let tgt_prog = Lang.prog (List.map (fun (_, _, t) -> t) modules) entries in

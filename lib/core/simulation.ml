@@ -28,11 +28,14 @@
     forces it. A core holds only its entry function and its globals, and
     every call leaves at a switch point, where the side resumes with the
     environment's answer and Rely write; so a side never reads the other
-    side, and one side serves every check of the same run. [check_sides]
-    applies the obligations above to two sides, switch point by switch
-    point. [Framework.check_passes] thereby runs each pipeline stage
-    once for the two passes it borders; [check_verdict] is the one-pair
-    form. *)
+    side, and one side serves every check of the same run. A switch
+    point records the message, the footprint, the memory and the run
+    after it, not the core. [check_sides] applies the obligations above
+    to two sides, switch point by switch point; where one side
+    tail-calls and the other calls, it reads the caller's run after the
+    call, which must return the environment's answer.
+    [Framework.check_passes] thereby runs each pipeline stage once for
+    the two passes it borders; [check_verdict] is the one-pair form. *)
 
 open Cas_base
 
@@ -144,19 +147,18 @@ let tau_bound = 50_000
 
 (** A run from some core up to its next switch point, and the run after
     it. *)
-type 'core run =
-  | Switch of 'core switch
+type run =
+  | Switch of switch
   | Abort
   | Nondet  (** the language must be deterministic (det(tl)) *)
   | Diverge  (** [tau_bound] silent steps without a switch point *)
 
-and 'core switch = {
+and switch = {
   msg : Msg.t;
   fp : Footprint.t;  (** accumulated since the previous switch point *)
-  core : 'core;  (** the core and memory at the switch point, before the Rely *)
-  mem : Memory.t;
+  mem : Memory.t;  (** the memory at the switch point, before the Rely *)
   steps : int;  (** steps since the previous switch point *)
-  next : 'core run Lazy.t option;
+  next : run Lazy.t option;
       (** the run after the switch point: as-is after an event or an
           atomic-block marker, and with the environment's answer and Rely
           write after a [Call]. [None] after a return, a tail call, or a
@@ -164,8 +166,7 @@ and 'core switch = {
 }
 
 let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl core
-    mem ~(next : Msg.t -> core -> Memory.t -> core run Lazy.t option) :
-    core run =
+    mem ~(next : Msg.t -> core -> Memory.t -> run Lazy.t option) : run =
   let rec go core mem acc steps =
     if steps > tau_bound then Diverge
     else begin
@@ -183,7 +184,6 @@ let run_to_switch (type code core) ?audit (lang : (code, core) Lang.t) fl core
           {
             msg;
             fp = Footprint.union acc fp;
-            core = core';
             mem = mem';
             steps = steps + 1;
             next = next msg core' mem';
@@ -213,18 +213,15 @@ let perturb_mem genv mem (g, ofs, v) =
     side serves every check it takes part in. *)
 type side =
   | Unlinked of string  (** the module's globals do not link, on this name *)
-  | Side : {
-      lang : ('code, 'core) Lang.t;
+  | Side of {
       fl : Flist.t;
       shared : Addr.Set.t Lazy.t;
           (** S: the global addresses, the domain of the initial memory *)
       region : Footprint.region Lazy.t;  (** S as a bitset *)
       env : env;
-      audit : Lang.audit option;
-      run : 'core run Lazy.t option;
+      run : run Lazy.t option;
           (** [None]: the module does not define the entry *)
     }
-      -> side
 
 (** The freelist of a check: the blocks above the source's globals (from
     block 0 when they do not link; such a check runs nothing). *)
@@ -258,12 +255,10 @@ let side ?(env = default_env) ?audit (Lang.Mod (lang, code)) ~genv ~fl
     let shared = lazy (Memory.dom mem0) in
     Side
       {
-        lang;
         fl;
         shared;
         region = lazy (Footprint.region (Lazy.force shared));
         env;
-        audit;
         run =
           Option.map
             (fun core -> lazy (from 0 core mem0))
@@ -274,17 +269,15 @@ let side ?(env = default_env) ?audit (Lang.Mod (lang, code)) ~genv ~fl
 (* The checker                                                          *)
 (* ------------------------------------------------------------------ *)
 
-(* Run a side's core, resumed after its call with [ret] from the memory
-   before the Rely write, to its final Ret: the other side tail-called
-   away, so the forwarded return value must be the environment's. *)
-let expect_ret (type code core) ?audit (lang : (code, core) Lang.t) fl beta
-    (sw : core switch) (ret : Value.t) ~side ~at_switch ~finished =
-  match lang.Lang.after_external sw.core (Some ret) with
+(* The other side tail-called away at switch point [at_switch], so this
+   side's run after its call, resumed with the environment's answer and
+   Rely write, must return that answer unchanged. *)
+let forwards ~side env beta (sw : switch) ~at_switch ~finished =
+  match sw.next with
   | None -> Sim_fail { at_switch; reason = side ^ " cannot resume after call" }
-  | Some core -> (
-    match
-      run_to_switch ?audit lang fl core sw.mem ~next:(fun _ _ _ -> None)
-    with
+  | Some run -> (
+    let ret = (env at_switch).ret in
+    match Lazy.force run with
     | Switch { msg = Msg.Ret v; _ }
       when values_match beta v ret || values_match beta ret v ->
       finished ()
@@ -404,12 +397,10 @@ let check_sides (src : side) (tgt : side) : verdict =
                   | Msg.Call _, Msg.TailCall _ ->
                     (* target reuses its frame; source must return the
                        callee's value unchanged *)
-                    expect_ret ?audit:s.audit s.lang fl beta a
-                      (s.env switches).ret ~side:"source" ~at_switch:switches
+                    forwards ~side:"source" s.env beta a ~at_switch:switches
                       ~finished
                   | Msg.TailCall _, Msg.Call _ ->
-                    expect_ret ?audit:t.audit t.lang fl beta b
-                      (t.env switches).ret ~side:"target" ~at_switch:switches
+                    forwards ~side:"target" t.env beta b ~at_switch:switches
                       ~finished
                   | _ -> (
                     match (a.next, b.next) with

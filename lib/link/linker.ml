@@ -4,11 +4,12 @@
     linking lemma (Lem. 6) on the linked program
     ([Cascompcert.Framework.compose_certificates]).
 
-    Relinking is incremental: each module's link-time simulation verdict
-    is memoized in the certificate cache under a key derived from the
-    object's content digests, so an unchanged object re-certifies with
-    zero checker steps — across processes too, when a cache directory is
-    set ([Cas_compiler.Cache.set_default_dir]). [jobs > 1] fans the
+    Relinking is incremental: [compose_certificates] memoizes each
+    module entry's link-time simulation verdict in the certificate cache
+    under the entry's body digests and the module's globals, so an
+    unchanged object re-certifies with zero checker steps — across
+    processes too, when a cache directory is set
+    ([Cas_compiler.Cache.set_default_dir]). [jobs > 1] fans the
     per-module checks out over OCaml 5 domains. *)
 
 open Cas_base
@@ -140,32 +141,9 @@ let link ?(jobs = 1) ?(certify = false) ?label ~(entries : string list)
       match sources [] objs with
       | Error e -> Error e
       | Ok modules ->
-        (* Key each verdict by the *function body digests* of the entry
-           on both sides of the link-time simulation, plus both sides'
-           global declarations. Content addressing makes stale-verdict
-           collisions impossible by construction: two same-named objects
-           with disjoint exports digest their entries to different keys
-           (an absent function digests to the bare language prefix), and
-           editing one function of an object invalidates exactly that
-           function's verdict — relinking revalidates only it. *)
-        let mod_at = Array.of_list modules in
-        let verdict_key ~mod_index ~mod_name:_ ~entry =
-          if mod_index < 0 || mod_index >= Array.length mod_at then None
-          else
-            let _, src_mod, tgt_mod = mod_at.(mod_index) in
-            let (Lang.Mod (sl, sc)) = src_mod in
-            let (Lang.Mod (tl, tc)) = tgt_mod in
-            Some
-              (Cas_compiler.Cache.digest
-                 ( "link-verdict",
-                   Version.v,
-                   Lang.digest_fundef src_mod entry,
-                   Lang.digest_fundef tgt_mod entry,
-                   (sl.Lang.globals_of sc, tl.Lang.globals_of tc) ))
-        in
         let compose =
-          Cascompcert.Framework.compose_certificates ~jobs ~verdict_key
-            ~modules ~entries ()
+          Cascompcert.Framework.compose_certificates ~jobs ~modules ~entries
+            ()
         in
         if not compose.Cascompcert.Framework.comp_ok then
           Error (Certify_failed compose)

@@ -275,6 +275,63 @@ let test_paranoid_no_collisions () =
   ignore (Framework.check_passes ~cache:false ~audit sq_unit_v1);
   check tint "no collisions" 0 (List.length (Lang.audit_collisions audit))
 
+(* The function tier's verdict key carries the pipeline version, so a
+   cache directory written by another build serves none of its verdicts:
+   a failing verdict planted under sq's SimplLocals key as it reads
+   without the version is never read back. *)
+let test_other_build_not_served () =
+  fresh ();
+  let dir = Filename.temp_dir "casc-recert" "" in
+  let rec rm_rf path =
+    if Sys.is_directory path then begin
+      Array.iter (fun f -> rm_rf (Filename.concat path f)) (Sys.readdir path);
+      Sys.rmdir path
+    end
+    else Sys.remove path
+  in
+  Fun.protect ~finally:(fun () ->
+      fresh ();
+      rm_rf dir)
+  @@ fun () ->
+  Cas_compiler.Cache.set_default_dir (Some dir);
+  let trace =
+    (Cas_compiler.Driver.compile_unit ~cache:false sq_unit_v1)
+      .Cas_compiler.Driver.c_trace
+  in
+  let src = snd (List.nth trace 0) and pass, tgt = List.nth trace 1 in
+  let globals (Lang.Mod (l, code)) = l.Lang.globals_of code in
+  let unversioned_key =
+    Cas_compiler.Cache.digest
+      ( "sim-fn",
+        pass,
+        Lang.digest_fundef src "sq",
+        Lang.digest_fundef tgt "sq",
+        Cas_compiler.Cache.digest (globals src, globals tgt),
+        (None : Cas_compiler.Pass.options option),
+        [ Value.Vint 7 ] )
+  in
+  let planted =
+    Simulation.Sim_fail { at_switch = 0; reason = "planted by another build" }
+  in
+  ignore
+    (Cas_compiler.Cache.find_or_add Framework.verdicts unversioned_key
+       (fun () ->
+         {
+           Simulation.v_outcome = planted;
+           v_switches = 0;
+           v_steps_src = 0;
+           v_steps_tgt = 0;
+         }));
+  Cas_compiler.Cache.clear_memory ();
+  List.iter
+    (fun (r : Framework.pass_sim_report) ->
+      check tbool
+        (Fmt.str "%s/%s: planted verdict not served" r.Framework.pass
+           r.Framework.entry)
+        false
+        (r.Framework.verdict.v_outcome = planted))
+    (Framework.check_passes sq_unit_v1)
+
 let () =
   Alcotest.run "recert"
     [
@@ -286,6 +343,8 @@ let () =
             test_unchanged_all_cached;
           Alcotest.test_case "same name, two units, no stale hit" `Quick
             test_same_name_two_units;
+          Alcotest.test_case "another build's verdicts not served" `Quick
+            test_other_build_not_served;
         ] );
       ( "digests",
         [

@@ -141,15 +141,17 @@ let event_reorder () =
     ~tweak:{| void f() { print(2); print(1); } |}
 
 (* a tail call where the source adds a global to the callee's result:
-   the source must forward the callee's return and does not *)
-let tailcall_drops_work () =
+   the source must forward the callee's return and does not. The
+   environment writes x during the call, so the source returns 140. *)
+let dropped_tailcall ~x () =
   let src =
     Cas_compiler.Driver.compile_artifacts
-      (Parse.clight {| int x = 1; int f() { int r; r = g(); return r + x; } |})
+      (Parse.clight
+         (Fmt.str "int x = %d; int f() { int r; r = g(); return r + x; }" x))
   in
   let tgt =
     Cas_compiler.Driver.compile_artifacts
-      (Parse.clight {| int x = 1; int f() { return g(); } |})
+      (Parse.clight (Fmt.str "int x = %d; int f() { return g(); }" x))
   in
   Pair
     {
@@ -164,6 +166,12 @@ let tailcall_drops_work () =
               perturb = Some ("x", 0, 40 + i);
             });
     }
+
+let tailcall_drops_work = dropped_tailcall ~x:1
+
+(* the same with x = 0 before the call: only a forwarding check that
+   reads x after the Rely write sees the dropped work *)
+let unforwarded_rely_read = dropped_tailcall ~x:0
 
 (* A deliberately broken compiler pass caught by the per-pass check:
    pretend reads of globals yield 0 and fold them. *)
@@ -205,6 +213,7 @@ let unit_pairs =
     ("target abort", target_abort);
     ("event reorder", event_reorder);
     ("tail call drops work", tailcall_drops_work);
+    ("unforwarded Rely read", unforwarded_rely_read);
     ("broken pass", broken_constprop);
   ]
 
@@ -293,9 +302,10 @@ let test_reach_close_catches_escape () =
 (* The checker as it was before each stage's run was shared between
    the pairs that read it: both sides stepped from scratch, in lockstep,
    for every pair, with the scope and FPmatch obligations over [Addr.Set]
-   views. Kept verbatim as an executable oracle: [Simulation.check_sides]
-   over shared sides must give the same verdict record, counters and
-   reason text included. *)
+   views. Kept as an executable oracle, with one fix: the forwarding run
+   at a Call/TailCall switch point starts after the Rely write, as the
+   caller's run does. [Simulation.check_sides] over shared sides must
+   give the same verdict record, counters and reason text included. *)
 module Reference = struct
   open Simulation
 
@@ -375,6 +385,11 @@ module Reference = struct
             match Memory.store ~perm mem (Addr.make b ofs) (Value.Vint v) with
             | Ok m -> m
             | Error _ -> mem)
+        in
+        let rely genv mem act =
+          match act.perturb with
+          | None -> mem
+          | Some p -> perturb_mem genv mem p ~perm:Perm.Normal
         in
         match
           ( src_lang.Lang.init_core ~genv:genv_s src_code ~entry ~args,
@@ -535,19 +550,16 @@ module Reference = struct
                     | Msg.TailCall _, Msg.TailCall _ -> finished ()
                     | Msg.Call _, Msg.TailCall _ ->
                       let act = env switches in
-                      expect_ret src_lang c_s' mem_s' act.ret ~side:"source"
+                      expect_ret src_lang c_s' (rely genv_s mem_s' act)
+                        act.ret ~side:"source"
                     | Msg.TailCall _, Msg.Call _ ->
                       let act = env switches in
-                      expect_ret tgt_lang c_t' mem_t' act.ret ~side:"target"
+                      expect_ret tgt_lang c_t' (rely genv_t mem_t' act)
+                        act.ret ~side:"target"
                     | Msg.Call _, Msg.Call _ -> (
                       let act = env switches in
-                      let mem_s, mem_t =
-                        match act.perturb with
-                        | None -> (mem_s', mem_t')
-                        | Some p ->
-                          ( perturb_mem genv_s mem_s' p ~perm:Perm.Normal,
-                            perturb_mem genv_t mem_t' p ~perm:Perm.Normal )
-                      in
+                      let mem_s = rely genv_s mem_s' act
+                      and mem_t = rely genv_t mem_t' act in
                       match
                         ( src_lang.Lang.after_external c_s' (Some act.ret),
                           tgt_lang.Lang.after_external c_t' (Some act.ret) )
@@ -697,6 +709,35 @@ let test_reference_failures () =
       { Simulation.ret = Value.Vint (3 + i); perturb = Some ("x", 0, 40 + i) })
     "counter.c, perturbing environment" (Corpus.counter ())
 
+(* Each distinct run of an entry along the pipeline is built once: pairs
+   run in stage order, a pass that leaves the body unchanged reuses the
+   previous stage's side, and the [Compiler] pair reuses the first and
+   the last. Every side asks the environment once per call, here g's and
+   print's, so the count pins how many sides were built; a side per pair
+   would ask 68 times. *)
+let test_one_side_per_run () =
+  let p =
+    Parse.clight {| int f() { int r; r = g(1); print(r); return r; } |}
+  in
+  let asked = ref 0 in
+  let env i =
+    incr asked;
+    Simulation.default_env i
+  in
+  ignore (Framework.check_passes ~env p);
+  let digests =
+    List.map
+      (fun (_, m) -> Lang.digest_fundef m "f")
+      (Cas_compiler.Driver.compile_unit ~cache:false p)
+        .Cas_compiler.Driver.c_trace
+  in
+  let rec runs = function
+    | a :: (b :: _ as rest) -> (if a = b then 0 else 1) + runs rest
+    | _ -> 1
+  in
+  Alcotest.(check int) "environment asked twice per run" (2 * runs digests)
+    !asked
+
 let prop_reference_random =
   QCheck.Test.make ~name:"shared runs match the lockstep checker" ~count:100
     Randprog.arb_program (fun p ->
@@ -741,6 +782,8 @@ let () =
             (rejects "event reordering" event_reorder);
           Alcotest.test_case "tail call drops work" `Quick
             (rejects "unforwarded return" tailcall_drops_work);
+          Alcotest.test_case "unforwarded Rely read" `Quick
+            (rejects "unforwarded Rely read" unforwarded_rely_read);
           Alcotest.test_case "broken pass" `Quick
             (rejects "folding a global load" broken_constprop);
         ] );
@@ -757,6 +800,8 @@ let () =
             `Quick test_reference_generated;
           Alcotest.test_case "match the reference on failing pairs" `Quick
             test_reference_failures;
+          Alcotest.test_case "one side per distinct run" `Quick
+            test_one_side_per_run;
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| qcheck_seed |])
             prop_reference_random;
