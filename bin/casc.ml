@@ -353,8 +353,7 @@ let compile_cmd =
                         fns))
                 :: !json_units;
             Fmt.pr
-              "  certificates: %d/%d verdicts from cache, %d checker steps \
-               executed@."
+              "  certificates: %d/%d verdicts from cache, %d checker steps@."
               c.Cas_cmd.cached (List.length c.Cas_cmd.reports) c.Cas_cmd.steps
           end;
           if ir <> None || not (stats || certify || json) then

@@ -88,21 +88,6 @@ let convert_mem dir (m : Memory.t) : Memory.t =
 let to_compcert t m = convert_mem (to_compcert_block t) m
 let of_compcert t m = convert_mem (of_compcert_block t) m
 
-(** The footprint image under the bijection, for checking that footprints
-    convert consistently too. *)
-let convert_fp dir (fp : Footprint.t) : Footprint.t =
-  let conv s =
-    Addr.Set.fold
-      (fun a acc ->
-        match map_addr dir a with
-        | Some a' -> Addr.Set.add a' acc
-        | None -> acc)
-      s Addr.Set.empty
-  in
-  Footprint.make
-    ~rs:(conv (Footprint.rs_set fp))
-    ~ws:(conv (Footprint.ws_set fp))
-
 (** In the CompCert view, allocation takes the next consecutive block;
     check that converting our freelist allocation yields exactly it. This
     is the per-operation commutation the equivalence proof rests on. *)

@@ -184,22 +184,18 @@ let per_function_counts (reports : pass_sim_report list) :
     reports;
   List.rev_map (fun e -> (e, Hashtbl.find tbl e)) !order
 
-(* Memoized per-pass simulation verdicts — the other half of the
-   certificate cache, in two tiers.
+(* Memoized simulation verdicts — the other half of the certificate
+   cache, in two tiers.
 
-   Function tier ("SimVerdict"): one verdict per (pass, function),
-   keyed by the *body digests* of the function on both sides of the
-   pass ([Lang.digest_fundef]) plus everything else the checker
-   consumes: both sides' global declarations, the compilation options,
-   the entry arguments and the checker bounds. The pipeline version
-   salts the key, as it salts every pass artifact, so a cache directory
-   written by another build serves none of its verdicts. This is sound
-   because [Simulation.check_verdict] co-executes only the entry
-   function — calls are cut at switch points and answered by the
-   environment — so a verdict genuinely depends on nothing but the two
-   bodies, the globals and those inputs. Editing one function of a
-   module therefore re-runs the checker only for that function's path
-   through the pipeline; every untouched function is a pure hit.
+   Function tier ("SimVerdict"): one verdict per (pair, function), keyed
+   by what the checker reads ([verdict_key]). This is sound because
+   [Simulation.check_sides] co-executes only the entry function — calls
+   are cut at switch points and answered by the environment — so a
+   verdict depends on nothing but the two bodies, the globals and the
+   arguments. Editing one function of a module therefore re-runs the
+   checker only for that function's path through the pipeline; every
+   untouched function is a pure hit. The linker's check of an entry is
+   the [Compiler] pair, so a link reads the build's verdicts.
 
    Module tier ("SimModule"): the full sweep for one compilation unit,
    keyed by its context hash (pipeline version + options + source). A
@@ -214,6 +210,20 @@ let verdicts : Simulation.verdict Cas_compiler.Cache.store =
 let module_verdicts :
     (string * string * Simulation.verdict) list Cas_compiler.Cache.store =
   Cas_compiler.Cache.store ~name:"SimModule" ()
+
+(** A digest of [v] alone, marshalled without sharing: a unit's stages
+    share one globals list in the process that compiled them, and each
+    has its own copy when read from disk or from an object file. *)
+let structural_digest v =
+  Digest.to_hex (Digest.string (Marshal.to_string v [ Marshal.No_sharing ]))
+
+(** The function-tier key of [pair] on one entry: both body digests
+    ([Lang.digest_fundef]), both globals digests and the arguments,
+    salted with the pipeline version, so a cache directory written by
+    another build serves none of its verdicts. *)
+let verdict_key ~pair ~(bodies : string * string)
+    ~(globals : string * string) ~(args : Value.t list) =
+  structural_digest (Cas_compiler.Pipeline.version, pair, bodies, globals, args)
 
 (** Check the footprint-preserving simulation between every consecutive
     pair of pipeline stages, for every function of the module, on the
@@ -264,20 +274,13 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
     let (Lang.Mod (l, code)) = snd stages.(k) in
     l.Lang.globals_of code
   in
-  (* Per stage, built the first time a side of the stage is: its global
-     environment and the digest of its globals. *)
+  (* Per stage, built the first time a side or a verdict key of the
+     stage needs it: its global environment and its globals digest. *)
   let genvs =
     Array.init (last + 1) (fun k -> lazy (Genv.link [ globals_of k ]))
   in
   let globals_digests =
-    Array.init (last + 1) (fun k -> lazy (Cache.digest (globals_of k)))
-  in
-  (* Both sides' globals, for the verdict key of each pair. *)
-  let pair_globals =
-    List.map
-      (fun (_, src, tgt) ->
-        lazy (Cache.digest (globals_of src, globals_of tgt)))
-      pairs
+    Array.init (last + 1) (fun k -> lazy (structural_digest (globals_of k)))
   in
   (* Function-tier hits recorded while producing the sweep, consulted
      when the reports are assembled below. *)
@@ -303,7 +306,7 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
         if k = 0 then first := Some (key, s);
         s
     in
-    let verdict (pass, src, tgt) glbs =
+    let verdict (pass, src, tgt) =
       let run () =
         let fl = Simulation.freelist (Lazy.force genvs.(src)) in
         (* the source first, while its run is still the latest side *)
@@ -315,22 +318,19 @@ let check_passes ?env ?audit ?(cache = true) ?options (p : Clight.program) :
         else
           let digests = Lazy.force body_digests in
           let key =
-            Cache.digest
-              ( "sim-fn",
-                Pipeline.version,
-                pass,
-                digests.(src).(e),
-                digests.(tgt).(e),
-                Lazy.force glbs,
-                options,
-                args_of entry )
+            verdict_key ~pair:pass
+              ~bodies:(digests.(src).(e), digests.(tgt).(e))
+              ~globals:
+                ( Lazy.force globals_digests.(src),
+                  Lazy.force globals_digests.(tgt) )
+              ~args:(args_of entry)
           in
           Cache.find_or_add verdicts key run
       in
       Hashtbl.replace fn_hits (pass, entry) (hit = `Hit);
       v
     in
-    Array.of_list (List.map2 verdict pairs pair_globals)
+    Array.of_list (List.map verdict pairs)
   in
   (* Entry by entry, so that one entry's sides are alive at a time; the
      triples come out pass by pass. *)
@@ -417,12 +417,6 @@ let pp_compose ppf r =
     Fmt.(list ~sep:cut pp_compose_module)
     r.comp_modules pp_step r.comp_confinement pp_step r.comp_boundary
 
-(* Memoized link-time module verdicts, keyed by function body digests
-   ([compose_certificates]), so relinking with an unchanged object
-   re-delivers the verdict with zero checker steps. *)
-let link_verdicts : Simulation.verdict Cas_compiler.Cache.store =
-  Cas_compiler.Cache.store ~name:"LinkVerdict" ()
-
 (** Footprint confinement of the linked program: explore the reachable
     worlds (preemptive, bounded by [default_bounds.max_worlds]) and
     verify that every enabled local step's footprint stays inside the
@@ -488,19 +482,22 @@ let check_confinement (tgt : Lang.prog) : step_report =
 
     [modules] pairs each module name with its source and target forms;
     [entries] are the linked program's thread entry points. Each module
-    entry's simulation verdict is memoized in the certificate cache,
-    keyed by the tool version, the entry's body digest on both sides
-    and both sides' globals: an incremental relink skips re-verification
-    of unchanged functions, and two same-named modules with different
-    bodies never share a key (an absent function digests to a bare
-    prefix no defined one can collide with).
-    [jobs > 1] fans the per-module checks out over OCaml 5 domains. *)
+    entry's check is [check_passes]'s [Compiler] pair, under the same
+    [verdict_key]: a link after a build, or a relink, re-verifies no
+    unchanged function, and two same-named modules with different bodies
+    never share a key (an absent function digests to a bare prefix no
+    defined one can collide with). [jobs > 1] fans the per-module checks
+    out over OCaml 5 domains. *)
 let compose_certificates ?(jobs = 1)
     ~(modules : (string * Lang.modu * Lang.modu) list)
     ~(entries : string list) () : compose_report =
   let module_task (name, src_mod, tgt_mod) () : compose_module_report list =
     match (src_mod, tgt_mod) with
     | Lang.Mod (sl, sc), Lang.Mod (tl, tc) ->
+      let globals =
+        ( structural_digest (sl.Lang.globals_of sc),
+          structural_digest (tl.Lang.globals_of tc) )
+      in
       List.map
         (fun (entry, arity) ->
           let args = List.init arity (fun i -> Value.Vint (7 + i)) in
@@ -509,14 +506,13 @@ let compose_certificates ?(jobs = 1)
               ()
           in
           let key =
-            Cas_compiler.Cache.digest
-              ( "link-verdict",
-                Version.v,
-                Lang.digest_fundef src_mod entry,
-                Lang.digest_fundef tgt_mod entry,
-                (sl.Lang.globals_of sc, tl.Lang.globals_of tc) )
+            verdict_key ~pair:"Compiler"
+              ~bodies:
+                ( Lang.digest_fundef src_mod entry,
+                  Lang.digest_fundef tgt_mod entry )
+              ~globals ~args
           in
-          let v, hit = Cas_compiler.Cache.find_or_add link_verdicts key run in
+          let v, hit = Cas_compiler.Cache.find_or_add verdicts key run in
           let cached = hit = `Hit in
           {
             cm_module = name;

@@ -33,7 +33,9 @@
     after it, not the core. [check_sides] applies the obligations above
     to two sides, switch point by switch point; where one side
     tail-calls and the other calls, it reads the caller's run after the
-    call, which must return the environment's answer.
+    call, whose return is one more switch point: it must return the
+    environment's answer, and the obligations hold against the
+    tail-caller's empty footprint and its memory after the Rely write.
     [Framework.check_passes] thereby runs each pipeline stage once for
     the two passes it borders; [check_verdict] is the one-pair form. *)
 
@@ -205,6 +207,11 @@ let perturb_mem genv mem (g, ofs, v) =
     | Ok m -> m
     | Error _ -> mem)
 
+(** The memory after the environment's action [act]: its Rely write, if
+    any. *)
+let rely genv mem act =
+  Option.fold ~none:mem ~some:(perturb_mem genv mem) act.perturb
+
 (** One side of a check: a module's run from its entry, under the
     environment script [env], cut at switch points and computed only as
     far as a check forces it. The run reads nothing but the entry's
@@ -214,6 +221,7 @@ let perturb_mem genv mem (g, ofs, v) =
 type side =
   | Unlinked of string  (** the module's globals do not link, on this name *)
   | Side of {
+      genv : Genv.t;  (** where the Rely writes *)
       fl : Flist.t;
       shared : Addr.Set.t Lazy.t;
           (** S: the global addresses, the domain of the initial memory *)
@@ -245,16 +253,13 @@ let side ?(env = default_env) ?audit (Lang.Mod (lang, code)) ~genv ~fl
             let act = env i in
             match lang.Lang.after_external core (Some act.ret) with
             | None -> None
-            | Some core ->
-              let mem =
-                Option.fold ~none:mem ~some:(perturb_mem genv mem) act.perturb
-              in
-              Some (lazy (from (i + 1) core mem)))
+            | Some core -> Some (lazy (from (i + 1) core (rely genv mem act))))
           | _ -> Some (lazy (from (i + 1) core mem)))
     in
     let shared = lazy (Memory.dom mem0) in
     Side
       {
+        genv;
         fl;
         shared;
         region = lazy (Footprint.region (Lazy.force shared));
@@ -271,16 +276,19 @@ let side ?(env = default_env) ?audit (Lang.Mod (lang, code)) ~genv ~fl
 
 (* The other side tail-called away at switch point [at_switch], so this
    side's run after its call, resumed with the environment's answer and
-   Rely write, must return that answer unchanged. *)
-let forwards ~side env beta (sw : switch) ~at_switch ~finished =
+   Rely write, must return that answer unchanged. The return is one more
+   switch point, whose other obligations [forwarded] checks. *)
+let forwards ~side env beta (sw : switch) ~at_switch ~forwarded ~finished =
   match sw.next with
   | None -> Sim_fail { at_switch; reason = side ^ " cannot resume after call" }
   | Some run -> (
     let ret = (env at_switch).ret in
     match Lazy.force run with
-    | Switch { msg = Msg.Ret v; _ }
-      when values_match beta v ret || values_match beta ret v ->
-      finished ()
+    | Switch ({ msg = Msg.Ret v; _ } as r)
+      when values_match beta v ret || values_match beta ret v -> (
+      match forwarded r with
+      | None -> finished ()
+      | Some reason -> Sim_fail { at_switch; reason })
     | Switch { msg; _ } ->
       Sim_fail
         {
@@ -343,6 +351,24 @@ let check_sides (src : side) (tgt : side) : verdict =
           Sim_ok
             { switches; steps_src = !steps_s_total; steps_tgt = !steps_t_total }
         in
+        (* Def. 3's obligations once the messages match: both footprints
+           in scope, FPmatch, and related shared memories. *)
+        let obligations ~fp_s ~fp_t ~mem_s ~mem_t =
+          if not (in_scope fp_s) then
+            Some
+              (Fmt.str "source footprint out of scope: %a" Footprint.pp fp_s)
+          else if not (in_scope fp_t) then
+            Some
+              (Fmt.str "target footprint out of scope: %a" Footprint.pp fp_t)
+          else if not (Footprint.fpmatch ~shared:region ~src:fp_s ~tgt:fp_t)
+          then
+            Some
+              (Fmt.str "FPmatch fails: source %a, target %a" Footprint.pp fp_s
+                 Footprint.pp fp_t)
+          else if not (shared_related mem_s mem_t) then
+            Some "shared memories unrelated at switch point"
+          else None
+        in
         let rec loop run_s run_t switches =
           switches_seen := switches;
           if switches >= max_switches then ok switches
@@ -368,44 +394,41 @@ let check_sides (src : side) (tgt : side) : verdict =
                   fail
                     (Fmt.str "messages differ: source %a, target %a" Msg.pp
                        a.msg Msg.pp b.msg)
-                else if not (in_scope a.fp) then
-                  fail
-                    (Fmt.str "source footprint out of scope: %a" Footprint.pp
-                       a.fp)
-                else if not (in_scope b.fp) then
-                  fail
-                    (Fmt.str "target footprint out of scope: %a" Footprint.pp
-                       b.fp)
-                else if
-                  not (Footprint.fpmatch ~shared:region ~src:a.fp ~tgt:b.fp)
-                then
-                  fail
-                    (Fmt.str "FPmatch fails: source %a, target %a" Footprint.pp
-                       a.fp Footprint.pp b.fp)
-                else if not (shared_related a.mem b.mem) then
-                  fail "shared memories unrelated at switch point"
                 else
-                  (* Switch point passed: the sides' runs go on after the
-                     environment (Rely), with footprints cleared. *)
-                  let finished () =
-                    switches_seen := switches + 1;
-                    ok (switches + 1)
-                  in
-                  match (a.msg, b.msg) with
-                  | Msg.Ret _, _ | Msg.TailCall _, Msg.TailCall _ ->
-                    finished ()
-                  | Msg.Call _, Msg.TailCall _ ->
-                    (* target reuses its frame; source must return the
-                       callee's value unchanged *)
-                    forwards ~side:"source" s.env beta a ~at_switch:switches
-                      ~finished
-                  | Msg.TailCall _, Msg.Call _ ->
-                    forwards ~side:"target" t.env beta b ~at_switch:switches
-                      ~finished
-                  | _ -> (
-                    match (a.next, b.next) with
-                    | Some run_s, Some run_t -> loop run_s run_t (switches + 1)
-                    | _ -> fail "resume after external failed")))
+                  match
+                    obligations ~fp_s:a.fp ~fp_t:b.fp ~mem_s:a.mem ~mem_t:b.mem
+                  with
+                  | Some reason -> fail reason
+                  | None -> (
+                    (* Switch point passed: the sides' runs go on after the
+                       environment (Rely), with footprints cleared. *)
+                    let finished () =
+                      switches_seen := switches + 1;
+                      ok (switches + 1)
+                    in
+                    match (a.msg, b.msg) with
+                    | Msg.Ret _, _ | Msg.TailCall _, Msg.TailCall _ ->
+                      finished ()
+                    | Msg.Call _, Msg.TailCall _ ->
+                      (* target reuses its frame; source must return the
+                         callee's value unchanged, against the target's
+                         empty footprint and its memory after the Rely *)
+                      forwards ~side:"source" s.env beta a ~at_switch:switches
+                        ~finished ~forwarded:(fun r ->
+                          obligations ~fp_s:r.fp ~fp_t:Footprint.empty
+                            ~mem_s:r.mem
+                            ~mem_t:(rely t.genv b.mem (t.env switches)))
+                    | Msg.TailCall _, Msg.Call _ ->
+                      forwards ~side:"target" t.env beta b ~at_switch:switches
+                        ~finished ~forwarded:(fun r ->
+                          obligations ~fp_s:Footprint.empty ~fp_t:r.fp
+                            ~mem_s:(rely s.genv a.mem (s.env switches))
+                            ~mem_t:r.mem)
+                    | _ -> (
+                      match (a.next, b.next) with
+                      | Some run_s, Some run_t ->
+                        loop run_s run_t (switches + 1)
+                      | _ -> fail "resume after external failed"))))
         in
         loop run_s run_t 0)
   in
@@ -508,10 +531,7 @@ let check_reach_close (type code core) (lang : (code, core) Lang.t)
             | Msg.Call _ -> (
               (* rely step: the environment may write shared integers *)
               let act = env ncalls in
-              let mem' =
-                Option.fold ~none:mem' ~some:(perturb_mem genv mem')
-                  act.perturb
-              in
+              let mem' = rely genv mem' act in
               match lang.Lang.after_external core' (Some act.ret) with
               | Some core'' -> go core'' mem' (step + 1) (ncalls + 1)
               | None -> ())

@@ -4,13 +4,13 @@
     linking lemma (Lem. 6) on the linked program
     ([Cascompcert.Framework.compose_certificates]).
 
-    Relinking is incremental: [compose_certificates] memoizes each
-    module entry's link-time simulation verdict in the certificate cache
-    under the entry's body digests and the module's globals, so an
-    unchanged object re-certifies with zero checker steps — across
-    processes too, when a cache directory is set
-    ([Cas_compiler.Cache.set_default_dir]). [jobs > 1] fans the
-    per-module checks out over OCaml 5 domains. *)
+    A module entry's link-time check is the build's end-to-end
+    [Compiler] pair, and [compose_certificates] reads and writes its
+    verdict under the same key ([Cascompcert.Framework.verdict_key]): a
+    link after the builds, or a relink of an unchanged object,
+    re-certifies with zero checker steps — across processes too, when
+    they share a cache directory ([Cas_compiler.Cache.set_default_dir]).
+    [jobs > 1] fans the per-module checks out over OCaml 5 domains. *)
 
 open Cas_base
 open Cas_langs

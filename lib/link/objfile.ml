@@ -14,8 +14,11 @@
     content hashing over data the file itself carries, so whoever can
     rewrite the body can recompute the digests and re-fold the chain.
     Trusting a [.cao] means trusting the tree that built it; against a
-    forged file the defense is [casc link --certify], which re-runs
-    every check from the recorded source instead of believing the chain.
+    forged file the defense is [casc link --certify], which never
+    believes the chain: it reads a module's verdict from the certificate
+    cache only under the digests of the object's own recorded source and
+    code, where only the checker writes, and otherwise re-runs the check
+    from the recorded source.
 
     Symbols are stored by name and re-interned ([Genv.Sym]) by the
     resolver on load. *)

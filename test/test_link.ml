@@ -23,8 +23,8 @@ let f_src =
 
 let g_src = {| void g(int p) { *p = 3; } |}
 
-let build name source =
-  match Objfile.build ~name ~source () with
+let build ?cache name source =
+  match Objfile.build ?cache ~name ~source () with
   | Ok o -> o
   | Error e -> Alcotest.failf "build %s: %s" name e
 
@@ -325,20 +325,33 @@ let cached_count (out : Linker.outcome) =
            m.cm_cached)
          r.Cascompcert.Framework.comp_modules)
 
+let verdict_count (out : Linker.outcome) =
+  List.length (Option.get out.lk_compose).Cascompcert.Framework.comp_modules
+
+(* The link's check of an entry is the build's [Compiler] pair, so a link
+   straight after the builds reads every verdict from the cache. *)
+let check_link_after_build what (out : Linker.outcome) =
+  check tint (what ^ ": every verdict cached") (verdict_count out)
+    (cached_count out);
+  check tint (what ^ ": zero checker steps") 0
+    out.lk_stats.Linker.l_checker_steps
+
 let test_incremental_relink () =
   fresh_cache ();
   let o_f = build "f" f_src and o_g = build "g" g_src in
+  check_link_after_build "link after build"
+    (link_ok ~certify:true [ o_f; o_g ]);
+  Cas_compiler.Cache.clear_memory ();
   let cold = link_ok ~certify:true [ o_f; o_g ] in
   check tint "cold link: no cached verdicts" 0 (cached_count cold);
   let warm = link_ok ~certify:true [ o_f; o_g ] in
-  check tint "relink: every verdict cached"
-    (List.length
-       (Option.get warm.lk_compose).Cascompcert.Framework.comp_modules)
+  check tint "relink: every verdict cached" (verdict_count warm)
     (cached_count warm);
   check tint "relink executes zero checker steps" 0
     warm.lk_stats.Linker.l_checker_steps;
-  (* touch one module: only it re-verifies *)
-  let o_g' = build "g" {| void g(int p) { *p = 4; } |} in
+  (* touch one module, built without the cache so that the link itself
+     must check it: only it re-verifies *)
+  let o_g' = build ~cache:false "g" {| void g(int p) { *p = 4; } |} in
   let touched = link_ok ~certify:true [ o_f; o_g' ] in
   (match touched.lk_compose with
   | None -> Alcotest.fail "no compose report"
@@ -360,11 +373,15 @@ let test_incremental_relink () =
 let test_same_name_disjoint_relink () =
   fresh_cache ();
   let o_f = build "m" f_src and o_g = build "m" g_src in
+  check_link_after_build "link after build"
+    (link_ok ~certify:true [ o_f; o_g ]);
+  Cas_compiler.Cache.clear_memory ();
   let cold = link_ok ~certify:true [ o_f; o_g ] in
   check tint "cold link: no cached verdicts" 0 (cached_count cold);
-  (* touch only the g-carrying object: its verdict must re-run even
-     though an unchanged object with the same module name is linked *)
-  let o_g' = build "m" {| void g(int p) { *p = 4; } |} in
+  (* touch only the g-carrying object, built without the cache: its
+     verdict must re-run even though an unchanged object with the same
+     module name is linked *)
+  let o_g' = build ~cache:false "m" {| void g(int p) { *p = 4; } |} in
   let touched = link_ok ~certify:true [ o_f; o_g' ] in
   match touched.lk_compose with
   | None -> Alcotest.fail "no compose report"
@@ -375,6 +392,82 @@ let test_same_name_disjoint_relink () =
           (Fmt.str "entry %s cached=%b as expected" m.cm_entry m.cm_cached)
           (m.cm_entry = "f") m.cm_cached)
       r.Cascompcert.Framework.comp_modules
+
+(* The link's per-entry check is the build's [Compiler] pair: after a
+   cached build, composing the object's decoded asm with its source
+   serves every entry with the build's verdict, and from an empty cache
+   it computes and stores the same verdict record under the same key. *)
+let test_link_check_is_compiler_pair () =
+  let open Cascompcert in
+  fresh_cache ();
+  let rng = Rng.make ~seed:21 in
+  let generated =
+    List.init 50 (fun i ->
+        let g = Cas_fuzz.Gen.clight (Rng.split rng) ~size:(4 + (i mod 3 * 4)) in
+        (Fmt.str "gen%d" i, g.Cas_fuzz.Gen.g_source))
+  in
+  List.iter
+    (fun (name, source) ->
+      let o = build name source in
+      let p = Parse.clight source in
+      (* the build's verdicts, as the module tier re-delivers them *)
+      let compiler =
+        List.filter_map
+          (fun (r : Framework.pass_sim_report) ->
+            if r.pass = "Compiler" then Some (r.entry, r.verdict) else None)
+          (Framework.check_passes p)
+      in
+      let asm =
+        match Objfile.of_string (Objfile.to_string o) with
+        | Ok o -> o.Objfile.o_asm
+        | Error e -> Alcotest.failf "%s: round trip: %s" name e
+      in
+      let src = Lang.Mod (Clight.lang, p) and tgt = Lang.Mod (Asm.lang, asm) in
+      let compose () =
+        (Framework.compose_certificates ~modules:[ (name, src, tgt) ]
+           ~entries:[] ())
+          .Framework.comp_modules
+      in
+      let build_verdict (m : Framework.compose_module_report) =
+        match List.assoc_opt m.cm_entry compiler with
+        | Some v -> v
+        | None -> Alcotest.failf "%s/%s: no Compiler pair" name m.cm_entry
+      in
+      let served = compose () in
+      check tint (name ^ ": every entry linked") (List.length compiler)
+        (List.length served);
+      List.iter
+        (fun (m : Framework.compose_module_report) ->
+          check tbool
+            (Fmt.str "%s/%s served with the build's verdict" name m.cm_entry)
+            true
+            (m.cm_cached
+            && m.cm_outcome = (build_verdict m).Simulation.v_outcome))
+        served;
+      Cas_compiler.Cache.clear_memory ();
+      List.iter
+        (fun (m : Framework.compose_module_report) ->
+          let e = m.cm_entry in
+          let arity = List.assoc e (Lang.defs tgt) in
+          let key =
+            Framework.verdict_key ~pair:"Compiler"
+              ~bodies:(Lang.digest_fundef src e, Lang.digest_fundef tgt e)
+              ~globals:
+                ( Framework.structural_digest p.Clight.globals,
+                  Framework.structural_digest asm.Asm.globals )
+              ~args:(List.init arity (fun i -> Value.Vint (7 + i)))
+          in
+          let stored, _ =
+            Cas_compiler.Cache.find_or_add Framework.verdicts key (fun () ->
+                Alcotest.failf "%s/%s: nothing stored under its key" name e)
+          in
+          check tbool (Fmt.str "%s/%s checked again" name e) false m.cm_cached;
+          check tbool
+            (Fmt.str "%s/%s: the build's verdict record" name e)
+            true
+            (stored = build_verdict m))
+        (compose ()))
+    (Corpus.link_module_srcs @ generated)
 
 let test_tampered_object_rejected () =
   fresh_cache ();
@@ -493,6 +586,8 @@ let () =
             test_incremental_relink;
           Alcotest.test_case "same-named objects keyed separately" `Slow
             test_same_name_disjoint_relink;
+          Alcotest.test_case "the link check is the build's Compiler pair"
+            `Slow test_link_check_is_compiler_pair;
           Alcotest.test_case "tampered object rejected" `Quick
             test_tampered_object_rejected;
           Alcotest.test_case "forged certificate rejected" `Quick

@@ -266,6 +266,27 @@ let test_fundef_digests_along_trace () =
     false
     (Lang.digest_fundef first1 "sq" = Lang.digest_fundef first2 "sq")
 
+(* The verdict key digests values, not memory: two equal globals lists
+   whose parts share memory differently (a unit's stages share one list
+   in the process that compiled them; a stage read from disk or an
+   object decoded from JSON has its own copy) digest alike, and so do
+   two keys whose equal components are shared differently. *)
+let test_digests_ignore_sharing () =
+  let fresh_x () = String.init 1 (fun _ -> 'x') in
+  let globals x y = [ Genv.gvar x 1; Genv.gvar "p" 1 ~init:[ Genv.Iaddr y ] ] in
+  let x = fresh_x () in
+  let shared = globals x x and copied = globals (fresh_x ()) (fresh_x ()) in
+  check tbool "equal globals" true (shared = copied);
+  check tbool "globals digest ignores sharing" true
+    (Framework.structural_digest shared = Framework.structural_digest copied);
+  let key g g' =
+    Framework.verdict_key ~pair:"Compiler" ~bodies:("a", "b") ~globals:(g, g')
+      ~args:[]
+  in
+  let g = Framework.structural_digest shared in
+  check tbool "verdict key ignores sharing" true
+    (key g g = key g (String.init (String.length g) (String.get g)))
+
 (* Deterministic companion of the random paranoid sweep: a full
    check_passes run with a collision audit (--paranoid-fp) observes no
    hash collision on any core of any IR the checker visits. *)
@@ -275,11 +296,9 @@ let test_paranoid_no_collisions () =
   ignore (Framework.check_passes ~cache:false ~audit sq_unit_v1);
   check tint "no collisions" 0 (List.length (Lang.audit_collisions audit))
 
-(* The function tier's verdict key carries the pipeline version, so a
-   cache directory written by another build serves none of its verdicts:
-   a failing verdict planted under sq's SimplLocals key as it reads
-   without the version is never read back. *)
-let test_other_build_not_served () =
+(* Run [f] with the certificate cache's disk tier in a fresh temporary
+   directory, removed afterwards. *)
+let with_cache_dir f =
   fresh ();
   let dir = Filename.temp_dir "casc-recert" "" in
   let rec rm_rf path =
@@ -294,43 +313,82 @@ let test_other_build_not_served () =
       rm_rf dir)
   @@ fun () ->
   Cas_compiler.Cache.set_default_dir (Some dir);
+  f ()
+
+(* The function tier's verdict key carries the pipeline version, so a
+   cache directory written by another build serves none of its verdicts:
+   a failing verdict planted under sq's SimplLocals key, as it reads with
+   another version string, is never read back. The control plants it
+   under the same layout with this build's version, and it is served. *)
+let test_other_build_not_served () =
   let trace =
     (Cas_compiler.Driver.compile_unit ~cache:false sq_unit_v1)
       .Cas_compiler.Driver.c_trace
   in
   let src = snd (List.nth trace 0) and pass, tgt = List.nth trace 1 in
-  let globals (Lang.Mod (l, code)) = l.Lang.globals_of code in
-  let unversioned_key =
-    Cas_compiler.Cache.digest
-      ( "sim-fn",
+  let globals (Lang.Mod (l, code)) =
+    Framework.structural_digest (l.Lang.globals_of code)
+  in
+  let key ~version =
+    Framework.structural_digest
+      ( version,
         pass,
-        Lang.digest_fundef src "sq",
-        Lang.digest_fundef tgt "sq",
-        Cas_compiler.Cache.digest (globals src, globals tgt),
-        (None : Cas_compiler.Pass.options option),
+        (Lang.digest_fundef src "sq", Lang.digest_fundef tgt "sq"),
+        (globals src, globals tgt),
         [ Value.Vint 7 ] )
   in
   let planted =
     Simulation.Sim_fail { at_switch = 0; reason = "planted by another build" }
   in
-  ignore
-    (Cas_compiler.Cache.find_or_add Framework.verdicts unversioned_key
-       (fun () ->
-         {
-           Simulation.v_outcome = planted;
-           v_switches = 0;
-           v_steps_src = 0;
-           v_steps_tgt = 0;
-         }));
+  let served ~version =
+    with_cache_dir @@ fun () ->
+    ignore
+      (Cas_compiler.Cache.find_or_add Framework.verdicts (key ~version)
+         (fun () ->
+           {
+             Simulation.v_outcome = planted;
+             v_switches = 0;
+             v_steps_src = 0;
+             v_steps_tgt = 0;
+           }));
+    Cas_compiler.Cache.clear_memory ();
+    List.exists
+      (fun (r : Framework.pass_sim_report) ->
+        r.Framework.verdict.v_outcome = planted)
+      (Framework.check_passes sq_unit_v1)
+  in
+  check tbool "planted under another version: not served" false
+    (served ~version:"casc-0.0.0");
+  check tbool "planted under this version: served" true
+    (served ~version:Cas_compiler.Pipeline.version)
+
+(* The verdict key digests the globals by value. A certify that reads
+   its stages from disk gets a copy of the globals per stage, where a
+   compile in this process shares one list between them; after an edit
+   of [sq], [main]'s verdicts from the first must still serve the
+   second. *)
+let test_disk_stages_serve_verdicts () =
+  let unit sq =
+    Parse.clight
+      ("int x = 1; " ^ sq ^ " void main() { int r; r = sq(4); print(r); }")
+  in
+  let p = unit "int sq(int n) { int t; t = n * n + x; return t; }" in
+  with_cache_dir @@ fun () ->
+  ignore (Cas_compiler.Driver.compile_unit p);
   Cas_compiler.Cache.clear_memory ();
+  ignore (Framework.check_passes p);
+  Cas_compiler.Cache.clear_memory ();
+  let main =
+    by_entry "main"
+      (Framework.check_passes
+         (unit "int sq(int n) { int t; t = x + n * n; return t; }"))
+  in
+  check tint "main: 17 verdicts" 17 (List.length main);
   List.iter
     (fun (r : Framework.pass_sim_report) ->
-      check tbool
-        (Fmt.str "%s/%s: planted verdict not served" r.Framework.pass
-           r.Framework.entry)
-        false
-        (r.Framework.verdict.v_outcome = planted))
-    (Framework.check_passes sq_unit_v1)
+      check tbool (Fmt.str "main: %s cached" r.Framework.pass) true
+        r.Framework.cached)
+    main
 
 let () =
   Alcotest.run "recert"
@@ -345,12 +403,16 @@ let () =
             test_same_name_two_units;
           Alcotest.test_case "another build's verdicts not served" `Quick
             test_other_build_not_served;
+          Alcotest.test_case "stages read from disk serve verdicts" `Quick
+            test_disk_stages_serve_verdicts;
         ] );
       ( "digests",
         [
           Alcotest.test_case "fundef digest basics" `Quick test_fundef_digests;
           Alcotest.test_case "digests along the compile trace" `Quick
             test_fundef_digests_along_trace;
+          Alcotest.test_case "verdict key digests ignore sharing" `Quick
+            test_digests_ignore_sharing;
         ] );
       ( "paranoid",
         [

@@ -173,6 +173,25 @@ let tailcall_drops_work = dropped_tailcall ~x:1
    reads x after the Rely write sees the dropped work *)
 let unforwarded_rely_read = dropped_tailcall ~x:0
 
+(* a call whose return the source forwards only after writing a shared
+   global, against a tail call that writes nothing: the forwarded
+   return's memories are unrelated. Swapped, the target forwards and
+   writes where the tail-calling source writes nothing: FPmatch fails. *)
+let forwarded_write ~swap () =
+  let rtl src = Cas_compiler.Driver.compile_artifacts (Parse.clight src) in
+  let calls =
+    (rtl "int x = 0; int f() { int r; r = g(); x = 5; return r; }")
+      .Cas_compiler.Driver.rtl
+  in
+  let tail =
+    (rtl "int x = 0; int f() { return g(); }").Cas_compiler.Driver.rtl_tailcall
+  in
+  let src, tgt = if swap then (tail, calls) else (calls, tail) in
+  Pair { src = (Rtl.lang, src); tgt = (Rtl.lang, tgt); entry = "f"; env = None }
+
+let write_before_forwarded_return = forwarded_write ~swap:false
+let forwarded_write_swapped = forwarded_write ~swap:true
+
 (* A deliberately broken compiler pass caught by the per-pass check:
    pretend reads of globals yield 0 and fold them. *)
 let broken_constprop () =
@@ -214,6 +233,8 @@ let unit_pairs =
     ("event reorder", event_reorder);
     ("tail call drops work", tailcall_drops_work);
     ("unforwarded Rely read", unforwarded_rely_read);
+    ("write before a forwarded return", write_before_forwarded_return);
+    ("forwarded return writes, swapped", forwarded_write_swapped);
     ("broken pass", broken_constprop);
   ]
 
@@ -302,9 +323,11 @@ let test_reach_close_catches_escape () =
 (* The checker as it was before each stage's run was shared between
    the pairs that read it: both sides stepped from scratch, in lockstep,
    for every pair, with the scope and FPmatch obligations over [Addr.Set]
-   views. Kept as an executable oracle, with one fix: the forwarding run
-   at a Call/TailCall switch point starts after the Rely write, as the
-   caller's run does. [Simulation.check_sides] over shared sides must
+   views. Kept as an executable oracle, with two fixes to the forwarding
+   run at a Call/TailCall switch point: it starts after the Rely write,
+   as the caller's run does, and its return is one more switch point,
+   checked against the tail-caller's empty footprint and its memory
+   after the Rely write. [Simulation.check_sides] over shared sides must
    give the same verdict record, counters and reason text included. *)
 module Reference = struct
   open Simulation
@@ -377,6 +400,20 @@ module Reference = struct
           Addr.Set.subset s_rs
             (Addr.Set.union (Footprint.rs_set delta) (Footprint.ws_set delta))
           && Addr.Set.subset s_ws (Footprint.ws_set delta)
+        in
+        let obligations delta d mem_s mem_t =
+          if not (in_scope delta) then
+            Some
+              (Fmt.str "source footprint out of scope: %a" Footprint.pp delta)
+          else if not (in_scope d) then
+            Some (Fmt.str "target footprint out of scope: %a" Footprint.pp d)
+          else if not (fpmatch delta d) then
+            Some
+              (Fmt.str "FPmatch fails: source %a, target %a" Footprint.pp
+                 delta Footprint.pp d)
+          else if not (shared_related mem_s mem_t) then
+            Some "shared memories unrelated at switch point"
+          else None
         in
         let perturb_mem genv mem (g, ofs, v) ~perm =
           match Genv.find_block genv g with
@@ -463,115 +500,99 @@ module Reference = struct
                           Fmt.str "messages differ: source %a, target %a"
                             Msg.pp msg_s Msg.pp msg_t;
                       }
-                  else if not (in_scope delta) then
-                    Sim_fail
-                      {
-                        at_switch = switches;
-                        reason =
-                          Fmt.str "source footprint out of scope: %a"
-                            Footprint.pp delta;
-                      }
-                  else if not (in_scope d) then
-                    Sim_fail
-                      {
-                        at_switch = switches;
-                        reason =
-                          Fmt.str "target footprint out of scope: %a"
-                            Footprint.pp d;
-                      }
-                  else if not (fpmatch delta d) then
-                    Sim_fail
-                      {
-                        at_switch = switches;
-                        reason =
-                          Fmt.str "FPmatch fails: source %a, target %a"
-                            Footprint.pp delta Footprint.pp d;
-                      }
-                  else if not (shared_related mem_s' mem_t') then
-                    Sim_fail
-                      {
-                        at_switch = switches;
-                        reason = "shared memories unrelated at switch point";
-                      }
                   else
-                    let continue_after c_s c_t mem_s mem_t =
-                      loop c_s mem_s c_t mem_t (switches + 1)
-                    in
-                    let finished () =
-                      switches_seen := switches + 1;
-                      Sim_ok
-                        {
-                          switches = switches + 1;
-                          steps_src = !steps_s_total;
-                          steps_tgt = !steps_t_total;
-                        }
-                    in
-                    let expect_ret (type code core)
-                        (lang : (code, core) Lang.t) core mem (ret : Value.t)
-                        ~side =
-                      match lang.Lang.after_external core (Some ret) with
-                      | None ->
-                        Sim_fail
+                    match obligations delta d mem_s' mem_t' with
+                    | Some reason -> Sim_fail { at_switch = switches; reason }
+                    | None ->
+                      let continue_after c_s c_t mem_s mem_t =
+                        loop c_s mem_s c_t mem_t (switches + 1)
+                      in
+                      let finished () =
+                        switches_seen := switches + 1;
+                        Sim_ok
                           {
-                            at_switch = switches;
-                            reason = side ^ " cannot resume after call";
+                            switches = switches + 1;
+                            steps_src = !steps_s_total;
+                            steps_tgt = !steps_t_total;
                           }
-                      | Some core -> (
-                        match
-                          run_to_switch ?audit lang fl core mem
-                            ~bound:tau_bound
-                        with
-                        | Switch (Msg.Ret v, _, _, _, _)
-                          when values_match beta v ret
-                               || values_match beta ret v ->
-                          finished ()
-                        | Switch (m, _, _, _, _) ->
+                      in
+                      (* the forwarded return is one more switch point,
+                         against the tail-caller's empty footprint and its
+                         memory after the Rely *)
+                      let expect_ret (type code core)
+                          (lang : (code, core) Lang.t) core mem (ret : Value.t)
+                          ~side ~forwarded =
+                        match lang.Lang.after_external core (Some ret) with
+                        | None ->
                           Sim_fail
                             {
                               at_switch = switches;
-                              reason =
-                                Fmt.str
-                                  "%s should forward the tail-callee's \
-                                   return but emitted %a"
-                                  side Msg.pp m;
+                              reason = side ^ " cannot resume after call";
                             }
+                        | Some core -> (
+                          match
+                            run_to_switch ?audit lang fl core mem
+                              ~bound:tau_bound
+                          with
+                          | Switch (Msg.Ret v, fp, _, mem, _)
+                            when values_match beta v ret
+                                 || values_match beta ret v -> (
+                            match forwarded fp mem with
+                            | None -> finished ()
+                            | Some reason ->
+                              Sim_fail { at_switch = switches; reason })
+                          | Switch (m, _, _, _, _) ->
+                            Sim_fail
+                              {
+                                at_switch = switches;
+                                reason =
+                                  Fmt.str
+                                    "%s should forward the tail-callee's \
+                                     return but emitted %a"
+                                    side Msg.pp m;
+                              }
+                          | _ ->
+                            Sim_fail
+                              {
+                                at_switch = switches;
+                                reason =
+                                  side
+                                  ^ " diverges/aborts instead of forwarding \
+                                     the tail-callee's return";
+                              })
+                      in
+                      (match (msg_s, msg_t) with
+                      | Msg.Ret _, _ -> finished ()
+                      | Msg.TailCall _, Msg.TailCall _ -> finished ()
+                      | Msg.Call _, Msg.TailCall _ ->
+                        let act = env switches in
+                        expect_ret src_lang c_s' (rely genv_s mem_s' act)
+                          act.ret ~side:"source" ~forwarded:(fun fp mem ->
+                            obligations fp Footprint.empty mem
+                              (rely genv_t mem_t' act))
+                      | Msg.TailCall _, Msg.Call _ ->
+                        let act = env switches in
+                        expect_ret tgt_lang c_t' (rely genv_t mem_t' act)
+                          act.ret ~side:"target" ~forwarded:(fun fp mem ->
+                            obligations Footprint.empty fp
+                              (rely genv_s mem_s' act) mem)
+                      | Msg.Call _, Msg.Call _ -> (
+                        let act = env switches in
+                        let mem_s = rely genv_s mem_s' act
+                        and mem_t = rely genv_t mem_t' act in
+                        match
+                          ( src_lang.Lang.after_external c_s' (Some act.ret),
+                            tgt_lang.Lang.after_external c_t' (Some act.ret) )
+                        with
+                        | Some c_s, Some c_t ->
+                          continue_after c_s c_t mem_s mem_t
                         | _ ->
                           Sim_fail
                             {
                               at_switch = switches;
-                              reason =
-                                side
-                                ^ " diverges/aborts instead of forwarding \
-                                   the tail-callee's return";
+                              reason = "resume after external failed";
                             })
-                    in
-                    (match (msg_s, msg_t) with
-                    | Msg.Ret _, _ -> finished ()
-                    | Msg.TailCall _, Msg.TailCall _ -> finished ()
-                    | Msg.Call _, Msg.TailCall _ ->
-                      let act = env switches in
-                      expect_ret src_lang c_s' (rely genv_s mem_s' act)
-                        act.ret ~side:"source"
-                    | Msg.TailCall _, Msg.Call _ ->
-                      let act = env switches in
-                      expect_ret tgt_lang c_t' (rely genv_t mem_t' act)
-                        act.ret ~side:"target"
-                    | Msg.Call _, Msg.Call _ -> (
-                      let act = env switches in
-                      let mem_s = rely genv_s mem_s' act
-                      and mem_t = rely genv_t mem_t' act in
-                      match
-                        ( src_lang.Lang.after_external c_s' (Some act.ret),
-                          tgt_lang.Lang.after_external c_t' (Some act.ret) )
-                      with
-                      | Some c_s, Some c_t -> continue_after c_s c_t mem_s mem_t
-                      | _ ->
-                        Sim_fail
-                          {
-                            at_switch = switches;
-                            reason = "resume after external failed";
-                          })
-                    | _ -> continue_after c_s' c_t' mem_s' mem_t'))
+                      | _ -> continue_after c_s' c_t' mem_s' mem_t'))
           in
           loop c_s mem_s0 c_t mem_t0 0)
     in
@@ -784,6 +805,10 @@ let () =
             (rejects "unforwarded return" tailcall_drops_work);
           Alcotest.test_case "unforwarded Rely read" `Quick
             (rejects "unforwarded Rely read" unforwarded_rely_read);
+          Alcotest.test_case "write before a forwarded return" `Quick
+            (rejects "forwarded write" write_before_forwarded_return);
+          Alcotest.test_case "forwarded return writes, swapped" `Quick
+            (rejects "forwarded write, swapped" forwarded_write_swapped);
           Alcotest.test_case "broken pass" `Quick
             (rejects "folding a global load" broken_constprop);
         ] );
