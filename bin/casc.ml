@@ -323,7 +323,7 @@ let compile_cmd =
             Fmt.pr "@[<v>unit %s:@,  source unit context %s@,  asm output    \
                     hash %s@]@."
               file c.Cas_compiler.Driver.c_context
-              c.Cas_compiler.Driver.c_asm_digest;
+              (Cas_compiler.Cache.digest c.Cas_compiler.Driver.c_asm);
             List.iter
               (fun st ->
                 Fmt.pr "  %a@." Cas_compiler.Driver.pp_pass_stat st)

@@ -152,9 +152,21 @@ let certify ?audit (client : Clight.program) : certify =
       List.fold_left (fun acc r -> acc + r.Framework.checker_steps) 0 reports;
   }
 
-(** One line per verdict, each after [indent]. *)
+(** One line per verdict, each after [indent], written into one
+    buffer: cascd's answer, and what [pp_certify] prints. *)
+let certify_text ~indent (c : certify) : string =
+  let b = Buffer.create (96 * List.length c.reports) in
+  List.iter
+    (fun r ->
+      Buffer.add_string b indent;
+      Framework.add_pass_sim b r;
+      Buffer.add_char b '\n')
+    c.reports;
+  Buffer.contents b
+
+(** [certify_text], printed and flushed. *)
 let pp_certify ~indent ppf (c : certify) =
-  List.iter (Fmt.pf ppf "%s%a@." indent Framework.pp_pass_sim) c.reports
+  Fmt.pf ppf "%s@?" (certify_text ~indent c)
 
 (** Decode, resolve and link certified objects, composing their
     certificates with [certify]. Errors name an object by its file, when

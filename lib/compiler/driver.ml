@@ -137,7 +137,6 @@ type compiled = {
           walks consecutive pairs of this list *)
   c_stats : pass_stat list;  (** one entry per pass, in pipeline order *)
   c_context : string;  (** [context_hash] of the unit *)
-  c_asm_digest : string;  (** content hash of the final x86 module *)
 }
 
 (** Compile one unit generically over the registered chain, recording
@@ -169,7 +168,6 @@ let compile_unit ?(options = default_options) ?(cache = true)
     c_trace = List.rev !trace;
     c_stats = List.rev !stats;
     c_context = ctx;
-    c_asm_digest = Cache.digest asm;
   }
 
 (** Compile independent units in parallel on [jobs] domains (the

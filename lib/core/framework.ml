@@ -151,10 +151,22 @@ type pass_sim_report = {
           both, so this is not the number of steps executed *)
 }
 
-let pp_pass_sim ppf r =
-  Fmt.pf ppf "%-14s %-12s %a%s" r.pass r.entry Simulation.pp_outcome
-    r.verdict.v_outcome
-    (if r.cached then " (cached)" else "")
+(* [s] left-justified in [width] columns, as [%-*s] pads it *)
+let add_padded b s width =
+  Buffer.add_string b s;
+  for _ = String.length s + 1 to width do
+    Buffer.add_char b ' '
+  done
+
+(** The report's certify row, without a newline, appended to [b]: pass,
+    entry, the verdict's text and whether the cache served it. *)
+let add_pass_sim b r =
+  add_padded b r.pass 14;
+  Buffer.add_char b ' ';
+  add_padded b r.entry 12;
+  Buffer.add_char b ' ';
+  Simulation.add_outcome b r.verdict.v_outcome;
+  if r.cached then Buffer.add_string b " (cached)"
 
 let sim_ok = function
   | Simulation.Sim_ok _ -> true

@@ -65,12 +65,34 @@ type outcome =
   | Sim_inconclusive of string
       (** e.g. divergence bound hit before the next switch point *)
 
-let pp_outcome ppf = function
+(** The outcome's text, appended to [b]: the one rendering of a verdict,
+    shared by the certify rows ([Framework.add_pass_sim]), [pp_outcome]
+    and the certificate entries ([Cas_link.Cert]), whose digest chain
+    folds it in, so object files change with it. *)
+let add_outcome b = function
   | Sim_ok r ->
-    Fmt.pf ppf "ok (%d switch points, %d src / %d tgt steps)" r.switches
-      r.steps_src r.steps_tgt
-  | Sim_fail f -> Fmt.pf ppf "FAIL at switch %d: %s" f.at_switch f.reason
-  | Sim_inconclusive s -> Fmt.pf ppf "inconclusive: %s" s
+    Buffer.add_string b "ok (";
+    Buffer.add_string b (string_of_int r.switches);
+    Buffer.add_string b " switch points, ";
+    Buffer.add_string b (string_of_int r.steps_src);
+    Buffer.add_string b " src / ";
+    Buffer.add_string b (string_of_int r.steps_tgt);
+    Buffer.add_string b " tgt steps)"
+  | Sim_fail f ->
+    Buffer.add_string b "FAIL at switch ";
+    Buffer.add_string b (string_of_int f.at_switch);
+    Buffer.add_string b ": ";
+    Buffer.add_string b f.reason
+  | Sim_inconclusive s ->
+    Buffer.add_string b "inconclusive: ";
+    Buffer.add_string b s
+
+let outcome_text o =
+  let b = Buffer.create 64 in
+  add_outcome b o;
+  Buffer.contents b
+
+let pp_outcome ppf o = Fmt.string ppf (outcome_text o)
 
 (** A reusable certificate of one check: the outcome plus the length of
     the co-execution that established it. Verdicts are pure data, so the

@@ -15,93 +15,115 @@ type t =
 (* Printing                                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* copy maximal runs of chars that need no escaping in one blit — string
+(* How [escape] writes each byte: ['\000'] for a byte copied as is, else
+   the character after the backslash, ['u'] for [\u00XX] *)
+let escape_class =
+  String.init 256 (fun i ->
+      match Char.chr i with
+      | '"' -> '"'
+      | '\\' -> '\\'
+      | '\n' -> 'n'
+      | '\r' -> 'r'
+      | '\t' -> 't'
+      | c when Char.code c < 0x20 -> 'u'
+      | _ -> '\000')
+
+let hex_digits = "0123456789abcdef"
+
+(* copy maximal runs of bytes that need no escaping in one blit — string
    payloads (verdict texts, sources, object files) are the bulk of every
    frame, and almost none of their bytes escape *)
 let escape b s =
   let n = String.length s in
-  let flush start stop =
-    if stop > start then Buffer.add_substring b s start (stop - start)
-  in
-  let rec go start i =
-    if i >= n then flush start i
-    else
-      match String.unsafe_get s i with
-      | '"' ->
-        flush start i;
-        Buffer.add_string b "\\\"";
-        go (i + 1) (i + 1)
-      | '\\' ->
-        flush start i;
-        Buffer.add_string b "\\\\";
-        go (i + 1) (i + 1)
-      | '\n' ->
-        flush start i;
-        Buffer.add_string b "\\n";
-        go (i + 1) (i + 1)
-      | '\r' ->
-        flush start i;
-        Buffer.add_string b "\\r";
-        go (i + 1) (i + 1)
-      | '\t' ->
-        flush start i;
-        Buffer.add_string b "\\t";
-        go (i + 1) (i + 1)
-      | c when Char.code c < 0x20 ->
-        flush start i;
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c));
-        go (i + 1) (i + 1)
-      | _ -> go start (i + 1)
-  in
-  go 0 0
+  let start = ref 0 in
+  for i = 0 to n - 1 do
+    let c = String.unsafe_get s i in
+    match String.unsafe_get escape_class (Char.code c) with
+    | '\000' -> ()
+    | e ->
+      if i > !start then Buffer.add_substring b s !start (i - !start);
+      Buffer.add_char b '\\';
+      if e = 'u' then begin
+        Buffer.add_string b "u00";
+        Buffer.add_char b hex_digits.[Char.code c lsr 4];
+        Buffer.add_char b hex_digits.[Char.code c land 15]
+      end
+      else Buffer.add_char b e;
+      start := i + 1
+  done;
+  if n > !start then Buffer.add_substring b s !start (n - !start)
 
-let to_buffer b (j : t) =
-  let rec go ind j =
-    match j with
-    | Null -> Buffer.add_string b "null"
-    | Bool true -> Buffer.add_string b "true"
-    | Bool false -> Buffer.add_string b "false"
-    | Int n -> Buffer.add_string b (string_of_int n)
-    | Str s ->
-      Buffer.add_char b '"';
-      escape b s;
-      Buffer.add_char b '"'
-    | List [] -> Buffer.add_string b "[]"
-    | List xs ->
-      Buffer.add_string b "[";
-      List.iteri
-        (fun i x ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '\n';
-          Buffer.add_string b (String.make (ind + 2) ' ');
-          go (ind + 2) x)
-        xs;
-      Buffer.add_char b '\n';
-      Buffer.add_string b (String.make ind ' ');
-      Buffer.add_char b ']'
-    | Obj [] -> Buffer.add_string b "{}"
-    | Obj kvs ->
-      Buffer.add_string b "{";
-      List.iteri
-        (fun i (k, v) ->
-          if i > 0 then Buffer.add_char b ',';
-          Buffer.add_char b '\n';
-          Buffer.add_string b (String.make (ind + 2) ' ');
-          Buffer.add_char b '"';
-          escape b k;
-          Buffer.add_string b "\": ";
-          go (ind + 2) v)
-        kvs;
-      Buffer.add_char b '\n';
-      Buffer.add_string b (String.make ind ' ');
-      Buffer.add_char b '}'
-  in
-  go 0 j
+(* the indentation of every line, cut from one string *)
+let spaces = String.make 64 ' '
+
+let rec indent b n =
+  if n <= String.length spaces then Buffer.add_substring b spaces 0 n
+  else begin
+    Buffer.add_string b spaces;
+    indent b (n - String.length spaces)
+  end
+
+let rec value_to_buffer b ind = function
+  | Null -> Buffer.add_string b "null"
+  | Bool true -> Buffer.add_string b "true"
+  | Bool false -> Buffer.add_string b "false"
+  | Int n -> Buffer.add_string b (string_of_int n)
+  | Str s ->
+    Buffer.add_char b '"';
+    escape b s;
+    Buffer.add_char b '"'
+  | List [] -> Buffer.add_string b "[]"
+  | List (x :: xs) ->
+    Buffer.add_char b '[';
+    items_to_buffer b (ind + 2) x xs;
+    Buffer.add_char b '\n';
+    indent b ind;
+    Buffer.add_char b ']'
+  | Obj [] -> Buffer.add_string b "{}"
+  | Obj (kv :: kvs) ->
+    Buffer.add_char b '{';
+    members_to_buffer b (ind + 2) kv kvs;
+    Buffer.add_char b '\n';
+    indent b ind;
+    Buffer.add_char b '}'
+
+(* each element on its own line at [ind], separated by commas *)
+and items_to_buffer b ind x xs =
+  Buffer.add_char b '\n';
+  indent b ind;
+  value_to_buffer b ind x;
+  match xs with
+  | [] -> ()
+  | x :: xs ->
+    Buffer.add_char b ',';
+    items_to_buffer b ind x xs
+
+and members_to_buffer b ind (k, v) kvs =
+  Buffer.add_char b '\n';
+  indent b ind;
+  Buffer.add_char b '"';
+  escape b k;
+  Buffer.add_string b "\": ";
+  value_to_buffer b ind v;
+  match kvs with
+  | [] -> ()
+  | kv :: kvs ->
+    Buffer.add_char b ',';
+    members_to_buffer b ind kv kvs
+
+let to_buffer b (j : t) = value_to_buffer b 0 j
 
 let to_string (j : t) : string =
   let b = Buffer.create 1024 in
   to_buffer b j;
   Buffer.contents b
+
+(** The MD5 digest, in hex, of [prefix] followed by [j]'s text. *)
+let digest ~prefix (j : t) : string =
+  let b = Buffer.create 4096 in
+  Buffer.add_string b prefix;
+  to_buffer b j;
+  Digest.to_hex (Digest.string (Buffer.contents b))
 
 (* ------------------------------------------------------------------ *)
 (* Parsing                                                             *)
@@ -135,7 +157,9 @@ let default_max_depth = 256
 (** Parse with input-size and nesting-depth limits, never raising. This
     is the only parse entry point the daemon uses: every malformed,
     oversized, or adversarially nested frame comes back as a typed
-    [Error]. *)
+    [Error]. The parser reads bytes in place: a string without escapes
+    is one [String.sub], and the strings with escapes of one parse share
+    one buffer, which no other parse sees. *)
 let parse_result ?(max_size = default_max_size)
     ?(max_depth = default_max_depth) (s : string) : (t, parse_error) result =
   let n = String.length s in
@@ -143,8 +167,8 @@ let parse_result ?(max_size = default_max_size)
   else begin
   let pos = ref 0 in
   let fail msg = raise (Parse_error (Syntax { offset = !pos; msg })) in
-  let peek () = if !pos < n then Some s.[!pos] else None in
-  let advance () = incr pos in
+  (* whether the next byte is [c]; false at the end of input *)
+  let at c = !pos < n && String.unsafe_get s !pos = c in
   let skip_ws () =
     while
       !pos < n
@@ -156,124 +180,150 @@ let parse_result ?(max_size = default_max_size)
       incr pos
     done
   in
-  let expect c =
-    match peek () with
-    | Some c' when c' = c -> advance ()
-    | _ -> fail (Fmt.str "expected %C" c)
-  in
+  let expect c = if at c then incr pos else fail (Fmt.str "expected %C" c) in
   let literal word v =
-    if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
-    then begin
-      pos := !pos + String.length word;
+    let k = String.length word in
+    let rec matches i =
+      i = k || (String.unsafe_get s (!pos + i) = word.[i] && matches (i + 1))
+    in
+    if !pos + k <= n && matches 0 then begin
+      pos := !pos + k;
       v
     end
     else fail (Fmt.str "expected %s" word)
   in
+  (* advance over bytes that are neither '"' nor '\\' — any other raw
+     byte passes through *)
+  let plain_run () =
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
+    do
+      incr pos
+    done
+  in
+  let scratch = Buffer.create 64 in
+  let unescaped c =
+    Buffer.add_char scratch c;
+    incr pos
+  in
+  (* the escape at [pos], just after its backslash, into [scratch] *)
+  let unescape () =
+    if !pos >= n then fail "bad escape";
+    match String.unsafe_get s !pos with
+    | ('"' | '\\' | '/') as c -> unescaped c
+    | 'n' -> unescaped '\n'
+    | 'r' -> unescaped '\r'
+    | 't' -> unescaped '\t'
+    | 'b' -> unescaped '\b'
+    | 'f' -> unescaped '\012'
+    | 'u' ->
+      incr pos;
+      if !pos + 4 > n then fail "truncated \\u escape";
+      let hex = String.sub s !pos 4 in
+      pos := !pos + 4;
+      (match int_of_string_opt ("0x" ^ hex) with
+      | None -> fail "bad \\u escape"
+      | Some code ->
+        (* our own output only \u-escapes control characters; decode
+           the Latin-1 subset and reject the rest *)
+        if code < 0x100 then Buffer.add_char scratch (Char.chr code)
+        else fail "non-latin1 \\u escape")
+    | _ -> fail "bad escape"
+  in
+  (* the rest of a string with escapes, after its first backslash *)
+  let rec escaped () =
+    unescape ();
+    let start = !pos in
+    plain_run ();
+    Buffer.add_substring scratch s start (!pos - start);
+    if !pos >= n then fail "unterminated string"
+    else if String.unsafe_get s !pos = '"' then incr pos
+    else begin
+      incr pos;
+      escaped ()
+    end
+  in
   let parse_string () =
     expect '"';
-    let b = Buffer.create 16 in
-    (* blit maximal escape-free runs instead of walking char by char —
-       same acceptance (any raw byte except '"' and '\\' passes through,
-       as before), just without an option allocation per byte *)
-    let plain_run () =
-      let start = !pos in
-      while
-        !pos < n
-        &&
-        match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
-      do
-        incr pos
-      done;
-      if !pos > start then Buffer.add_substring b s start (!pos - start)
-    in
-    let rec go () =
-      plain_run ();
-      match peek () with
-      | None -> fail "unterminated string"
-      | Some '"' -> advance ()
-      | Some '\\' ->
-        advance ();
-        (match peek () with
-        | Some '"' -> Buffer.add_char b '"'; advance ()
-        | Some '\\' -> Buffer.add_char b '\\'; advance ()
-        | Some '/' -> Buffer.add_char b '/'; advance ()
-        | Some 'n' -> Buffer.add_char b '\n'; advance ()
-        | Some 'r' -> Buffer.add_char b '\r'; advance ()
-        | Some 't' -> Buffer.add_char b '\t'; advance ()
-        | Some 'b' -> Buffer.add_char b '\b'; advance ()
-        | Some 'f' -> Buffer.add_char b '\012'; advance ()
-        | Some 'u' ->
-          advance ();
-          if !pos + 4 > n then fail "truncated \\u escape";
-          let hex = String.sub s !pos 4 in
-          pos := !pos + 4;
-          (match int_of_string_opt ("0x" ^ hex) with
-          | None -> fail "bad \\u escape"
-          | Some code ->
-            (* our own output only \u-escapes control characters; decode
-               the Latin-1 subset and reject the rest *)
-            if code < 0x100 then Buffer.add_char b (Char.chr code)
-            else fail "non-latin1 \\u escape")
-        | _ -> fail "bad escape");
-        go ()
-      | Some _ -> assert false (* plain_run stops only at '"' or '\\' *)
-    in
-    go ();
-    Buffer.contents b
+    let start = !pos in
+    plain_run ();
+    if !pos >= n then fail "unterminated string"
+    else if String.unsafe_get s !pos = '"' then begin
+      incr pos;
+      String.sub s start (!pos - 1 - start)
+    end
+    else begin
+      Buffer.clear scratch;
+      Buffer.add_substring scratch s start (!pos - start);
+      incr pos;
+      escaped ();
+      Buffer.contents scratch
+    end
   in
   let parse_int () =
     let start = !pos in
-    if peek () = Some '-' then advance ();
-    let rec digits () =
-      match peek () with
-      | Some '0' .. '9' ->
-        advance ();
-        digits ()
-      | _ -> ()
-    in
-    digits ();
+    if at '-' then incr pos;
+    let first = !pos in
+    while
+      !pos < n
+      && match String.unsafe_get s !pos with '0' .. '9' -> true | _ -> false
+    do
+      incr pos
+    done;
     if !pos = start then fail "expected number";
-    match int_of_string_opt (String.sub s start (!pos - start)) with
-    | Some v -> v
-    | None -> fail "bad number"
+    if !pos = first then fail "bad number";
+    (* accumulated negatively, so that [min_int] parses; a run past it,
+       or past [max_int] without a sign, fails after the whole run *)
+    let v = ref 0 in
+    for i = first to !pos - 1 do
+      let d = Char.code (String.unsafe_get s i) - Char.code '0' in
+      if !v < (min_int + d) / 10 then fail "bad number";
+      v := (!v * 10) - d
+    done;
+    if first > start then !v
+    else if !v = min_int then fail "bad number"
+    else - !v
   in
   let rec parse_value depth =
     skip_ws ();
-    if depth > max_depth then raise (Parse_error (Too_deep { limit = max_depth }));
-    match peek () with
-    | None -> fail "unexpected end of input"
-    | Some 'n' -> literal "null" Null
-    | Some 't' -> literal "true" (Bool true)
-    | Some 'f' -> literal "false" (Bool false)
-    | Some '"' -> Str (parse_string ())
-    | Some ('-' | '0' .. '9') -> Int (parse_int ())
-    | Some '[' ->
-      advance ();
+    if depth > max_depth then
+      raise (Parse_error (Too_deep { limit = max_depth }));
+    if !pos >= n then fail "unexpected end of input";
+    match String.unsafe_get s !pos with
+    | 'n' -> literal "null" Null
+    | 't' -> literal "true" (Bool true)
+    | 'f' -> literal "false" (Bool false)
+    | '"' -> Str (parse_string ())
+    | '-' | '0' .. '9' -> Int (parse_int ())
+    | '[' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some ']' then begin
-        advance ();
+      if at ']' then begin
+        incr pos;
         List []
       end
       else begin
         let rec items acc =
           let v = parse_value (depth + 1) in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
+          if at ',' then begin
+            incr pos;
             items (v :: acc)
-          | Some ']' ->
-            advance ();
+          end
+          else if at ']' then begin
+            incr pos;
             List.rev (v :: acc)
-          | _ -> fail "expected ',' or ']'"
+          end
+          else fail "expected ',' or ']'"
         in
         List (items [])
       end
-    | Some '{' ->
-      advance ();
+    | '{' ->
+      incr pos;
       skip_ws ();
-      if peek () = Some '}' then begin
-        advance ();
+      if at '}' then begin
+        incr pos;
         Obj []
       end
       else begin
@@ -284,18 +334,19 @@ let parse_result ?(max_size = default_max_size)
           expect ':';
           let v = parse_value (depth + 1) in
           skip_ws ();
-          match peek () with
-          | Some ',' ->
-            advance ();
+          if at ',' then begin
+            incr pos;
             members ((k, v) :: acc)
-          | Some '}' ->
-            advance ();
+          end
+          else if at '}' then begin
+            incr pos;
             List.rev ((k, v) :: acc)
-          | _ -> fail "expected ',' or '}'"
+          end
+          else fail "expected ',' or '}'"
         in
         Obj (members [])
       end
-    | Some c -> fail (Fmt.str "unexpected %C" c)
+    | c -> fail (Fmt.str "unexpected %C" c)
   in
   try
     let v = parse_value 0 in

@@ -19,10 +19,6 @@ type t = {
 
 exception Error of string * pos
 
-let keywords =
-  [ "int"; "void"; "if"; "else"; "while"; "return"; "object"; "atomic";
-    "assert"; "reg" ]
-
 let create src = { src; off = 0; line = 1; bol = 0; peeked = None }
 
 let pos_of lx = { pline = lx.line; pcol = lx.off - lx.bol + 1 }
@@ -80,46 +76,87 @@ let rec skip_ws lx =
       skip_ws lx
     | _ -> ()
 
-(* multi-character punctuation, longest first *)
-let puncts =
-  [ ":="; "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>";
-    "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "="; "+"; "-"; "*"; "/"; "%";
-    "<"; ">"; "!"; "&"; "|"; "^"; "~" ]
+let is_keyword = function
+  | "int" | "void" | "if" | "else" | "while" | "return" | "object" | "atomic"
+  | "assert" | "reg" ->
+    true
+  | _ -> false
+
+(* The punctuation starting at [c], where [next] is the character after
+   it ('\000' at the end of input): a two-character token when [next]
+   completes one, else the one-character token; [""] when [c] starts
+   none. The tokens are literals, so a token allocates nothing. *)
+let punct c next =
+  match c with
+  | '(' -> "("
+  | ')' -> ")"
+  | '{' -> "{"
+  | '}' -> "}"
+  | '[' -> "["
+  | ']' -> "]"
+  | ';' -> ";"
+  | ',' -> ","
+  | '+' -> "+"
+  | '-' -> "-"
+  | '*' -> "*"
+  | '/' -> "/"
+  | '%' -> "%"
+  | '^' -> "^"
+  | '~' -> "~"
+  | ':' -> if next = '=' then ":=" else ""
+  | '=' -> if next = '=' then "==" else "="
+  | '!' -> if next = '=' then "!=" else "!"
+  | '<' -> ( match next with '=' -> "<=" | '<' -> "<<" | _ -> "<")
+  | '>' -> ( match next with '=' -> ">=" | '>' -> ">>" | _ -> ">")
+  | '&' -> if next = '&' then "&&" else "&"
+  | '|' -> if next = '|' then "||" else "|"
+  | _ -> ""
+
+(* The value of the decimal digits [src.[start .. stop - 1]], or [-1]
+   past [max_int]. *)
+let decimal src start stop =
+  let rec go acc i =
+    if i = stop then acc
+    else
+      let d = Char.code (String.unsafe_get src i) - Char.code '0' in
+      if acc > (max_int - d) / 10 then -1 else go ((acc * 10) + d) (i + 1)
+  in
+  go 0 start
 
 let lex_one lx : token * pos =
   skip_ws lx;
   let p = pos_of lx in
-  if lx.off >= String.length lx.src then (EOF, p)
+  let src = lx.src in
+  let n = String.length src in
+  if lx.off >= n then (EOF, p)
   else
-    let c = lx.src.[lx.off] in
+    let c = String.unsafe_get src lx.off in
     if is_digit c then begin
       let start = lx.off in
-      while lx.off < String.length lx.src && is_digit lx.src.[lx.off] do
+      while lx.off < n && is_digit (String.unsafe_get src lx.off) do
         lx.off <- lx.off + 1
       done;
-      (INT (int_of_string (String.sub lx.src start (lx.off - start))), p)
+      match decimal src start lx.off with
+      | -1 -> raise (Error ("integer literal out of range", p))
+      | v -> (INT v, p)
     end
     else if is_alpha c then begin
       let start = lx.off in
-      while lx.off < String.length lx.src && is_alnum lx.src.[lx.off] do
+      while lx.off < n && is_alnum (String.unsafe_get src lx.off) do
         lx.off <- lx.off + 1
       done;
-      let s = String.sub lx.src start (lx.off - start) in
-      ((if List.mem s keywords then KW s else IDENT s), p)
+      let s = String.sub src start (lx.off - start) in
+      ((if is_keyword s then KW s else IDENT s), p)
     end
     else
-      match
-        List.find_opt
-          (fun pct ->
-            let n = String.length pct in
-            lx.off + n <= String.length lx.src
-            && String.sub lx.src lx.off n = pct)
-          puncts
-      with
-      | Some pct ->
+      let next =
+        if lx.off + 1 < n then String.unsafe_get src (lx.off + 1) else '\000'
+      in
+      match punct c next with
+      | "" -> error lx "unexpected character %C" c
+      | pct ->
         lx.off <- lx.off + String.length pct;
         (PUNCT pct, p)
-      | None -> error lx "unexpected character %C" c
 
 let peek lx : token * pos =
   match lx.peeked with

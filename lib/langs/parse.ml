@@ -29,34 +29,32 @@ exception Error = Lexer.Error
 (* Shared expression-parsing machinery (precedence climbing)           *)
 (* ------------------------------------------------------------------ *)
 
-(* binary operator table: (token, op, precedence); higher binds tighter *)
-let binops =
-  [
-    ("||", Ops.Oor, 1);
-    (* logical or/and are modelled bitwise on 0/1 operands *)
-    ("&&", Ops.Oand, 2);
-    ("|", Ops.Oor, 3);
-    ("^", Ops.Oxor, 4);
-    ("&", Ops.Oand, 5);
-    ("==", Ops.Oeq, 6);
-    ("!=", Ops.One, 6);
-    ("<", Ops.Olt, 7);
-    ("<=", Ops.Ole, 7);
-    (">", Ops.Ogt, 7);
-    (">=", Ops.Oge, 7);
-    ("<<", Ops.Oshl, 8);
-    (">>", Ops.Oshr, 8);
-    ("+", Ops.Oadd, 9);
-    ("-", Ops.Osub, 9);
-    ("*", Ops.Omul, 10);
-    ("/", Ops.Odiv, 10);
-    ("%", Ops.Omod, 10);
-  ]
+(* The binary operator a punctuation token spells, with its precedence
+   (higher binds tighter). Logical or/and are modelled bitwise on 0/1
+   operands. *)
+let binop = function
+  | "||" -> Some (Ops.Oor, 1)
+  | "&&" -> Some (Ops.Oand, 2)
+  | "|" -> Some (Ops.Oor, 3)
+  | "^" -> Some (Ops.Oxor, 4)
+  | "&" -> Some (Ops.Oand, 5)
+  | "==" -> Some (Ops.Oeq, 6)
+  | "!=" -> Some (Ops.One, 6)
+  | "<" -> Some (Ops.Olt, 7)
+  | "<=" -> Some (Ops.Ole, 7)
+  | ">" -> Some (Ops.Ogt, 7)
+  | ">=" -> Some (Ops.Oge, 7)
+  | "<<" -> Some (Ops.Oshl, 8)
+  | ">>" -> Some (Ops.Oshr, 8)
+  | "+" -> Some (Ops.Oadd, 9)
+  | "-" -> Some (Ops.Osub, 9)
+  | "*" -> Some (Ops.Omul, 10)
+  | "/" -> Some (Ops.Odiv, 10)
+  | "%" -> Some (Ops.Omod, 10)
+  | _ -> None
 
 let peek_binop lx =
-  match L.peek lx with
-  | L.PUNCT s, _ -> List.find_opt (fun (t, _, _) -> t = s) binops
-  | _ -> None
+  match L.peek lx with L.PUNCT s, _ -> binop s | _ -> None
 
 (* generic precedence climber over an abstract expression algebra *)
 type 'e alg = {
@@ -81,7 +79,7 @@ let rec parse_unary alg lx : 'e =
 let parse_expr_prec alg lx : 'e =
   let rec climb min_prec lhs =
     match peek_binop lx with
-    | Some (_, op, prec) when prec >= min_prec ->
+    | Some (op, prec) when prec >= min_prec ->
       ignore (L.next lx);
       let rhs = parse_unary alg lx in
       (* left-associative: climb the rhs with higher precedence *)
@@ -90,7 +88,7 @@ let parse_expr_prec alg lx : 'e =
     | _ -> lhs
   and climb_rhs min_prec rhs =
     match peek_binop lx with
-    | Some (_, op, prec) when prec >= min_prec ->
+    | Some (op, prec) when prec >= min_prec ->
       ignore (L.next lx);
       let rhs2 = parse_unary alg lx in
       let rhs2 = climb_rhs (prec + 1) rhs2 in

@@ -58,8 +58,7 @@ let of_reports ~seed (reports : Cascompcert.Framework.pass_sim_report list) :
           e_pass = r.pass;
           e_entry = r.entry;
           e_tag = outcome_tag r.verdict.v_outcome;
-          e_detail =
-            Fmt.str "%a" Cascompcert.Simulation.pp_outcome r.verdict.v_outcome;
+          e_detail = Cascompcert.Simulation.outcome_text r.verdict.v_outcome;
         })
       reports
   in

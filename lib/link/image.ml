@@ -67,11 +67,11 @@ let body_json (img : t) : Json.t =
       ("cert_digest", Json.Str img.i_cert_digest);
     ]
 
+(** The digest of [version|format|body], as [Objfile.body_digest_of]. *)
 let digest_of (img : t) : string =
-  Digest.to_hex
-    (Digest.string
-       (Fmt.str "%s|%d|%s" img.i_version img.i_format
-          (Json.to_string (body_json img))))
+  Json.digest
+    ~prefix:(img.i_version ^ "|" ^ string_of_int img.i_format ^ "|")
+    (body_json img)
 
 (** Assemble an image, computing its digest. *)
 let make ~entries ~modules ~certified ~cert_digest : t =

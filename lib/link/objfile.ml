@@ -112,11 +112,11 @@ let body_json (o : t) : Json.t =
       ("imports", Json.List (List.map sym_to_json o.o_imports));
     ]
 
+(** The digest of [version|format|body]. *)
 let body_digest_of (o : t) : string =
-  Digest.to_hex
-    (Digest.string
-       (Fmt.str "%s|%d|%s" o.o_version o.o_format
-          (Json.to_string (body_json o))))
+  Json.digest
+    ~prefix:(o.o_version ^ "|" ^ string_of_int o.o_format ^ "|")
+    (body_json o)
 
 let cert_seed (o : t) : string =
   Cert.seed ~version:o.o_version ~format:o.o_format

@@ -82,7 +82,7 @@ let exec (cfg : config) (k : Protocol.kind) : Scheduler.result =
   | Protocol.Certify { source } ->
     let* client = parse source in
     let c = Cas_cmd.certify client in
-    reply (Fmt.str "%a" (Cas_cmd.pp_certify ~indent:"") c)
+    reply (Cas_cmd.certify_text ~indent:"" c)
       [
         ("sim_ok", Json.Bool c.Cas_cmd.sim_ok);
         ("verdicts", Json.Int (List.length c.Cas_cmd.reports));

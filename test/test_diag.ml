@@ -153,6 +153,419 @@ let prop_json_parse_result_roundtrip =
     (QCheck.make gen_json_doc ~print:Json.to_string)
     (fun d -> Json.parse_result (Json.to_string d) = Ok d)
 
+(* The codec that the table-driven printer and the in-place parser
+   replaced, kept as the reference: escaping and unescaping by a walk per
+   string, one [Buffer] per parsed string, [Some] per peeked byte, and
+   indentation made by [String.make]. *)
+module Reference = struct
+  type t = Json.t =
+    | Null
+    | Bool of bool
+    | Int of int
+    | Str of string
+    | List of t list
+    | Obj of (string * t) list
+
+  type parse_error = Json.parse_error =
+    | Too_large of { size : int; limit : int }
+    | Too_deep of { limit : int }
+    | Syntax of { offset : int; msg : string }
+
+  exception Parse_error of parse_error
+
+  let default_max_size = Json.default_max_size
+  let default_max_depth = Json.default_max_depth
+
+  let escape b s =
+    let n = String.length s in
+    let flush start stop =
+      if stop > start then Buffer.add_substring b s start (stop - start)
+    in
+    let rec go start i =
+      if i >= n then flush start i
+      else
+        match String.unsafe_get s i with
+        | '"' ->
+          flush start i;
+          Buffer.add_string b "\\\"";
+          go (i + 1) (i + 1)
+        | '\\' ->
+          flush start i;
+          Buffer.add_string b "\\\\";
+          go (i + 1) (i + 1)
+        | '\n' ->
+          flush start i;
+          Buffer.add_string b "\\n";
+          go (i + 1) (i + 1)
+        | '\r' ->
+          flush start i;
+          Buffer.add_string b "\\r";
+          go (i + 1) (i + 1)
+        | '\t' ->
+          flush start i;
+          Buffer.add_string b "\\t";
+          go (i + 1) (i + 1)
+        | c when Char.code c < 0x20 ->
+          flush start i;
+          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c));
+          go (i + 1) (i + 1)
+        | _ -> go start (i + 1)
+    in
+    go 0 0
+
+  let to_buffer b (j : t) =
+    let rec go ind j =
+      match j with
+      | Null -> Buffer.add_string b "null"
+      | Bool true -> Buffer.add_string b "true"
+      | Bool false -> Buffer.add_string b "false"
+      | Int n -> Buffer.add_string b (string_of_int n)
+      | Str s ->
+        Buffer.add_char b '"';
+        escape b s;
+        Buffer.add_char b '"'
+      | List [] -> Buffer.add_string b "[]"
+      | List xs ->
+        Buffer.add_string b "[";
+        List.iteri
+          (fun i x ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_char b '\n';
+            Buffer.add_string b (String.make (ind + 2) ' ');
+            go (ind + 2) x)
+          xs;
+        Buffer.add_char b '\n';
+        Buffer.add_string b (String.make ind ' ');
+        Buffer.add_char b ']'
+      | Obj [] -> Buffer.add_string b "{}"
+      | Obj kvs ->
+        Buffer.add_string b "{";
+        List.iteri
+          (fun i (k, v) ->
+            if i > 0 then Buffer.add_char b ',';
+            Buffer.add_char b '\n';
+            Buffer.add_string b (String.make (ind + 2) ' ');
+            Buffer.add_char b '"';
+            escape b k;
+            Buffer.add_string b "\": ";
+            go (ind + 2) v)
+          kvs;
+        Buffer.add_char b '\n';
+        Buffer.add_string b (String.make ind ' ');
+        Buffer.add_char b '}'
+    in
+    go 0 j
+
+  let to_string (j : t) : string =
+    let b = Buffer.create 1024 in
+    to_buffer b j;
+    Buffer.contents b
+
+  let parse_result ?(max_size = default_max_size)
+      ?(max_depth = default_max_depth) (s : string) : (t, parse_error) result =
+    let n = String.length s in
+    if n > max_size then Error (Too_large { size = n; limit = max_size })
+    else begin
+    let pos = ref 0 in
+    let fail msg = raise (Parse_error (Syntax { offset = !pos; msg })) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let skip_ws () =
+      while
+        !pos < n
+        &&
+        match String.unsafe_get s !pos with
+        | ' ' | '\t' | '\n' | '\r' -> true
+        | _ -> false
+      do
+        incr pos
+      done
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Fmt.str "expected %C" c)
+    in
+    let literal word v =
+      if !pos + String.length word <= n && String.sub s !pos (String.length word) = word
+      then begin
+        pos := !pos + String.length word;
+        v
+      end
+      else fail (Fmt.str "expected %s" word)
+    in
+    let parse_string () =
+      expect '"';
+      let b = Buffer.create 16 in
+      (* blit maximal escape-free runs instead of walking char by char —
+         same acceptance (any raw byte except '"' and '\\' passes through,
+         as before), just without an option allocation per byte *)
+      let plain_run () =
+        let start = !pos in
+        while
+          !pos < n
+          &&
+          match String.unsafe_get s !pos with '"' | '\\' -> false | _ -> true
+        do
+          incr pos
+        done;
+        if !pos > start then Buffer.add_substring b s start (!pos - start)
+      in
+      let rec go () =
+        plain_run ();
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' ->
+          advance ();
+          (match peek () with
+          | Some '"' -> Buffer.add_char b '"'; advance ()
+          | Some '\\' -> Buffer.add_char b '\\'; advance ()
+          | Some '/' -> Buffer.add_char b '/'; advance ()
+          | Some 'n' -> Buffer.add_char b '\n'; advance ()
+          | Some 'r' -> Buffer.add_char b '\r'; advance ()
+          | Some 't' -> Buffer.add_char b '\t'; advance ()
+          | Some 'b' -> Buffer.add_char b '\b'; advance ()
+          | Some 'f' -> Buffer.add_char b '\012'; advance ()
+          | Some 'u' ->
+            advance ();
+            if !pos + 4 > n then fail "truncated \\u escape";
+            let hex = String.sub s !pos 4 in
+            pos := !pos + 4;
+            (match int_of_string_opt ("0x" ^ hex) with
+            | None -> fail "bad \\u escape"
+            | Some code ->
+              (* our own output only \u-escapes control characters; decode
+                 the Latin-1 subset and reject the rest *)
+              if code < 0x100 then Buffer.add_char b (Char.chr code)
+              else fail "non-latin1 \\u escape")
+          | _ -> fail "bad escape");
+          go ()
+        | Some _ -> assert false (* plain_run stops only at '"' or '\\' *)
+      in
+      go ();
+      Buffer.contents b
+    in
+    let parse_int () =
+      let start = !pos in
+      if peek () = Some '-' then advance ();
+      let rec digits () =
+        match peek () with
+        | Some '0' .. '9' ->
+          advance ();
+          digits ()
+        | _ -> ()
+      in
+      digits ();
+      if !pos = start then fail "expected number";
+      match int_of_string_opt (String.sub s start (!pos - start)) with
+      | Some v -> v
+      | None -> fail "bad number"
+    in
+    let rec parse_value depth =
+      skip_ws ();
+      if depth > max_depth then raise (Parse_error (Too_deep { limit = max_depth }));
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some 'n' -> literal "null" Null
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some '"' -> Str (parse_string ())
+      | Some ('-' | '0' .. '9') -> Int (parse_int ())
+      | Some '[' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some ']' then begin
+          advance ();
+          List []
+        end
+        else begin
+          let rec items acc =
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              items (v :: acc)
+            | Some ']' ->
+              advance ();
+              List.rev (v :: acc)
+            | _ -> fail "expected ',' or ']'"
+          in
+          List (items [])
+        end
+      | Some '{' ->
+        advance ();
+        skip_ws ();
+        if peek () = Some '}' then begin
+          advance ();
+          Obj []
+        end
+        else begin
+          let rec members acc =
+            skip_ws ();
+            let k = parse_string () in
+            skip_ws ();
+            expect ':';
+            let v = parse_value (depth + 1) in
+            skip_ws ();
+            match peek () with
+            | Some ',' ->
+              advance ();
+              members ((k, v) :: acc)
+            | Some '}' ->
+              advance ();
+              List.rev ((k, v) :: acc)
+            | _ -> fail "expected ',' or '}'"
+          in
+          Obj (members [])
+        end
+      | Some c -> fail (Fmt.str "unexpected %C" c)
+    in
+    try
+      let v = parse_value 0 in
+      skip_ws ();
+      if !pos <> n then
+        Error (Syntax { offset = !pos; msg = "trailing garbage" })
+      else Ok v
+    with Parse_error e -> Error e
+    end
+end
+
+(* strings over the bytes the codec treats specially: quotes,
+   backslashes, every control character, bytes >= 0x80 *)
+let gen_json_string =
+  let open QCheck.Gen in
+  string_size
+    ~gen:
+      (frequency
+         [
+           (4, char_range 'a' 'z');
+           (2, oneofl [ '"'; '\\'; '/'; ' '; 'u' ]);
+           (2, map Char.chr (int_range 0 0x1f));
+           (2, map Char.chr (int_range 0x80 0xff));
+           (1, map Char.chr (int_range 0x20 0x7f));
+         ])
+    (int_bound 24)
+
+let gen_json_tree =
+  let open QCheck.Gen in
+  let int =
+    frequency
+      [
+        (3, small_signed_int);
+        (2, QCheck.Gen.int);
+        (1, oneofl [ 0; -1; max_int; min_int; 999_999_999_999_999_999 ]);
+      ]
+  in
+  sized_size (int_bound 4) (fun n ->
+      fix
+        (fun self n ->
+          if n = 0 then
+            oneof
+              [
+                return Json.Null;
+                map (fun b -> Json.Bool b) bool;
+                map (fun i -> Json.Int i) int;
+                map (fun s -> Json.Str s) gen_json_string;
+              ]
+          else
+            frequency
+              [
+                (1, map (fun s -> Json.Str s) gen_json_string);
+                ( 2,
+                  map
+                    (fun l -> Json.List l)
+                    (list_size (int_bound 4) (self (n - 1))) );
+                ( 2,
+                  map
+                    (fun kvs -> Json.Obj kvs)
+                    (list_size (int_bound 4)
+                       (pair gen_json_string (self (n - 1)))) );
+              ])
+        n)
+
+let arb_json_tree = QCheck.make gen_json_tree ~print:Json.to_string
+
+let prop_json_printer_matches_reference =
+  QCheck.Test.make ~count:500 ~name:"printer matches the reference"
+    arb_json_tree (fun j -> Json.to_string j = Reference.to_string j)
+
+let prop_json_round_trip =
+  QCheck.Test.make ~count:500 ~name:"parse (to_string j) = Ok j"
+    arb_json_tree (fun j ->
+      let s = Json.to_string j in
+      Json.parse s = Ok j && Json.parse_result s = Ok j)
+
+(* Bytes a mutation writes: JSON's punctuation, the starts of literals,
+   numbers and escapes, and bytes no value starts with. *)
+let json_mutation_bytes = "{}[],:\"\\/ntfrbu0159-_xAF \n\t\000\127\200\255"
+
+(* A printed tree, then one to three deterministic damages: a byte
+   replaced, inserted or deleted, or the text cut short. *)
+let gen_damaged_json =
+  let open QCheck.Gen in
+  let damage s =
+    let n = String.length s in
+    int_bound 4 >>= fun kind ->
+    int_bound (max 0 (n - 1)) >>= fun at ->
+    map
+      (fun c ->
+        let c = String.make 1 c in
+        let before = String.sub s 0 at in
+        match kind with
+        | 0 when n > 0 -> before ^ c ^ String.sub s (at + 1) (n - at - 1)
+        | 1 -> before ^ c ^ String.sub s at (n - at)
+        | 2 when n > 0 -> before ^ String.sub s (at + 1) (n - at - 1)
+        | _ -> before)
+      (oneofl
+         (List.init
+            (String.length json_mutation_bytes)
+            (String.get json_mutation_bytes)))
+  in
+  gen_json_tree >>= fun j ->
+  int_range 1 3 >>= fun k ->
+  let rec go k s = if k = 0 then return s else damage s >>= go (k - 1) in
+  go k (Json.to_string j)
+
+let same_parse ?max_size ?max_depth s =
+  Json.parse_result ?max_size ?max_depth s
+  = Reference.parse_result ?max_size ?max_depth s
+
+let prop_json_errors_match_reference =
+  QCheck.Test.make ~count:2000
+    ~name:"parse_result on damaged input matches the reference"
+    (QCheck.make gen_damaged_json ~print:(Printf.sprintf "%S"))
+    (fun s ->
+      same_parse s
+      && same_parse ~max_depth:2 s
+      && same_parse ~max_size:(String.length s / 2) s)
+
+(* The escapes, numbers and literals whose rejection carries an offset
+   and a message, and every prefix of a document that holds them all *)
+let test_json_edges_match_reference () =
+  let doc =
+    {|{"a": [null, true, false, -0, 007, -4611686018427387904,|}
+    ^ {| "\u00e9\u001f\/\b\f\n\r\t\"\\"], "b": {}}|}
+  in
+  let cases =
+    [
+      {|"\u00_1"|}; {|"\u_001"|}; {|"\u0x12"|}; {|"\uFFFF"|}; {|"\u00E9"|};
+      {|"\u1___"|}; {|"\u+123"|}; {|"\u 123"|}; {|"\u00|}; {|"\|}; {|"\q"|};
+      "\"\\u00\0001\""; "-"; "--1"; "-a"; "4611686018427387903";
+      "4611686018427387904"; "-4611686018427387905"; "999999999999999999";
+      "1000000000000000000"; "00000000000000000000000000001"; "nul"; "nulll";
+      "tru"; "fals"; "[1,]"; "{\"a\":1,}"; "{\"a\" 1}"; "{1:2}"; "[1 2]";
+      "\"abc"; ""; "   "; "\000"; "\255"; "[[[[[[1]]]]]]";
+    ]
+  in
+  List.iter
+    (fun s ->
+      check tbool (Printf.sprintf "%S" s) true
+        (same_parse s && same_parse ~max_depth:3 s))
+    (cases @ List.init (String.length doc + 1) (fun k -> String.sub doc 0 k));
+  check tbool "the document parses" true (Result.is_ok (Json.parse_result doc))
+
 (* ------------------------------------------------------------------ *)
 (* Witness serialization                                                *)
 (* ------------------------------------------------------------------ *)
@@ -517,6 +930,11 @@ let () =
           Alcotest.test_case "parse_result adversarial" `Quick
             test_json_parse_result_adversarial;
           QCheck_alcotest.to_alcotest prop_json_parse_result_roundtrip;
+          QCheck_alcotest.to_alcotest prop_json_printer_matches_reference;
+          QCheck_alcotest.to_alcotest prop_json_round_trip;
+          QCheck_alcotest.to_alcotest prop_json_errors_match_reference;
+          Alcotest.test_case "edge inputs match the reference" `Quick
+            test_json_edges_match_reference;
         ] );
       ( "witness",
         [

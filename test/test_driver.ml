@@ -62,8 +62,8 @@ let test_second_compile_hits () =
   check tint "warm run hits every pass" (Pipeline.length ()) h2;
   check tint "warm run has no misses" 0 m2;
   (* byte-identical output *)
-  check tstr "identical asm digest" c1.Driver.c_asm_digest
-    c2.Driver.c_asm_digest;
+  check tstr "identical asm digest" (Cache.digest c1.Driver.c_asm)
+    (Cache.digest c2.Driver.c_asm);
   check tbool "identical asm program" true (c1.Driver.c_asm = c2.Driver.c_asm);
   check tstr "identical context hash" c1.Driver.c_context c2.Driver.c_context
 
@@ -74,7 +74,8 @@ let test_cache_off_is_off () =
   check tbool "no cache interaction when disabled" true
     (List.for_all (fun st -> st.Driver.st_cache = `Off) c.Driver.c_stats);
   let c' = Driver.compile_unit ~cache:false p in
-  check tstr "still deterministic" c.Driver.c_asm_digest c'.Driver.c_asm_digest
+  check tstr "still deterministic" (Cache.digest c.Driver.c_asm)
+    (Cache.digest c'.Driver.c_asm)
 
 let test_options_are_part_of_key () =
   fresh_cache ();
@@ -152,7 +153,7 @@ let test_jobs_deterministic () =
   let units = List.map (fun (_, p, _) -> p) (Corpus.sequential_clients ()) in
   let digests jobs =
     List.map
-      (fun c -> c.Driver.c_asm_digest)
+      (fun c -> Cache.digest c.Driver.c_asm)
       (Driver.compile_all ~cache:false ~jobs units)
   in
   check tbool "jobs=2 produces identical outputs to jobs=1" true
@@ -187,8 +188,9 @@ let test_disk_tier_survives_memory_clear () =
   Cache.set_default_dir None;
   check tint "disk tier serves every pass" (Pipeline.length ())
     (fst (cache_counts c2));
-  check tstr "identical output from disk" c1.Driver.c_asm_digest
-    c2.Driver.c_asm_digest
+  check tstr "identical output from disk"
+    (Cache.digest c1.Driver.c_asm)
+    (Cache.digest c2.Driver.c_asm)
 
 (* ------------------------------------------------------------------ *)
 

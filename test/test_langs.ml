@@ -540,6 +540,224 @@ let test_parse_cimp_roundtrip () =
   let o2 = run_module Cimp.lang builtin ~entry:"unlock" () in
   check tbool "parsed unlock aborts like builtin" o2.aborted o1.aborted
 
+(* Out-of-range integer literals are parse errors at the literal, in
+   both languages (they share the lexer). *)
+let test_parse_int_range () =
+  let error parse src =
+    match parse src with
+    | exception Lexer.Error (msg, p) -> Some (msg, p.Lexer.pline, p.Lexer.pcol)
+    | _ -> None
+  in
+  let out_of_range line col =
+    Some ("integer literal out of range", line, col)
+  in
+  check tbool "Clight global initializer" true
+    (error Parse.clight
+       "int x = 99999999999999999999; void main() { print(x); }"
+    = out_of_range 1 9);
+  check tbool "Clight expression" true
+    (error Parse.clight "void main() {\n  print(4611686018427387904);\n}"
+    = out_of_range 2 9);
+  check tbool "CImp expression" true
+    (error Parse.cimp "void f() {\n  r := 1 + 99999999999999999999;\n}"
+    = out_of_range 2 12);
+  check tbool "CImp object initializer" true
+    (error Parse.cimp "object int x = 4611686018427387904;"
+    = out_of_range 1 16);
+  check tbool "max_int still lexes" true
+    (error Parse.clight "int x = 4611686018427387903;" = None);
+  check tbool "leading zeros still lex" true
+    (error Parse.clight "int x = 000000000000000000000000007;" = None)
+
+(* The list-scan lexer the character dispatch replaced, kept as the
+   reference: punctuation by [List.find_opt] over the candidates, each
+   tried with [String.sub]; keywords by [List.mem]; literals through
+   [int_of_string], whose failure on a literal past [max_int] maps to
+   the error the lexer now raises at the literal. Both skip whitespace
+   and comments with [Lexer.skip_ws]. *)
+module Reference = struct
+  let keywords =
+    [ "int"; "void"; "if"; "else"; "while"; "return"; "object"; "atomic";
+      "assert"; "reg" ]
+
+  let puncts =
+    [ ":="; "=="; "!="; "<="; ">="; "&&"; "||"; "<<"; ">>";
+      "("; ")"; "{"; "}"; "["; "]"; ";"; ","; "="; "+"; "-"; "*"; "/"; "%";
+      "<"; ">"; "!"; "&"; "|"; "^"; "~" ]
+
+  let binops =
+    [ ("||", Ops.Oor, 1); ("&&", Ops.Oand, 2); ("|", Ops.Oor, 3);
+      ("^", Ops.Oxor, 4); ("&", Ops.Oand, 5); ("==", Ops.Oeq, 6);
+      ("!=", Ops.One, 6); ("<", Ops.Olt, 7); ("<=", Ops.Ole, 7);
+      (">", Ops.Ogt, 7); (">=", Ops.Oge, 7); ("<<", Ops.Oshl, 8);
+      (">>", Ops.Oshr, 8); ("+", Ops.Oadd, 9); ("-", Ops.Osub, 9);
+      ("*", Ops.Omul, 10); ("/", Ops.Odiv, 10); ("%", Ops.Omod, 10) ]
+
+  let lex_one (lx : Lexer.t) : Lexer.token * Lexer.pos =
+    let open Lexer in
+    skip_ws lx;
+    let p = pos_of lx in
+    if lx.off >= String.length lx.src then (EOF, p)
+    else
+      let c = lx.src.[lx.off] in
+      if is_digit c then begin
+        let start = lx.off in
+        while lx.off < String.length lx.src && is_digit lx.src.[lx.off] do
+          lx.off <- lx.off + 1
+        done;
+        match int_of_string (String.sub lx.src start (lx.off - start)) with
+        | n -> (INT n, p)
+        | exception Failure _ ->
+          raise (Error ("integer literal out of range", p))
+      end
+      else if is_alpha c then begin
+        let start = lx.off in
+        while lx.off < String.length lx.src && is_alnum lx.src.[lx.off] do
+          lx.off <- lx.off + 1
+        done;
+        let s = String.sub lx.src start (lx.off - start) in
+        ((if List.mem s keywords then KW s else IDENT s), p)
+      end
+      else
+        match
+          List.find_opt
+            (fun pct ->
+              let n = String.length pct in
+              lx.off + n <= String.length lx.src
+              && String.sub lx.src lx.off n = pct)
+            puncts
+        with
+        | Some pct ->
+          lx.off <- lx.off + String.length pct;
+          (PUNCT pct, p)
+        | None -> error lx "unexpected character %C" c
+end
+
+(* Every token of [src] with its position, up to the end of input or
+   the first error, which ends the list *)
+let token_stream lex_one src =
+  let lx = Lexer.create src in
+  let rec go acc =
+    match lex_one lx with
+    | exception Lexer.Error (msg, p) -> List.rev (Error (msg, p) :: acc)
+    | (Lexer.EOF, _) as t -> List.rev (Ok t :: acc)
+    | t -> go (Ok t :: acc)
+  in
+  go []
+
+(* A parse's outcome: the program, or the error's message and position.
+   Any other exception escapes and fails the test. *)
+let parse_outcome parse src =
+  match parse src with
+  | p -> Ok p
+  | exception Parse.Error (msg, p) -> Error (msg, p)
+
+(* The files of test/[dir] named [*suffix]. [dune runtest] runs in the
+   test directory, [dune exec] from the project root. *)
+let test_files dir ~suffix =
+  let dir = if Sys.file_exists dir then dir else Filename.concat "test" dir in
+  Sys.readdir dir |> Array.to_list
+  |> List.filter (fun f -> Filename.check_suffix f suffix)
+  |> List.sort compare
+  |> List.map (fun f ->
+         In_channel.with_open_bin (Filename.concat dir f) In_channel.input_all)
+
+(* The corpus, the test/cli sources, the fuzzer's CImp repros and a
+   fixed [Cas_fuzz.Gen] pool, in both languages. *)
+let lexer_pool () =
+  let rng = Rng.make ~seed:23 in
+  let generated lang =
+    List.init 60 (fun i ->
+        (Cas_fuzz.Gen.program ~lang (Rng.split rng) ~size:(4 + (i mod 4 * 4)))
+          .Cas_fuzz.Gen.g_source)
+  in
+  Corpus.
+    [
+      counter_src; cross_module_f_src; cross_module_g_src; racy_counter_src;
+      racy_observer_writer_src; racy_observer_reader_src; fib_src;
+      array_sum_src; mutual_tailcall_src; const_cse_src; spill_src;
+      producer_consumer_src; gamma_lock_src; gamma_counter_src;
+    ]
+  @ List.map snd Corpus.link_module_srcs
+  @ test_files "cli" ~suffix:".c"
+  @ test_files (Filename.concat "corpus" "fuzz") ~suffix:".cimp"
+  @ generated Cas_fuzz.Gen.Clight
+  @ generated Cas_fuzz.Gen.Cimp
+
+(* Bytes a mutation writes: every punctuation byte, the two-byte
+   tokens' halves, comment openers, digits (long runs make literals past
+   [max_int]), letters, layout, and bytes no token starts with. *)
+let mutation_bytes = "()[]{};,=+-*/%<>!&|^~:.@#$\"'_aZ09\n\t \000\127\200\255"
+
+(* [k] deterministic byte mutations of [src]: a replaced, inserted or
+   deleted byte, a duplicated slice, or a run of digits. *)
+let mutants rng ~k src =
+  let n = String.length src in
+  List.init k (fun _ ->
+      let at = if n = 0 then 0 else Rng.int rng n in
+      let byte () =
+        String.make 1
+          mutation_bytes.[Rng.int rng (String.length mutation_bytes)]
+      in
+      let before = String.sub src 0 at and after = String.sub src at (n - at) in
+      match Rng.int rng 5 with
+      | 0 when n > 0 -> before ^ byte () ^ String.sub src (at + 1) (n - at - 1)
+      | 1 -> before ^ byte () ^ after
+      | 2 when n > 0 -> before ^ String.sub src (at + 1) (n - at - 1)
+      | 3 ->
+        let len = min (n - at) (1 + Rng.int rng 8) in
+        before ^ String.sub src at len ^ after
+      | _ -> before ^ String.make (1 + Rng.int rng 24) '9' ^ after)
+
+let test_lexer_matches_reference () =
+  let rng = Rng.make ~seed:29 in
+  let sources = lexer_pool () in
+  let inputs = sources @ List.concat_map (mutants rng ~k:12) sources in
+  let checked = ref 0 and errors = ref 0 in
+  List.iter
+    (fun src ->
+      let stream = token_stream Lexer.lex_one src in
+      if stream <> token_stream Reference.lex_one src then
+        Alcotest.failf "token streams differ on %S" src;
+      incr checked;
+      (match List.rev stream with Error _ :: _ -> incr errors | _ -> ());
+      (* a parse ends in a program or a parse error, never another
+         exception; a lexing error it reaches is the reference's *)
+      List.iter
+        (fun outcome ->
+          match outcome with
+          | Ok () -> ()
+          | Error (msg, p) ->
+            let lexed =
+              List.exists
+                (function
+                  | Error e -> e = (msg, p)
+                  | Ok (_, (q : Lexer.pos)) -> q = p)
+                stream
+            in
+            if not lexed then
+              Alcotest.failf "parse error %S at %a is not at a token of %S" msg
+                Lexer.pp_pos p src)
+        [
+          Result.map ignore (parse_outcome Parse.clight src);
+          Result.map ignore (parse_outcome Parse.cimp src);
+        ])
+    inputs;
+  check tbool "the pool has lexing errors" true (!errors > 100);
+  check tbool "the pool lexes" true (!checked > 2 * !errors)
+
+(* [Parse.peek_binop] by match is the reference's table scan, on every
+   punctuation token. *)
+let test_binop_matches_reference () =
+  List.iter
+    (fun pct ->
+      let expected =
+        List.find_opt (fun (t, _, _) -> t = pct) Reference.binops
+        |> Option.map (fun (_, op, prec) -> (op, prec))
+      in
+      check tbool pct true (Parse.peek_binop (Lexer.create pct) = expected))
+    Reference.puncts
+
 (* ------------------------------------------------------------------ *)
 
 let qsuite =
@@ -597,6 +815,12 @@ let () =
           Alcotest.test_case "comments" `Quick test_parse_comments;
           Alcotest.test_case "errors" `Quick test_parse_errors;
           Alcotest.test_case "cimp roundtrip" `Quick test_parse_cimp_roundtrip;
+          Alcotest.test_case "integer literal out of range" `Quick
+            test_parse_int_range;
+          Alcotest.test_case "lexer matches the reference" `Quick
+            test_lexer_matches_reference;
+          Alcotest.test_case "binary operators match the reference" `Quick
+            test_binop_matches_reference;
         ] );
       ("properties", qsuite);
     ]

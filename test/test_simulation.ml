@@ -759,6 +759,154 @@ let test_one_side_per_run () =
   Alcotest.(check int) "environment asked twice per run" (2 * runs digests)
     !asked
 
+(* ------------------------------------------------------------------ *)
+(* The certify renderer                                                *)
+(* ------------------------------------------------------------------ *)
+
+(* The Format renderer that the buffer renderer replaced, kept as the
+   reference: every row through [Fmt.pf], each ended by [@.]. *)
+module Format_renderer = struct
+  let pp_outcome ppf = function
+    | Simulation.Sim_ok r ->
+      Fmt.pf ppf "ok (%d switch points, %d src / %d tgt steps)" r.switches
+        r.steps_src r.steps_tgt
+    | Simulation.Sim_fail f ->
+      Fmt.pf ppf "FAIL at switch %d: %s" f.at_switch f.reason
+    | Simulation.Sim_inconclusive s -> Fmt.pf ppf "inconclusive: %s" s
+
+  let pp_pass_sim ppf (r : Framework.pass_sim_report) =
+    Fmt.pf ppf "%-14s %-12s %a%s" r.pass r.entry pp_outcome
+      r.verdict.v_outcome
+      (if r.cached then " (cached)" else "")
+
+  let pp_certify ~indent ppf (reports : Framework.pass_sim_report list) =
+    List.iter (Fmt.pf ppf "%s%a@." indent pp_pass_sim) reports
+end
+
+let report ?(cached = false) pass entry outcome : Framework.pass_sim_report =
+  {
+    pass;
+    entry;
+    verdict =
+      { v_outcome = outcome; v_switches = 0; v_steps_src = 0; v_steps_tgt = 0 };
+    cached;
+    checker_steps = 0;
+  }
+
+(* Certify reports of every kind of row: the corpus checked afresh and
+   again from the cache, a spinning loop (every row inconclusive), the
+   failing pairs above and each corpus stage against the next stage of
+   its [inject_print] variant (FAIL rows), and rows whose names overflow
+   their columns or whose reasons hold newlines and non-ASCII bytes. *)
+let rendered_reports () : Framework.pass_sim_report list list =
+  Cas_compiler.Cache.clear_memory ();
+  let modules =
+    corpus_modules ()
+    @ [
+        ( "spin",
+          Parse.clight
+            "void main() { int i; i = 0; while (1) { i = i + 1; } }" );
+        ( "long names",
+          Parse.clight
+            "int a_function_named_past_its_column(int x) { return x; }\n\
+             void main() { int r; r = a_function_named_past_its_column(4); \
+             print(r); }" );
+      ]
+  in
+  let checked = List.map (fun (_, p) -> Framework.check_passes p) modules in
+  let cached = List.map (fun (_, p) -> Framework.check_passes p) modules in
+  let unit_failures =
+    List.map
+      (fun (name, pair) ->
+        let (Pair p) = pair () in
+        report name p.entry
+          (Simulation.check ~src:p.src ~tgt:p.tgt ~entry:p.entry ~args:[]
+             ?env:p.env ()))
+      unit_pairs
+  in
+  let injected =
+    List.map
+      (fun (_, p) ->
+        let stages q =
+          Array.of_list
+            (Cas_compiler.Driver.compile_unit ~cache:false q)
+              .Cas_compiler.Driver.c_trace
+        in
+        let good = stages p and bad = stages (Cas_fuzz.Driver.inject_print p) in
+        List.concat_map
+          (fun k ->
+            let (Lang.Mod (sl, sc)) = snd good.(k) in
+            let (Lang.Mod (tl, tc)) = snd bad.(k + 1) in
+            List.map
+              (fun (f : Clight.func) ->
+                report ~cached:(k mod 2 = 0)
+                  (fst bad.(k + 1))
+                  f.Clight.fname
+                  (Simulation.check ~src:(sl, sc) ~tgt:(tl, tc)
+                     ~entry:f.Clight.fname ~args:(args_for p f.Clight.fname)
+                     ()))
+              p.Clight.funcs)
+          (List.init (Array.length good - 1) Fun.id))
+      (corpus_modules ())
+  in
+  let odd =
+    [
+      report "" "" (Simulation.Sim_inconclusive "");
+      report "ASuperLongPassNameBeyondFourteen" "an_entry_beyond_twelve"
+        (Simulation.Sim_fail { at_switch = 12; reason = String.make 200 'r' });
+      report ~cached:true "Compiler" "main"
+        (Simulation.Sim_fail { at_switch = 3; reason = "two\nlines, é, \t" });
+      report "Exactly14Chars" "exactly12chr"
+        (Simulation.Sim_inconclusive "@[<v>not a box@] @. %d");
+    ]
+  in
+  checked @ cached @ [ unit_failures; odd ] @ injected
+
+let test_renderer_matches_reference () =
+  let rows = ref 0 and fails = ref 0 and inconclusive = ref 0 in
+  let cached = ref 0 in
+  List.iter
+    (fun (reports : Framework.pass_sim_report list) ->
+      let c =
+        {
+          Cas_cmd.reports;
+          sim_ok = true;
+          cached = 0;
+          steps = 0;
+        }
+      in
+      List.iter
+        (fun indent ->
+          let reference =
+            Fmt.str "%a" (Format_renderer.pp_certify ~indent) reports
+          in
+          check Alcotest.string "certify text" reference
+            (Cas_cmd.certify_text ~indent c);
+          check Alcotest.string "pp_certify" reference
+            (Fmt.str "%a" (Cas_cmd.pp_certify ~indent) c))
+        [ ""; "  " ];
+      List.iter
+        (fun (r : Framework.pass_sim_report) ->
+          incr rows;
+          if r.cached then incr cached;
+          (match r.verdict.v_outcome with
+          | Simulation.Sim_fail _ -> incr fails
+          | Simulation.Sim_inconclusive _ -> incr inconclusive
+          | Simulation.Sim_ok _ -> ());
+          let o = r.verdict.v_outcome in
+          check Alcotest.string "outcome text"
+            (Fmt.str "%a" Format_renderer.pp_outcome o)
+            (Simulation.outcome_text o);
+          check Alcotest.string "pp_outcome"
+            (Fmt.str "%a" Format_renderer.pp_outcome o)
+            (Fmt.str "%a" Simulation.pp_outcome o))
+        reports)
+    (rendered_reports ());
+  check tbool "FAIL rows rendered" true (!fails > 100);
+  check tbool "inconclusive rows rendered" true (!inconclusive >= 17);
+  check tbool "cached rows rendered" true (!cached > 100);
+  check tbool "ok rows rendered" true (!rows > !fails + !inconclusive + 100)
+
 let prop_reference_random =
   QCheck.Test.make ~name:"shared runs match the lockstep checker" ~count:100
     Randprog.arb_program (fun p ->
@@ -830,6 +978,11 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| qcheck_seed |])
             prop_reference_random;
+        ] );
+      ( "renderer",
+        [
+          Alcotest.test_case "certify text matches the Format reference"
+            `Quick test_renderer_matches_reference;
         ] );
       ( "reach-close (Def. 4)",
         [
