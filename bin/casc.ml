@@ -444,11 +444,9 @@ let build_cmd =
     let out =
       Option.value ~default:(name ^ Cas_link.Objfile.extension) out
     in
-    match read_file file with
-    | exception Sys_error e ->
-      Fmt.epr "error: %s@." e;
-      1
-    | source -> (
+    match parse_file file with
+    | Error e -> fail e
+    | Ok (source, _) -> (
       let options = { Cas_compiler.Pass.optimize = not no_opt } in
       match
         Cas_link.Objfile.build ~options ~cache:(cache_dir <> None) ~name

@@ -6,42 +6,6 @@
     modules — defined only when compatible — and assigns block numbers,
     yielding a [Genv.t] that languages use to resolve global names. *)
 
-(** Interned function/global symbols. Symbol-heavy code — the linker's
-    resolver, image fingerprints — compares dense integer ids instead of
-    strings. Ids are process-local (interning order dependent), so they
-    never appear in on-disk artifacts: object files store names and
-    re-intern on load. *)
-module Sym = struct
-  let lock = Mutex.create ()
-  let ids : (string, int) Hashtbl.t = Hashtbl.create 128
-  let names : (int, string) Hashtbl.t = Hashtbl.create 128
-
-  (** Intern a symbol name, returning its dense id. *)
-  let intern (s : string) : int =
-    Mutex.lock lock;
-    let id =
-      match Hashtbl.find_opt ids s with
-      | Some id -> id
-      | None ->
-        let id = Hashtbl.length ids in
-        Hashtbl.add ids s id;
-        Hashtbl.add names id s;
-        id
-    in
-    Mutex.unlock lock;
-    id
-
-  (** The name behind an id; raises [Not_found] on an id never returned
-      by [intern]. *)
-  let name (id : int) : string =
-    Mutex.lock lock;
-    let n = Hashtbl.find_opt names id in
-    Mutex.unlock lock;
-    match n with Some s -> s | None -> raise Not_found
-
-  let equal (a : int) (b : int) = Int.equal a b
-end
-
 type init = Iint of int | Iaddr of string | Iundef
 
 type gvar = {

@@ -5,8 +5,7 @@
     (field order fixed, instructions as tagged arrays), so the object
     file's content digest can be taken over the serialized body and any
     byte flip that changes the decoded program also changes the digest.
-    Symbols are stored by *name*; interned ids ([Genv.Sym]) are
-    process-local and never serialized. *)
+    Symbols are stored by *name*. *)
 
 open Cas_base
 open Cas_langs

@@ -20,8 +20,8 @@
     code, where only the checker writes, and otherwise re-runs the check
     from the recorded source.
 
-    Symbols are stored by name and re-interned ([Genv.Sym]) by the
-    resolver on load. *)
+    Symbols are stored by name, and the resolver matches them by
+    name. *)
 
 open Cas_langs
 module Json = Cas_diag.Json

@@ -2,12 +2,12 @@
     links into a closed program, with precise (file, symbol) attribution
     for every failure.
 
-    Resolution works over interned symbol ids ([Genv.Sym]) — names from
-    the object files are re-interned on load, so the hot membership and
-    equality checks compare dense integers. Objects are first put into
-    canonical link order (sorted by module name, ties broken by body
-    digest), which makes the linked image — and its digest — independent
-    of the order the files were given on the command line. *)
+    Resolution runs once per link and keys its export table by symbol
+    name, the form object files store symbols in. Objects are first put
+    into canonical link order (sorted by module name, ties broken by
+    body digest), which makes the linked image — and its digest —
+    independent of the order the files were given on the command
+    line. *)
 
 open Cas_base
 
@@ -66,30 +66,27 @@ let resolve ?(entries = []) ?(label = fun (o : Objfile.t) -> o.o_name)
   let objs = canonical_order objs in
   let errors = ref [] in
   let err e = errors := e :: !errors in
-  (* export table over interned ids *)
-  let defs : (int, string * int) Hashtbl.t = Hashtbl.create 64 in
+  (* export table: symbol name -> defining object, arity *)
+  let defs : (string, string * int) Hashtbl.t = Hashtbl.create 64 in
   List.iter
     (fun (o : Objfile.t) ->
       List.iter
         (fun (s : Objfile.sym) ->
-          let id = Genv.Sym.intern s.s_name in
-          match Hashtbl.find_opt defs id with
+          match Hashtbl.find_opt defs s.s_name with
           | Some (first, _) ->
             err
               (Duplicate_export
                  { sym = s.s_name; obj1 = first; obj2 = label o })
-          | None -> Hashtbl.add defs id (label o, s.s_arity))
+          | None -> Hashtbl.add defs s.s_name (label o, s.s_arity))
         o.o_exports)
     objs;
   (* every import must resolve, at the right arity *)
-  let builtin_ids = List.map Genv.Sym.intern Objfile.builtins in
   List.iter
     (fun (o : Objfile.t) ->
       List.iter
         (fun (s : Objfile.sym) ->
-          let id = Genv.Sym.intern s.s_name in
-          if not (List.exists (Genv.Sym.equal id) builtin_ids) then
-            match Hashtbl.find_opt defs id with
+          if not (List.mem s.s_name Objfile.builtins) then
+            match Hashtbl.find_opt defs s.s_name with
             | None ->
               err
                 (Missing_import
@@ -125,15 +122,12 @@ let resolve ?(entries = []) ?(label = fun (o : Objfile.t) -> o.o_name)
   (* thread entry points must be defined somewhere *)
   List.iter
     (fun entry ->
-      let id = Genv.Sym.intern entry in
-      if not (Hashtbl.mem defs id) then err (Missing_entry { entry }))
+      if not (Hashtbl.mem defs entry) then err (Missing_entry { entry }))
     entries;
   match List.rev !errors with
   | [] ->
     let r_defs =
-      Hashtbl.fold
-        (fun id (obj, _) acc -> (Genv.Sym.name id, obj) :: acc)
-        defs []
+      Hashtbl.fold (fun name (obj, _) acc -> (name, obj) :: acc) defs []
       |> List.sort compare
     in
     Ok { r_objects = objs; r_defs }

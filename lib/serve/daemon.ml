@@ -8,10 +8,10 @@
     - *connection handlers* (systhreads) read frames, decode requests,
       and answer protocol-level traffic (ping, metrics, malformed input)
       inline; compute requests go to the [Scheduler];
-    - *worker domains* ([Cas_base.Pool.Persistent], via the scheduler)
-      run the actual compiler/checker jobs — warm process-global
-      memory+disk certificate caches included — and fan each result out
-      to every connection that asked for it (in-flight dedup).
+    - *worker domains*, spawned and joined by the [Scheduler], run the
+      actual compiler/checker jobs — warm process-global memory+disk
+      certificate caches included — and fan each result out to every
+      connection that asked for it (in-flight coalescing).
 
     Responses are written under a per-connection mutex (the leader's
     worker writes for every coalesced follower), so frames never

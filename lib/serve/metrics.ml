@@ -10,7 +10,8 @@
     land in — a ≤2× overestimate, which is the right bias for a latency
     gate. All counters sit behind one mutex: a request touches it twice
     (admission, completion), which is noise next to even a cache-hit
-    certify. *)
+    certify, and a [snapshot] reads them all in one acquisition, so a
+    metrics document never shows half of a request's completion. *)
 
 let buckets = 48
 
@@ -79,25 +80,24 @@ let record_result (t : t) (st : status) ~(latency_ns : int) : unit =
 let record_bad_frame (t : t) : unit =
   with_lock t (fun () -> t.bad_frames <- t.bad_frames + 1)
 
-(** Latency at quantile [q] ∈ (0,1], in ns (bucket upper bound). *)
-let quantile (t : t) (q : float) : int =
-  with_lock t (fun () ->
-      if t.lat_count = 0 then 0
-      else begin
-        let target =
-          max 1 (int_of_float (ceil (q *. float_of_int t.lat_count)))
-        in
-        let rec go i acc =
-          if i >= buckets then t.lat_max_ns
-          else
-            let acc = acc + t.hist.(i) in
-            if acc >= target then
-              (* upper bound of bucket i, capped by the observed max *)
-              min t.lat_max_ns ((1 lsl (i + 1)) * 1000)
-            else go (i + 1) acc
-        in
-        go 0 0
-      end)
+(** Latency at quantile [q] ∈ (0,1] of [hist], which holds [count]
+    latencies of at most [max_ns], in ns (bucket upper bound). *)
+let quantile (hist : int array) ~(count : int) ~(max_ns : int) (q : float) :
+    int =
+  if count = 0 then 0
+  else begin
+    let target = max 1 (int_of_float (ceil (q *. float_of_int count))) in
+    let rec go i acc =
+      if i >= buckets then max_ns
+      else
+        let acc = acc + hist.(i) in
+        if acc >= target then
+          (* upper bound of bucket i, capped by the observed max *)
+          min max_ns ((1 lsl (i + 1)) * 1000)
+        else go (i + 1) acc
+    in
+    go 0 0
+  end
 
 type snapshot = {
   uptime_ns : int;
@@ -108,17 +108,17 @@ type snapshot = {
   requests_draining : int;
   bad_frames : int;
   by_kind : (string * int) list;  (** sorted by kind name *)
+  latency_count : int;  (** latencies in the histogram *)
   p50_ns : int;
   p95_ns : int;
   p99_ns : int;
   max_ns : int;
 }
 
+(** Every counter and quantile, read in one acquisition of the lock. *)
 let snapshot (t : t) : snapshot =
-  let p50 = quantile t 0.50
-  and p95 = quantile t 0.95
-  and p99 = quantile t 0.99 in
   with_lock t (fun () ->
+      let quantile = quantile t.hist ~count:t.lat_count ~max_ns:t.lat_max_ns in
       {
         uptime_ns =
           int_of_float ((Unix.gettimeofday () -. t.started_at) *. 1e9);
@@ -131,9 +131,10 @@ let snapshot (t : t) : snapshot =
         by_kind =
           Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.by_kind []
           |> List.sort compare;
-        p50_ns = p50;
-        p95_ns = p95;
-        p99_ns = p99;
+        latency_count = t.lat_count;
+        p50_ns = quantile 0.50;
+        p95_ns = quantile 0.95;
+        p99_ns = quantile 0.99;
         max_ns = t.lat_max_ns;
       })
 
@@ -165,7 +166,6 @@ let to_json (t : t) ~(extra : (string * Cas_diag.Json.t) list) :
     Cas_diag.Json.t =
   let open Cas_diag.Json in
   let s = snapshot t in
-  let lat_count = with_lock t (fun () -> t.lat_count) in
   Obj
     ([
        ("version", Str Cas_base.Version.v);
@@ -184,7 +184,7 @@ let to_json (t : t) ~(extra : (string * Cas_diag.Json.t) list) :
        ( "latency_ns",
          Obj
            [
-             ("count", Int lat_count);
+             ("count", Int s.latency_count);
              ("p50", Int s.p50_ns);
              ("p95", Int s.p95_ns);
              ("p99", Int s.p99_ns);

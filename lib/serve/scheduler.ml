@@ -1,30 +1,37 @@
-(** The request scheduler: memo + dedup + admission control + worker
-    pool. A request's key is a content digest of its semantic fields, so
-    the three dedup tiers compose by construction:
+(** The request scheduler: response memo, in-flight coalescing,
+    admission control and the worker domains, under one lock. A
+    request's key is a content digest of its semantic fields, so the
+    three dedup tiers compose by construction:
 
     - the *response memo*: a completed job's successful result, kept by
       key — an identical request arriving any time later is answered
       synchronously, no parse, no render, no worker ([Hit]). Requests
       are content-addressed (the source text is *in* the key), so a
       memoized verdict can never go stale;
-    - the *in-flight window*: an identical job currently executing —
-      the request *coalesces*, riding the leader's execution ([Dedup]);
+    - the *in-flight table*: an identical job admitted and not yet
+      answered — the request *coalesces*, parking its callback to ride
+      the leader's execution ([Coalesced]);
     - the *certificate cache* ([Cas_compiler.Cache]): per-function
       verdicts shared across distinct requests (and, on disk, across
       restarts) that happen to contain the same function bodies.
 
-    A miss on all three goes to admission control: at most [queue_cap]
-    distinct jobs may be outstanding (queued or executing); past the cap
-    the request is rejected [Overloaded] *immediately* — the daemon
-    answers with a structured overload error instead of letting an
-    unbounded queue eat the latency budget. Admitted jobs go to the
-    bounded worker pool ([Cas_base.Pool.Persistent]); on completion the
-    result is fanned out to the leader's and every coalesced caller's
-    callback, and memoized.
+    A miss on the first two goes to admission control: at most
+    [queue_cap] distinct jobs may be outstanding (queued or executing);
+    past the cap the request is rejected [Overloaded] *immediately* —
+    the daemon answers with a structured overload error instead of
+    letting an unbounded queue eat the latency budget. Admitted jobs
+    join a FIFO that the worker domains spawned by [create] take from;
+    on completion the result is memoized and fanned out to the leader's
+    and every coalesced caller's callback, in arrival order.
 
-    [drain] is the graceful-shutdown half: new submissions are refused
-    [Draining], every admitted job still runs to completion (and its
-    waiters get their responses) before [drain] returns. *)
+    One mutex guards all of it, the draining flag included, so a
+    submission is answered, coalesced, refused or queued by one
+    decision: a job is admitted only while no drain has begun, and
+    workers exit only once draining with an empty queue, so every
+    admitted job runs. [drain] is the graceful-shutdown half: new
+    submissions are refused [Draining], every admitted job still runs
+    to completion (and its waiters get their responses) before [drain]
+    returns. *)
 
 (** [Ok] carries the response payload *already rendered to JSON text*:
     a job's result is encoded exactly once, and every consumer — the
@@ -32,34 +39,85 @@
     bytes into its response frame. [Error] is a human-readable message. *)
 type result = (string, string) Stdlib.result
 
+type job = { key : string; run : unit -> result }
+
 type t = {
-  pool : Cas_base.Pool.Persistent.t;
-  dedup : result Dedup.t;
   lock : Mutex.t;
+  wake : Condition.t;
+      (** a job was queued, a drain began, or the workers were joined *)
   memo : (string, result) Hashtbl.t;  (** completed [Ok] results by key *)
-  memo_cap : int;
-  mutable memo_hits : int;
+  inflight : (string, (result -> unit) list) Hashtbl.t;
+      (** admitted keys to their waiters' callbacks, latest first *)
+  queue : job Queue.t;  (** admitted jobs no worker has taken yet *)
+  queue_cap : int;
+  workers : int;
+  mutable domains : unit Domain.t list;  (** [[]] once [drain] joined them *)
+  mutable draining : bool;
   mutable outstanding : int;  (** distinct jobs admitted, not completed *)
   mutable peak_outstanding : int;
+  mutable busy : int;  (** workers executing a job *)
+  mutable executed : int;  (** jobs admitted (leaders) *)
+  mutable coalesced : int;  (** followers that rode a leader *)
+  mutable memo_hits : int;
   mutable overloaded : int;  (** submissions rejected by the cap *)
-  queue_cap : int;
-  mutable draining : bool;
 }
 
-let create ~(jobs : int) ~(queue_cap : int) ?(memo_cap = 4096) () : t =
-  {
-    pool = Cas_base.Pool.Persistent.create ~jobs ();
-    dedup = Dedup.create ();
-    lock = Mutex.create ();
-    memo = Hashtbl.create 256;
-    memo_cap = max 1 memo_cap;
-    memo_hits = 0;
-    outstanding = 0;
-    peak_outstanding = 0;
-    overloaded = 0;
-    queue_cap = max 1 queue_cap;
-    draining = false;
-  }
+(* the memo starts over when full: keys are content digests, so an
+   evicted result is only recomputed, never wrong *)
+let memo_cap = 4096
+
+let finish (t : t) (key : string) (r : result) : unit =
+  Mutex.lock t.lock;
+  t.busy <- t.busy - 1;
+  t.outstanding <- t.outstanding - 1;
+  (* errors are not memoized: an exception-turned-[Error] may be
+     transient *)
+  if Result.is_ok r then begin
+    if Hashtbl.length t.memo >= memo_cap then Hashtbl.reset t.memo;
+    Hashtbl.replace t.memo key r
+  end;
+  let waiters = Hashtbl.find t.inflight key in
+  Hashtbl.remove t.inflight key;
+  Mutex.unlock t.lock;
+  (* outside the lock: callbacks write response frames *)
+  List.iter (fun cb -> try cb r with _ -> ()) (List.rev waiters)
+
+let rec work (t : t) : unit =
+  Mutex.lock t.lock;
+  while Queue.is_empty t.queue && not t.draining do
+    Condition.wait t.wake t.lock
+  done;
+  match Queue.take_opt t.queue with
+  | None -> Mutex.unlock t.lock (* drained: this worker is done *)
+  | Some { key; run } ->
+    t.busy <- t.busy + 1;
+    Mutex.unlock t.lock;
+    finish t key (try run () with e -> Error (Printexc.to_string e));
+    work t
+
+let create ~(jobs : int) ~(queue_cap : int) () : t =
+  let t =
+    {
+      lock = Mutex.create ();
+      wake = Condition.create ();
+      memo = Hashtbl.create 256;
+      inflight = Hashtbl.create 64;
+      queue = Queue.create ();
+      queue_cap = max 1 queue_cap;
+      workers = max 1 jobs;
+      domains = [];
+      draining = false;
+      outstanding = 0;
+      peak_outstanding = 0;
+      busy = 0;
+      executed = 0;
+      coalesced = 0;
+      memo_hits = 0;
+      overloaded = 0;
+    }
+  in
+  t.domains <- List.init t.workers (fun _ -> Domain.spawn (fun () -> work t));
+  t
 
 type outcome =
   | Hit  (** served from the response memo; callback has ALREADY run *)
@@ -67,58 +125,6 @@ type outcome =
   | Coalesced  (** rides an identical in-flight job; callback fires later *)
   | Overloaded  (** rejected by the queue cap; callback will NOT fire *)
   | Draining  (** rejected because [drain] has begun; callback will NOT fire *)
-
-(* miss on the memo: dedup, admission control, worker pool. Called with
-   [t.lock] held; releases it on every path. *)
-let submit_miss (t : t) ~(key : string) ~(run : unit -> result)
-    ~(callback : result -> unit) : outcome =
-  if
-    (* a coalescing request occupies no new queue slot, so the cap check
-       applies only to would-be leaders — but leadership is decided by
-       [Dedup.join], which must happen under this same decision. Peek
-       first: an in-flight key always coalesces, cap or no cap. *)
-    t.outstanding >= t.queue_cap
-    && not (Dedup.inflight_key t.dedup key)
-  then begin
-    t.overloaded <- t.overloaded + 1;
-    Mutex.unlock t.lock;
-    Overloaded
-  end
-  else begin
-    match Dedup.join t.dedup ~key callback with
-    | `Coalesced ->
-      Mutex.unlock t.lock;
-      Coalesced
-    | `Leader ->
-      t.outstanding <- t.outstanding + 1;
-      t.peak_outstanding <- max t.peak_outstanding t.outstanding;
-      let job () =
-        let r = try run () with e -> Error (Printexc.to_string e) in
-        Mutex.lock t.lock;
-        t.outstanding <- t.outstanding - 1;
-        (match r with
-        | Ok _ ->
-          (* keys are content digests over the full request, so the
-             result can never go stale; errors are not memoized — an
-             exception-turned-[Error] may be transient *)
-          if Hashtbl.length t.memo >= t.memo_cap then Hashtbl.reset t.memo;
-          Hashtbl.replace t.memo key r
-        | Error _ -> ());
-        Mutex.unlock t.lock;
-        ignore (Dedup.complete t.dedup ~key r)
-      in
-      (match Cas_base.Pool.Persistent.submit t.pool job with
-      | Ok () ->
-        Mutex.unlock t.lock;
-        Admitted
-      | Error `Draining ->
-        (* raced with drain: undo the admission and tell the caller *)
-        t.outstanding <- t.outstanding - 1;
-        ignore (Dedup.complete t.dedup ~key (Error "draining"));
-        t.draining <- true;
-        Mutex.unlock t.lock;
-        Draining)
-  end
 
 (** Submit the job for [key]. [run] executes on a worker domain (at most
     once per in-flight key, exceptions become [Error]); [callback] runs
@@ -137,63 +143,80 @@ let submit (t : t) ~(key : string) ~(run : unit -> result)
     | Some r ->
       t.memo_hits <- t.memo_hits + 1;
       Mutex.unlock t.lock;
-      (* outside the lock: the callback writes response frames *)
       callback r;
       Hit
-    | None -> submit_miss t ~key ~run ~callback
+    | None -> (
+      match Hashtbl.find_opt t.inflight key with
+      | Some waiters ->
+        (* a follower occupies no slot: it coalesces even at the cap *)
+        Hashtbl.replace t.inflight key (callback :: waiters);
+        t.coalesced <- t.coalesced + 1;
+        Mutex.unlock t.lock;
+        Coalesced
+      | None when t.outstanding >= t.queue_cap ->
+        t.overloaded <- t.overloaded + 1;
+        Mutex.unlock t.lock;
+        Overloaded
+      | None ->
+        Hashtbl.add t.inflight key [ callback ];
+        Queue.add { key; run } t.queue;
+        t.executed <- t.executed + 1;
+        t.outstanding <- t.outstanding + 1;
+        t.peak_outstanding <- max t.peak_outstanding t.outstanding;
+        Condition.signal t.wake;
+        Mutex.unlock t.lock;
+        Admitted)
 
-(** Refuse new submissions and run every admitted job to completion
-    (waiters included). Idempotent. *)
+(** Refuse new submissions, run every admitted job to completion
+    (waiters included) and join the workers. Idempotent: a concurrent
+    or later call returns once the first has. *)
 let drain (t : t) : unit =
   Mutex.lock t.lock;
+  let first = not t.draining in
   t.draining <- true;
-  Mutex.unlock t.lock;
-  Cas_base.Pool.Persistent.drain t.pool
+  if first then begin
+    Condition.broadcast t.wake;
+    let domains = t.domains in
+    Mutex.unlock t.lock;
+    List.iter Domain.join domains;
+    Mutex.lock t.lock;
+    t.domains <- [];
+    Condition.broadcast t.wake
+  end
+  else
+    while not (List.is_empty t.domains) do
+      Condition.wait t.wake t.lock
+    done;
+  Mutex.unlock t.lock
 
-let queue_depth (t : t) : int =
+let read (t : t) (f : t -> 'a) : 'a =
   Mutex.lock t.lock;
-  let n = t.outstanding in
+  let v = f t in
   Mutex.unlock t.lock;
-  n
+  v
 
-let overloaded_total (t : t) : int =
-  Mutex.lock t.lock;
-  let n = t.overloaded in
-  Mutex.unlock t.lock;
-  n
+let overloaded_total (t : t) = read t (fun t -> t.overloaded)
+let coalesced_total (t : t) = read t (fun t -> t.coalesced)
+let executed_total (t : t) = read t (fun t -> t.executed)
+let memo_hits_total (t : t) = read t (fun t -> t.memo_hits)
+let memo_entries (t : t) = read t (fun t -> Hashtbl.length t.memo)
 
-let coalesced_total (t : t) : int = Dedup.coalesced_total t.dedup
-let executed_total (t : t) : int = Dedup.executed_total t.dedup
-
-let memo_hits_total (t : t) : int =
-  Mutex.lock t.lock;
-  let n = t.memo_hits in
-  Mutex.unlock t.lock;
-  n
-
-let memo_entries (t : t) : int =
-  Mutex.lock t.lock;
-  let n = Hashtbl.length t.memo in
-  Mutex.unlock t.lock;
-  n
-let workers (t : t) : int = Cas_base.Pool.Persistent.workers t.pool
-let busy (t : t) : int = Cas_base.Pool.Persistent.busy t.pool
-
-(** Scheduler gauges for the metrics document. *)
+(** Scheduler gauges for the metrics document, read in one acquisition
+    of the lock. *)
 let to_json (t : t) : Cas_diag.Json.t =
   let open Cas_diag.Json in
   Obj
-    [
-      ("depth", Int (queue_depth t));
-      ("cap", Int t.queue_cap);
-      ("peak_depth", Int t.peak_outstanding);
-      ("workers", Int (workers t));
-      ("busy", Int (busy t));
-      ( "utilization_pct",
-        Int (100 * busy t / max 1 (workers t)) );
-      ("executed", Int (executed_total t));
-      ("coalesced", Int (coalesced_total t));
-      ("memo_hits", Int (memo_hits_total t));
-      ("memo_entries", Int (memo_entries t));
-      ("overloaded", Int (overloaded_total t));
-    ]
+    (read t (fun t ->
+         [
+           ("depth", Int t.outstanding);
+           ("cap", Int t.queue_cap);
+           ("peak_depth", Int t.peak_outstanding);
+           ("workers", Int t.workers);
+           ("busy", Int t.busy);
+           ("utilization_pct", Int (100 * t.busy / t.workers));
+           ("executed", Int t.executed);
+           ("coalesced", Int t.coalesced);
+           ("memo_hits", Int t.memo_hits);
+           ("memo_entries", Int (Hashtbl.length t.memo));
+           ("overloaded", Int t.overloaded);
+         ]))

@@ -1,8 +1,9 @@
 (** Tests for the certification service ([Cas_serve]): frame codec
     round-trips and adversarial inputs, protocol encode/decode, the
-    persistent worker pool's drain semantics under a multi-domain
-    hammer, in-flight dedup (N identical requests → one execution, N
-    responses), admission control, graceful drain, metrics consistency,
+    scheduler's in-flight dedup (N identical requests → one execution, N
+    responses), admission control, response memo, and drain semantics
+    under a multi-thread hammer, raising jobs and submissions racing the
+    drain, metrics consistency and one snapshot per document,
     cross-process disk-cache safety, an in-process end-to-end daemon
     whose verdict texts must be byte-identical to the one-shot CLI
     rendering, and (a [`Slow] case) the daemon's throughput under a Zipf
@@ -19,6 +20,14 @@ let contains ~sub s =
   let n = String.length sub and m = String.length s in
   let rec go i = i + n <= m && (String.sub s i n = sub || go (i + 1)) in
   n = 0 || go 0
+
+(* the integer at [path] in a JSON document *)
+let int_at path j =
+  let rec go j = function
+    | [] -> Cas_diag.Json.to_int_exn j
+    | k :: rest -> go (Cas_diag.Json.member k j) rest
+  in
+  go j path
 
 let socket_path =
   let n = ref 0 in
@@ -267,53 +276,6 @@ let test_request_key () =
   check tbool "kind is part of the key" true (certify <> compile)
 
 (* ------------------------------------------------------------------ *)
-(* Pool.Persistent: drain semantics under a multi-domain hammer        *)
-(* ------------------------------------------------------------------ *)
-
-let test_pool_hammer_drain () =
-  let open Cas_base.Pool.Persistent in
-  let p = create ~jobs:4 () in
-  let hits = Atomic.make 0 in
-  let n = 500 in
-  let submitters =
-    List.init 4 (fun _ ->
-        Thread.create
-          (fun () ->
-            for _ = 1 to n / 4 do
-              match submit p (fun () -> Atomic.incr hits) with
-              | Ok () -> ()
-              | Error `Draining -> Alcotest.fail "refused before drain"
-            done)
-          ())
-  in
-  List.iter Thread.join submitters;
-  drain p;
-  check tint "every job ran exactly once" n (Atomic.get hits);
-  check tint "executed counter agrees" n (executed p);
-  check tint "no failures" 0 (failed p);
-  check tbool "post-drain submission refused" true
-    (submit p (fun () -> ()) = Error `Draining);
-  (* idempotent *)
-  drain p;
-  check tint "drain is idempotent" n (Atomic.get hits)
-
-let test_pool_job_exception_survival () =
-  let open Cas_base.Pool.Persistent in
-  let p = create ~jobs:2 () in
-  let ok = Atomic.make 0 in
-  for i = 1 to 100 do
-    match
-      submit p (fun () ->
-          if i mod 3 = 0 then failwith "boom" else Atomic.incr ok)
-    with
-    | Ok () -> ()
-    | Error `Draining -> Alcotest.fail "refused while running"
-  done;
-  drain p;
-  check tint "survivors all ran" 67 (Atomic.get ok);
-  check tint "failures counted, not fatal" 33 (failed p)
-
-(* ------------------------------------------------------------------ *)
 (* Scheduler: dedup, admission, drain                                  *)
 (* ------------------------------------------------------------------ *)
 
@@ -445,6 +407,145 @@ let test_scheduler_drain_completes_queued () =
   check tint "every admitted job answered before drain returned" 8
     (Atomic.get done_)
 
+let gauge s name = int_at [ name ] (Scheduler.to_json s)
+
+(* Distinct keys from four submitter threads: every job runs and answers
+   exactly once before [drain] returns; after it, a submission is
+   refused and a second [drain] changes nothing. *)
+let test_scheduler_hammer_drain () =
+  let n = 500 and threads = 4 in
+  let s = Scheduler.create ~jobs:4 ~queue_cap:n () in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let answers = Array.init n (fun _ -> Atomic.make 0) in
+  let refused = Atomic.make 0 in
+  let submitter th () =
+    for i = th * (n / threads) to ((th + 1) * (n / threads)) - 1 do
+      match
+        Scheduler.submit s ~key:(string_of_int i)
+          ~run:(fun () ->
+            Atomic.incr runs.(i);
+            Ok "null")
+          ~callback:(fun _ -> Atomic.incr answers.(i))
+      with
+      | Scheduler.Admitted -> ()
+      | _ -> Atomic.incr refused
+    done
+  in
+  List.iter Thread.join
+    (List.init threads (fun th -> Thread.create (submitter th) ()));
+  Scheduler.drain s;
+  let once = Array.for_all (fun c -> Atomic.get c = 1) in
+  check tint "every distinct key admitted" 0 (Atomic.get refused);
+  check tbool "every job ran exactly once" true (once runs);
+  check tbool "every job answered exactly once" true (once answers);
+  check tint "executed counter agrees" n (Scheduler.executed_total s);
+  check tint "nothing outstanding" 0 (gauge s "depth");
+  check tint "no worker busy" 0 (gauge s "busy");
+  check tbool "post-drain submission refused" true
+    (Scheduler.submit s ~key:"late"
+       ~run:(fun () -> Ok "null")
+       ~callback:ignore
+    = Scheduler.Draining);
+  Scheduler.drain s;
+  check tbool "drain is idempotent" true (once runs && once answers)
+
+(* A raising job answers [Error]; a raising callback loses only its own
+   answer. Neither stops a worker: with two workers, all 100 jobs
+   answer. *)
+let test_scheduler_job_exceptions () =
+  let s = Scheduler.create ~jobs:2 ~queue_cap:100 () in
+  let ok = Atomic.make 0 and failed = Atomic.make 0 in
+  let refused = Atomic.make 0 in
+  for i = 1 to 100 do
+    match
+      Scheduler.submit s ~key:(string_of_int i)
+        ~run:(fun () -> if i mod 3 = 0 then failwith "boom" else Ok "null")
+        ~callback:(fun r ->
+          (match r with
+          | Ok _ -> Atomic.incr ok
+          | Error e -> if contains ~sub:"boom" e then Atomic.incr failed);
+          if i mod 5 = 0 then failwith "callback boom")
+    with
+    | Scheduler.Admitted -> ()
+    | _ -> Atomic.incr refused
+  done;
+  Scheduler.drain s;
+  check tint "none refused while running" 0 (Atomic.get refused);
+  check tint "survivors all answered Ok" 67 (Atomic.get ok);
+  check tint "raising jobs answered Error" 33 (Atomic.get failed)
+
+(* A client that has its answer never reads its own job as outstanding
+   or busy: both gauges drop before the waiters are answered. *)
+let test_scheduler_gauges_before_answer () =
+  let s = Scheduler.create ~jobs:1 ~queue_cap:4 () in
+  let seen = ref [] in
+  ignore
+    (Scheduler.submit s ~key:"K"
+       ~run:(fun () -> Ok "null")
+       ~callback:(fun _ -> seen := [ gauge s "depth"; gauge s "busy" ]));
+  Scheduler.drain s;
+  check (Alcotest.list tint) "depth and busy seen by the callback" [ 0; 0 ]
+    !seen
+
+(* Submitters race [drain]: each submission is either answered exactly
+   once or refused [Draining] and never answered, and no answer arrives
+   after [drain] returns. *)
+let test_scheduler_submit_racing_drain () =
+  let threads = 4 and budget = 20_000 in
+  let s = Scheduler.create ~jobs:2 ~queue_cap:(threads * budget) () in
+  let admitted = Atomic.make 0 in
+  let drained = Atomic.make false and late = Atomic.make 0 in
+  let answers =
+    Array.init threads (fun _ -> Array.init budget (fun _ -> Atomic.make 0))
+  in
+  let outcomes = Array.init threads (fun _ -> Array.make budget None) in
+  let submitter th () =
+    let rec go i =
+      if i < budget then begin
+        let o =
+          Scheduler.submit s
+            ~key:(Fmt.str "%d.%d" th i)
+            ~run:(fun () -> Ok "null")
+            ~callback:(fun _ ->
+              if Atomic.get drained then Atomic.incr late;
+              Atomic.incr answers.(th).(i))
+        in
+        outcomes.(th).(i) <- Some o;
+        if o = Scheduler.Admitted then Atomic.incr admitted;
+        Thread.yield ();
+        if o <> Scheduler.Draining then go (i + 1)
+      end
+    in
+    go 0
+  in
+  let submitters =
+    List.init threads (fun th -> Thread.create (submitter th) ())
+  in
+  while Atomic.get admitted < 100 do
+    Thread.yield ()
+  done;
+  Scheduler.drain s;
+  Atomic.set drained true;
+  List.iter Thread.join submitters;
+  let refusals = ref 0 and wrong = ref 0 in
+  Array.iteri
+    (fun th ->
+      Array.iteri (fun i o ->
+          let n = Atomic.get answers.(th).(i) in
+          match o with
+          | Some Scheduler.Admitted -> if n <> 1 then incr wrong
+          | Some Scheduler.Draining ->
+            incr refusals;
+            if n <> 0 then incr wrong
+          | Some _ -> incr wrong
+          | None -> if n <> 0 then incr wrong))
+    outcomes;
+  check tint "admitted answered once, refused never" 0 !wrong;
+  check tbool "drain refused a racing submission" true (!refusals > 0);
+  check tint "no answer after drain returned" 0 (Atomic.get late);
+  check tint "executed = admitted" (Atomic.get admitted)
+    (Scheduler.executed_total s)
+
 (* ------------------------------------------------------------------ *)
 (* Metrics                                                             *)
 (* ------------------------------------------------------------------ *)
@@ -481,6 +582,36 @@ let test_metrics_consistency () =
     (s.Metrics.p95_ns >= 50 * ms);
   check tint "max exact" (100 * ms) s.Metrics.max_ns
 
+(* One domain records results while this one reads metrics documents:
+   each document is one snapshot, so its request total is its latency
+   count and its quantiles are ordered. *)
+let test_metrics_one_snapshot () =
+  let m = Metrics.create () in
+  let stop = Atomic.make false in
+  let writer =
+    Domain.spawn (fun () ->
+        let i = ref 0 in
+        while not (Atomic.get stop) do
+          incr i;
+          Metrics.record_result m Metrics.Ok_
+            ~latency_ns:(!i mod 1000 * 10_000)
+        done)
+  in
+  let torn = ref 0 in
+  for _ = 1 to 2000 do
+    let j = Metrics.to_json m ~extra:[] in
+    let lat k = int_at [ "latency_ns"; k ] j in
+    if
+      int_at [ "requests"; "total" ] j <> lat "count"
+      || lat "p50" > lat "p95"
+      || lat "p95" > lat "p99"
+      || lat "p99" > lat "max"
+    then incr torn
+  done;
+  Atomic.set stop true;
+  Domain.join writer;
+  check tint "documents with total <> count or unordered quantiles" 0 !torn
+
 (* ------------------------------------------------------------------ *)
 (* End-to-end: in-process daemon                                       *)
 (* ------------------------------------------------------------------ *)
@@ -502,13 +633,6 @@ let request_ok ~socket kind =
   match Client.with_connection ~socket (fun c -> Client.request c kind) with
   | Ok (Ok r) -> r
   | Ok (Error e) | Error e -> Alcotest.failf "request failed: %s" e
-
-let int_at path j =
-  let rec go j = function
-    | [] -> Cas_diag.Json.to_int_exn j
-    | k :: rest -> go (Cas_diag.Json.member k j) rest
-  in
-  go j path
 
 (* N identical certify requests against a daemon whose jobs sleep long
    enough that 1..N-1 arrive while the leader runs: exactly one
@@ -952,12 +1076,6 @@ let () =
           Alcotest.test_case "version gate" `Quick test_protocol_version_gate;
           Alcotest.test_case "request keys" `Quick test_request_key;
         ] );
-      ( "pool",
-        [
-          Alcotest.test_case "hammer + drain" `Quick test_pool_hammer_drain;
-          Alcotest.test_case "job exceptions survive" `Quick
-            test_pool_job_exception_survival;
-        ] );
       ( "scheduler",
         [
           Alcotest.test_case "in-flight dedup" `Quick test_scheduler_dedup;
@@ -966,10 +1084,20 @@ let () =
           Alcotest.test_case "response memo" `Quick test_scheduler_memo;
           Alcotest.test_case "drain completes queued work" `Quick
             test_scheduler_drain_completes_queued;
+          Alcotest.test_case "hammer + drain" `Quick
+            test_scheduler_hammer_drain;
+          Alcotest.test_case "job exceptions survive" `Quick
+            test_scheduler_job_exceptions;
+          Alcotest.test_case "gauges drop before the answer" `Quick
+            test_scheduler_gauges_before_answer;
+          Alcotest.test_case "submit racing drain" `Quick
+            test_scheduler_submit_racing_drain;
         ] );
       ( "metrics",
         [
           Alcotest.test_case "consistency" `Quick test_metrics_consistency;
+          Alcotest.test_case "one snapshot per document" `Quick
+            test_metrics_one_snapshot;
         ] );
       ( "daemon",
         [
