@@ -6,15 +6,19 @@
 type t = {
   engine : string;
   worlds : int;
-      (** distinct worlds reached (canonical-store misses); naive trace
+      (** distinct worlds reached (canonical-store misses); dpor keys
+          and steps each when it admits it, and later visits reach it
+          through resolved edges (see [store_hits]); naive trace
           enumeration counts the distinct worlds it stepped *)
   transitions : int;  (** transitions executed *)
   sleep_prunings : int;  (** scheduling choices skipped by sleep sets *)
   backtracks : int;  (** wakeup-sequence insertions by the DPOR core *)
   steals : int;  (** tasks taken from another domain's deque *)
   store_hits : int;
-      (** canonical-store hits (worlds re-encountered); naive trace
-          enumeration counts the path visits that reused a stepped
+      (** canonical-store hits (worlds re-encountered); under dpor a
+          revisit through an edge whose target is already resolved
+          counts as one, though it does not probe the table; naive
+          trace enumeration counts the path visits that reused a stepped
           world *)
   truncated : bool;  (** a world/path/depth budget was exhausted *)
   abort_reachable : bool;

@@ -1,9 +1,11 @@
 (** Canonical state table: a sharded hash table keyed by world
     fingerprint, with hit/miss/truncation accounting, whose slot for
     each admitted world holds a value the engine memoizes for it — the
-    DPOR engine keeps the world's transition groups there, so a visit
-    costs one hash and one lock for both the seen-check and the
-    transition lookup.
+    DPOR engine keeps the world's node there (its transitions, each an
+    edge to its target's node once resolved), so a world is keyed,
+    looked up and stepped once, however many schedules reach it. Each
+    admitted key also gets a dense id ([id]), assigned under the shard
+    lock at admission, so domains that race on a key agree on it.
 
     Sharding serves the parallel frontier scheduler: each shard carries
     its own lock — and its own hit counter, folded on read — so domains
@@ -14,11 +16,12 @@
     over-admission bound: with [D] domains racing, at most
     [capacity + D - 1] keys are ever admitted. Proof sketch: an
     admission requires observing [count < capacity] before its own
-    [incr]; once some [incr] makes [count = capacity] the counter never
-    decreases, so every admission after that point must have loaded
-    [count] before that [incr] committed — and at most [D - 1] *other*
-    domains can each hold one such stale in-flight load (one insertion
-    per domain at a time, each load is consumed by its own [incr]).
+    increment; once some increment makes [count = capacity] the counter
+    never decreases, so every admission after that point must have
+    loaded [count] before that increment committed — and at most
+    [D - 1] *other* domains can each hold one such stale in-flight load
+    (one insertion per domain at a time, each load is consumed by its
+    own increment).
     Hence over-admission < D, it only affects where truncation is
     reported, never soundness.
 
@@ -29,16 +32,22 @@
     of racing inserters. *)
 
 (** A key's cell in its shard's chained hash table. The cell itself is
-    the slot handed to callers: [value] is the memo, filled at most
-    once by whoever computes it first (a reader that finds it empty
-    computes the value itself — under parallel exploration a racing
-    duplicate of a deterministic computation is benign). Resizing
-    relinks cells in place, so a slot stays valid for the table's
-    lifetime, and a key costs one cell, whether or not its slot is ever
-    filled. *)
+    the slot handed to callers: [id] is the key's admission number (0
+    for the first key admitted, then 1, 2, ...), and [value] is the
+    memo, filled by whoever computes it first (a reader that finds it
+    empty computes the value itself — under parallel exploration a
+    racing duplicate of a deterministic computation is benign).
+    Resizing relinks cells in place, so a slot stays valid for the
+    table's lifetime, and a key costs one cell, whether or not its slot
+    is ever filled. *)
 type 'a cell =
   | Nil
-  | Slot of { key : string; mutable value : 'a option; mutable next : 'a cell }
+  | Slot of {
+      key : string;
+      id : int;
+      mutable value : 'a option;
+      mutable next : 'a cell;
+    }
 
 type 'a slot = 'a cell  (** always a [Slot] *)
 
@@ -99,9 +108,9 @@ let grow t sh =
   sh.buckets <- fresh
 
 (** Insert a fingerprint. [`New s]: first time seen, [s] is its fresh
-    empty slot; [`Seen s]: already present (a hit), [s] is the slot
-    [`New] returned; [`Full]: refused, the table reached capacity — a
-    refused key gets no slot. *)
+    empty slot, with the next id; [`Seen s]: already present (a hit),
+    [s] is the slot [`New] returned; [`Full]: refused, the table reached
+    capacity — a refused key gets no slot and no id. *)
 let add t key : [ `New of 'a slot | `Seen of 'a slot | `Full ] =
   let h = String.hash key in
   let sh = t.shards.(h mod Array.length t.shards) in
@@ -115,11 +124,11 @@ let add t key : [ `New of 'a slot | `Seen of 'a slot | `Full ] =
     | Nil ->
       if Atomic.get t.count >= t.capacity then `Full
       else begin
-        let c = Slot { key; value = None; next = sh.buckets.(i) } in
+        let id = Atomic.fetch_and_add t.count 1 in
+        let c = Slot { key; id; value = None; next = sh.buckets.(i) } in
         sh.buckets.(i) <- c;
         sh.size <- sh.size + 1;
         if sh.size > 2 * Array.length sh.buckets then grow t sh;
-        Atomic.incr t.count;
         `New c
       end
   in
@@ -128,6 +137,11 @@ let add t key : [ `New of 'a slot | `Seen of 'a slot | `Full ] =
   r
 
 let get : 'a slot -> 'a option = function Slot s -> s.value | Nil -> None
+
+(** The id [add] assigned the slot's key at admission: ids are distinct,
+    and the [n] keys of a table are numbered [0] to [n - 1] (with [D]
+    domains racing past capacity, up to [capacity + D - 2]). *)
+let id : 'a slot -> int = function Slot s -> s.id | Nil -> -1
 
 let fill (c : 'a slot) v =
   match c with Slot s -> s.value <- Some v | Nil -> ()

@@ -28,7 +28,6 @@ type thread = {
 
 type world = {
   threads : thread IMap.t;
-  cur : int;
   mem : Memory.t;
   genv : Genv.t;
   modules : Asm.program list;
@@ -83,7 +82,7 @@ let load (modules : Asm.program list) (entries : string list) :
       in
       (match build 1 entries flists IMap.empty with
       | Error e -> Error e
-      | Ok threads -> Ok { threads; cur = 1; mem; genv; modules })
+      | Ok threads -> Ok { threads; mem; genv; modules })
 
 let thread_done t = t.stack = [] && t.buf = []
 
@@ -95,9 +94,11 @@ let live_tids w =
 
 let all_done w = IMap.for_all (fun _ t -> thread_done t) w.threads
 
-(** Fingerprint without the scheduler choice [cur]: the state key of the
-    thread-selection view every engine explores ([mc_system]). *)
-let fingerprint_nocur w =
+(** The canonical fingerprint string of a world: the collision-free
+    state key of the thread-selection view every engine explores
+    ([system Fingerprint]). A world holds no scheduler choice, so there
+    is none to leave out. *)
+let fingerprint w =
   let buf = Buffer.create 256 in
   IMap.iter
     (fun tid t ->
@@ -149,7 +150,7 @@ let key_stream w =
   Hashx.int st mh2;
   st
 
-let key_nocur w = Hashx.key_of (Hashx.out (key_stream w))
+let key w = Hashx.key_of (Hashx.out (key_stream w))
 
 (* ------------------------------------------------------------------ *)
 (* TSO-visible memory                                                  *)
@@ -402,26 +403,13 @@ let unbuffer (w : world) (tid : int) : world option =
     instruction" or "thread [t]'s oldest buffered write drains" (drains
     belong to the buffer's owner and carry the write footprint of the
     drained address, so cross-thread flushes order correctly against
-    loads and stores). There are no switch transitions; [cur] is
-    cosmetic and excluded from the state key. *)
+    loads and stores). There are no switch transitions. *)
 let mc_system : world Cas_mc.Mcsys.t =
   {
-    Cas_mc.Mcsys.fingerprint = key_nocur;
+    Cas_mc.Mcsys.fingerprint = key;
     all_done;
     trans =
       (fun w ->
-        let locals =
-          List.concat_map
-            (fun tid ->
-              List.map
-                (fun (tr : world Cas_mc.Mcsys.trans) ->
-                  match tr.Cas_mc.Mcsys.target with
-                  | Cas_mc.Mcsys.Next w' ->
-                    { tr with Cas_mc.Mcsys.target = Cas_mc.Mcsys.Next { w' with cur = tid } }
-                  | Cas_mc.Mcsys.Abort -> tr)
-                (local_trans w tid))
-            (live_tids w)
-        in
         let drains =
           IMap.fold
             (fun tid (t : thread) acc ->
@@ -440,14 +428,14 @@ let mc_system : world Cas_mc.Mcsys.t =
                 | None -> acc))
             w.threads []
         in
-        locals @ drains);
+        List.concat_map (local_trans w) (live_tids w) @ drains);
   }
 
 (** The TSO machine under the given state keys: [mc_system], or the
-    same graph keyed by [fingerprint_nocur]. *)
+    same graph keyed by [fingerprint]. *)
 let system : Cas_mc.Mcsys.keys -> world Cas_mc.Mcsys.t =
   let by_fingerprint =
-    { mc_system with Cas_mc.Mcsys.fingerprint = fingerprint_nocur }
+    { mc_system with Cas_mc.Mcsys.fingerprint = fingerprint }
   in
   function
   | Cas_mc.Mcsys.Hash -> mc_system

@@ -588,6 +588,134 @@ let test_naive_matches_reference_at_budgets () =
     [ 0; 1; 2; 3; 10; 100 ]
 
 (* ------------------------------------------------------------------ *)
+(* DPOR against the engine it replaced                                 *)
+(* ------------------------------------------------------------------ *)
+
+(* [Dpor_reference] is the engine before a world's node kept resolved
+   edges: each visit keyed its world, probed the table, added the key
+   to a string set of the path and created a frame mutex, and each leaf
+   built and keyed its trace. The current engine must explore the same
+   tree in the same order, so with one job both agree on the trace
+   result, on every [Stats] field but [wall_ns] and on the [on_world]
+   calls: the multiset of (world key, transition count). *)
+let dpor_differences ?(collect = true) ?(max_worlds = 200_000)
+    ?(max_depth = 4000) ?(max_paths = 200_000) (sys : 'w Cas_mc.Mcsys.t)
+    initials =
+  let calls () =
+    let tbl = Hashtbl.create 64 in
+    let on_world w trans =
+      let k = (sys.Cas_mc.Mcsys.fingerprint w, List.length trans) in
+      let seen = Option.value ~default:0 (Hashtbl.find_opt tbl k) in
+      Hashtbl.replace tbl k (seen + 1)
+    in
+    (tbl, on_world)
+  in
+  let multiset tbl = List.sort compare (List.of_seq (Hashtbl.to_seq tbl)) in
+  let r_calls, r_on_world = calls () and n_calls, n_on_world = calls () in
+  let r, rst =
+    Dpor_reference.run ~collect
+      ~cfg:{ Dpor_reference.max_worlds; max_depth; max_paths }
+      sys initials ~on_world:r_on_world
+  in
+  let n, nst =
+    Cas_mc.Dpor.run ~collect
+      ~cfg:{ Cas_mc.Dpor.max_worlds; max_depth; max_paths }
+      sys initials ~on_world:n_on_world
+  in
+  let open Cas_mc.Stats in
+  List.filter_map
+    (fun (field, same) -> if same then None else Some field)
+    [
+      ( "traces",
+        Trace.Set.elements r.Trace.traces = Trace.Set.elements n.Trace.traces );
+      ("complete", r.Trace.complete = n.Trace.complete);
+      ("engine", rst.engine = nst.engine);
+      ("worlds", rst.worlds = nst.worlds);
+      ("transitions", rst.transitions = nst.transitions);
+      ("sleep_prunings", rst.sleep_prunings = nst.sleep_prunings);
+      ("backtracks", rst.backtracks = nst.backtracks);
+      ("steals", rst.steals = nst.steals);
+      ("store_hits", rst.store_hits = nst.store_hits);
+      ("truncated", rst.truncated = nst.truncated);
+      ("abort_reachable", rst.abort_reachable = nst.abort_reachable);
+      ("on_world", multiset r_calls = multiset n_calls);
+    ]
+
+let same_as_reference name differences =
+  check (Alcotest.list Alcotest.string) name [] differences
+
+let dpor_corpus () =
+  drf_corpus ()
+  @ [ ("lock-counter-3", lock_counter_3_prog ()); ("prints-3", prints_prog 3) ]
+
+let test_dpor_matches_reference () =
+  List.iter
+    (fun (name, p) ->
+      let w = load p in
+      List.iter
+        (fun collect ->
+          same_as_reference
+            (Fmt.str "%s (collect=%b)" name collect)
+            (dpor_differences ~collect Engine.selection_system [ w ]))
+        [ true; false ])
+    (dpor_corpus ());
+  List.iter
+    (fun (name, w) ->
+      same_as_reference ("tso " ^ name)
+        (dpor_differences ~max_depth:3000 ~max_paths:10_000
+           Cas_tso.Tso.mc_system [ w ]))
+    (tso_corpus ())
+
+(* Cycle cuts, depth cuts, rescues and the path budget: every
+   combination of budgets on the TSO lock counter, against each TTAS
+   lock, from one step and no path up to casbench's Lemma 16 bounds. *)
+let test_dpor_matches_reference_at_budgets () =
+  List.iter
+    (fun (pi_name, pi) ->
+      let w = tso_world [ compiled_counter (); pi ] [ "inc"; "inc" ] in
+      List.iter
+        (fun max_paths ->
+          List.iter
+            (fun max_depth ->
+              same_as_reference
+                (Fmt.str "%s max_steps=%d max_paths=%d" pi_name max_depth
+                   max_paths)
+                (dpor_differences ~max_depth ~max_paths Cas_tso.Tso.mc_system
+                   [ w ]))
+            [ 1; 2; 5; 50; 3000 ])
+        [ 0; 1; 2; 3; 10; 100; 10_000 ])
+    [
+      ("pi_lock", Cas_tso.Locks.pi_lock);
+      ("pi_lock_fenced", Cas_tso.Locks.pi_lock_fenced);
+    ]
+
+(* A world budget the exploration outgrows: the full table refuses
+   worlds, which are stepped at every visit and never kept in an edge. *)
+let test_dpor_matches_reference_when_full () =
+  let counter =
+    tso_world [ compiled_counter (); Cas_tso.Locks.pi_lock ] [ "inc"; "inc" ]
+  in
+  List.iter
+    (fun max_worlds ->
+      List.iter
+        (fun collect ->
+          List.iter
+            (fun (name, p) ->
+              same_as_reference
+                (Fmt.str "%s max_worlds=%d (collect=%b)" name max_worlds
+                   collect)
+                (dpor_differences ~collect ~max_worlds Engine.selection_system
+                   [ load p ]))
+            (dpor_corpus ());
+          same_as_reference
+            (Fmt.str "tso counter max_worlds=%d (collect=%b)" max_worlds
+               collect)
+            (dpor_differences ~collect ~max_worlds ~max_depth:3000
+               ~max_paths:10_000 Cas_tso.Tso.mc_system [ counter ]))
+        [ false; true ])
+    [ 1; 2; 3; 10; 50 ]
+
+(* ------------------------------------------------------------------ *)
 (* Reduction: the acceptance criterion                                 *)
 (* ------------------------------------------------------------------ *)
 
@@ -708,11 +836,47 @@ let test_naive_trace_counters_pinned () =
         (10052, 3, false) );
     ]
 
+(* Dpor trace enumeration's work counters on the TSO counter at
+   casbench's Lemma 16 bounds, against each TTAS lock: transitions,
+   worlds, wakeup insertions, store hits, trace count and completeness,
+   at the values of the engine that keyed and looked up each world at
+   every visit. Resolved edges are bookkeeping: they must walk the same
+   tree, and a revisit through one counts as the store hit it was. *)
+let test_dpor_trace_counters_pinned () =
+  List.iter
+    (fun (name, pi, expected) ->
+      let transitions, worlds, backtracks, store_hits, count, complete =
+        expected
+      in
+      let w = tso_world [ compiled_counter (); pi ] [ "inc"; "inc" ] in
+      let r, st =
+        Cas_tso.Tso.mc_traces ~engine:Engine.Dpor ~max_steps:3000
+          ~max_paths:10_000 w
+      in
+      check tint (name ^ ": transitions") transitions
+        st.Cas_mc.Stats.transitions;
+      check tint (name ^ ": worlds") worlds st.Cas_mc.Stats.worlds;
+      check tint (name ^ ": wakeup insertions") backtracks
+        st.Cas_mc.Stats.backtracks;
+      check tint (name ^ ": store hits") store_hits st.Cas_mc.Stats.store_hits;
+      check tint (name ^ ": traces") count (Trace.Set.cardinal r.Trace.traces);
+      check tbool (name ^ ": complete") complete r.Trace.complete)
+    [
+      ( "tso counter/pi_lock",
+        Cas_tso.Locks.pi_lock,
+        (10007, 210, 117, 9791, 3, false) );
+      ( "tso counter/pi_lock_fenced",
+        Cas_tso.Locks.pi_lock_fenced,
+        (5770, 196, 97, 5575, 3, true) );
+    ]
+
 (* The sequential dpor engine's work counters on the corpus. The state
-   table, the transitions shared with the visitor and the path
-   summaries are bookkeeping: the engine must explore the same tree as
-   without them — every transition, wakeup insertion and store hit —
-   so these values come from the engine that had none of the three. *)
+   table, the transitions shared with the visitor, the path summaries
+   and the resolved edges are bookkeeping: the engine must explore the
+   same tree as without them — every transition, wakeup insertion and
+   store hit, a revisit through a resolved edge counting as the hit its
+   table lookup was — so these values come from the engine that had
+   none of the four. *)
 let test_dpor_counters_pinned () =
   let corpus =
     [
@@ -880,6 +1044,19 @@ let prop_naive_matches_reference =
         reference_differences Engine.selection_system [ w ] = []
         && reference_differences Engine.np_system (Gsem.initials w) = [])
 
+let prop_dpor_matches_reference =
+  QCheck.Test.make
+    ~name:"dpor matches the reference on random 2-thread programs" ~count:100
+    arb_threads (fun p ->
+      let prog = Lang.prog [ Lang.Mod (Clight.lang, p) ] [ "t0"; "t1" ] in
+      match World.load prog ~args:[] with
+      | Error _ -> QCheck.assume_fail ()
+      | Ok w ->
+        List.for_all
+          (fun collect ->
+            dpor_differences ~collect Engine.selection_system [ w ] = [])
+          [ true; false ])
+
 let prop_fig7_matches_selection =
   QCheck.Test.make
     ~name:"Fig. 7 matches the selection view on random 2-thread programs"
@@ -925,6 +1102,12 @@ let () =
             test_naive_matches_reference;
           Alcotest.test_case "naive traces match the reference at budgets"
             `Quick test_naive_matches_reference_at_budgets;
+          Alcotest.test_case "dpor matches the reference" `Quick
+            test_dpor_matches_reference;
+          Alcotest.test_case "dpor matches the reference at budgets" `Quick
+            test_dpor_matches_reference_at_budgets;
+          Alcotest.test_case "dpor matches the reference when the table fills"
+            `Quick test_dpor_matches_reference_when_full;
         ] );
       ( "reduction",
         [
@@ -933,6 +1116,8 @@ let () =
             test_world_counts_pinned;
           Alcotest.test_case "naive trace counters pinned" `Quick
             test_naive_trace_counters_pinned;
+          Alcotest.test_case "dpor trace counters pinned" `Quick
+            test_dpor_trace_counters_pinned;
           Alcotest.test_case "dpor work counters pinned" `Quick
             test_dpor_counters_pinned;
           Alcotest.test_case "no sleep-set-blocked exploration" `Slow
@@ -953,5 +1138,6 @@ let () =
              prop_engines_agree;
              prop_fig7_matches_selection;
              prop_naive_matches_reference;
+             prop_dpor_matches_reference;
            ]) );
     ]
