@@ -706,10 +706,13 @@ let check_cmd =
   let run file entries with_lock =
     exit_with
       (fun r -> r.Cascompcert.Framework.all_ok)
-      (let+ text, client = parse_file file in
+      (let* text, client = parse_file file in
        let p =
          Cas_cmd.program ~with_lock ~entries (Cas_cmd.Source { text; client })
        in
+       (* a source that does not load is an error, as for drf, tso and
+          run; a target that does not is a FAIL row of the pipeline *)
+       let+ _ = Cas_cmd.load p in
        let input =
          {
            Cascompcert.Framework.name = Filename.basename file;

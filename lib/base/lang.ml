@@ -21,18 +21,20 @@ type ('code, 'core) t = {
   step : Flist.t -> 'core -> Memory.t -> 'core succ list;
   after_external : 'core -> Value.t option -> 'core option;
       (** resume a core waiting at a [Call] with the callee's return value *)
-  fingerprint_core : 'core -> string;
-      (** canonical encoding for state-space memoization *)
   hash_core : Hashx.t -> 'core -> unit;
       (** stream the same state into a hash accumulator, for the cheap
-          fixed-width world keys; must refine [fingerprint_core]
-          equality. Every IR has a dedicated streamer. *)
+          fixed-width world keys; must refine the equality of [pp_core]'s
+          text. Every IR has a dedicated streamer. *)
   hash_fundef : Hashx.t -> 'code -> string -> unit;
       (** stream the *definition* of one named function — its body,
           parameters and frame layout, nothing else — so a function's
-          code is nameable by a 16-byte digest ([digest_fundef]).
-          Streams nothing when the module does not define the name. *)
+          code is nameable by a 16-byte digest ([digest_fundef]). Every
+          IR finds the function and streams it with [Hashx.value], in a
+          canonical form where its record holds a map. Streams nothing
+          when the module does not define the name. *)
   pp_core : Format.formatter -> 'core -> unit;
+      (** prints a core; its text is the core's canonical encoding for
+          state-space memoization *)
   globals_of : 'code -> Genv.gvar list;
       (** the ge declared by a module of this language *)
   defs_of : 'code -> (string * int) list;
@@ -50,7 +52,7 @@ type modu = Mod : ('code, 'core) t * 'code -> modu
     in different languages live in one thread pool. *)
 type xcore = XCore : ('code, 'core) t * 'core -> xcore
 
-let xcore_fingerprint (XCore (l, c)) = l.name ^ "|" ^ l.fingerprint_core c
+let xcore_fingerprint (XCore (l, c)) = l.name ^ "|" ^ Fmt.str "%a" l.pp_core c
 let pp_xcore ppf (XCore (l, c)) = Fmt.pf ppf "%s:%a" l.name l.pp_core c
 
 (** Two-lane hash of a packed core, in [xcore_fingerprint]'s classes. *)
@@ -66,8 +68,8 @@ let xcore_hash (XCore (l, c)) =
     recertification. The language name is part of the stream, so the
     same body at two pipeline stages digests differently; absent
     functions digest to the bare [lang:name|] prefix, which no defined
-    function can collide with (every definition streams at least its
-    own name). *)
+    function can collide with (every definition streams its bytes'
+    length and the bytes after it). *)
 let digest_fundef (Mod (l, code)) (name : string) : string =
   let st = Hashx.create () in
   Hashx.string st l.name;

@@ -40,6 +40,10 @@ type load_error =
       (** a function symbol defined by more than one module: resolution
           would silently pick one definition, so Load rejects it *)
   | Unresolved_entry of string
+  | Entry_arity of string * int
+      (** an entry defined with that many parameters, while a thread
+          starts with the arguments [load] is given: none, from every
+          command *)
   | Not_closed
 
 let pp_load_error ppf = function
@@ -47,7 +51,17 @@ let pp_load_error ppf = function
   | Duplicate_fundef f ->
     Fmt.pf ppf "duplicate definition of function %s across modules" f
   | Unresolved_entry f -> Fmt.pf ppf "unresolved entry %s" f
+  | Entry_arity (f, n) ->
+    Fmt.pf ppf "entry %s takes %d argument%s; a thread entry takes none" f n
+      (if n = 1 then "" else "s")
   | Not_closed -> Fmt.string ppf "initial memory is not closed"
+
+(** Why no module of [modules] starts a thread at [entry]: one defines
+    it with another arity, or none defines it. *)
+let entry_error (modules : Lang.modu list) entry =
+  match List.find_map (fun m -> List.assoc_opt entry (Lang.defs m)) modules with
+  | Some arity -> Entry_arity (entry, arity)
+  | None -> Unresolved_entry entry
 
 (** The Load rule: link global environments, initialize memory, check
     closedness, partition the freelists, and create one core per entry. *)
@@ -68,7 +82,7 @@ let load (p : Lang.prog) ~(args : Value.t list list) : (t, load_error) result =
         | [], _, _ -> Ok acc
         | entry :: es, fl :: fls, a :: argss -> (
           match Lang.resolve ~genv p.modules ~entry ~args:a with
-          | None -> Error (Unresolved_entry entry)
+          | None -> Error (entry_error p.modules entry)
           | Some xc ->
             build (tid + 1) es fls argss
               (IMap.add tid

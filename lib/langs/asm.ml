@@ -353,9 +353,7 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with regs; waiting = None }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
-(* Streamed state hash in [fingerprint_core]'s classes: machine state only
+(* Streamed state hash in [pp_core]'s classes: machine state only
    (registers, pc, sp, flags, atomic phase) — the code is static per
    function symbol, so like the printer we identify it by name. Hot under
    both the SC engine and [Cas_tso.Tso]. *)
@@ -382,110 +380,10 @@ let hash_core st c =
     Hashx.int st (Value.hash b));
   Hashx.bool st (c.waiting <> None)
 
-(* Instruction streamer, used only by [hash_fundef] (function body
-   digests); [hash_core] stays machine-state-only. [Hashtbl.hash] is
-   safe on [cond] and the operator enums because they are flat. *)
-let hash_instr st = function
-  | Pmov_ri (d, n) ->
-    Hashx.char st 'a';
-    Mreg.hash st d;
-    Hashx.int st n
-  | Pmov_rr (d, s) ->
-    Hashx.char st 'b';
-    Mreg.hash st d;
-    Mreg.hash st s
-  | Plea_global (d, g) ->
-    Hashx.char st 'c';
-    Mreg.hash st d;
-    Hashx.string st g
-  | Plea_stack (d, ofs) ->
-    Hashx.char st 'd';
-    Mreg.hash st d;
-    Hashx.int st ofs
-  | Pbinop_rr (op, d, s) ->
-    Hashx.char st 'e';
-    Hashx.int st (Hashtbl.hash op);
-    Mreg.hash st d;
-    Mreg.hash st s
-  | Pbinop_ri (op, d, n) ->
-    Hashx.char st 'f';
-    Hashx.int st (Hashtbl.hash op);
-    Mreg.hash st d;
-    Hashx.int st n
-  | Pbinop3 (op, d, s1, s2) ->
-    Hashx.char st 'g';
-    Hashx.int st (Hashtbl.hash op);
-    Mreg.hash st d;
-    Mreg.hash st s1;
-    Mreg.hash st s2
-  | Punop_r (op, d) ->
-    Hashx.char st 'h';
-    Hashx.int st (Hashtbl.hash op);
-    Mreg.hash st d
-  | Pload (d, s, ofs) ->
-    Hashx.char st 'i';
-    Mreg.hash st d;
-    Mreg.hash st s;
-    Hashx.int st ofs
-  | Pstore (d, ofs, s) ->
-    Hashx.char st 'j';
-    Mreg.hash st d;
-    Hashx.int st ofs;
-    Mreg.hash st s
-  | Pload_stack (d, ofs) ->
-    Hashx.char st 'k';
-    Mreg.hash st d;
-    Hashx.int st ofs
-  | Pstore_stack (ofs, s) ->
-    Hashx.char st 'l';
-    Hashx.int st ofs;
-    Mreg.hash st s
-  | Pcmp_rr (a, b) ->
-    Hashx.char st 'm';
-    Mreg.hash st a;
-    Mreg.hash st b
-  | Pcmp_ri (a, n) ->
-    Hashx.char st 'n';
-    Mreg.hash st a;
-    Hashx.int st n
-  | Pjcc (c, l) ->
-    Hashx.char st 'o';
-    Hashx.int st (Hashtbl.hash c);
-    Hashx.int st l
-  | Pjmp l ->
-    Hashx.char st 'p';
-    Hashx.int st l
-  | Plabel l ->
-    Hashx.char st 'q';
-    Hashx.int st l
-  | Pcall (f, n, has_res) ->
-    Hashx.char st 'r';
-    Hashx.string st f;
-    Hashx.int st n;
-    Hashx.bool st has_res
-  | Ptailjmp (f, n) ->
-    Hashx.char st 's';
-    Hashx.string st f;
-    Hashx.int st n
-  | Pret has_res ->
-    Hashx.char st 't';
-    Hashx.bool st has_res
-  | Plock_cmpxchg (a, s) ->
-    Hashx.char st 'u';
-    Mreg.hash st a;
-    Mreg.hash st s
-  | Pmfence -> Hashx.char st 'v'
-
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
-  | Some f ->
-    Hashx.string st f.fname;
-    Hashx.int st f.arity;
-    Hashx.char st '|';
-    Hashx.int st f.framesize;
-    Hashx.bool st f.is_object;
-    List.iter (hash_instr st) f.code
+  | Some f -> Hashx.value st f
 
 (** x86 with SC semantics — the "x86-SC" language of Fig. 3. *)
 let lang : (program, core) Lang.t =
@@ -494,7 +392,6 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

@@ -185,8 +185,6 @@ let init_core ~genv (p : program) ~entry ~args : core option =
       in
       Some { env; cur = f.fbody; k = Kstop; genv }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
 (* Stream the same state [pp_core] prints — tagged per constructor so the
    stream is injective on the syntax — without building the string. CImp
    cores are rehashed on every object-code step of the exploration
@@ -282,15 +280,7 @@ let hash_core st c =
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
-  | Some f ->
-    Hashx.string st f.fname;
-    List.iter
-      (fun x ->
-        Hashx.char st ',';
-        Hashx.string st x)
-      f.fparams;
-    Hashx.char st '|';
-    hash_stmt st f.fbody
+  | Some f -> Hashx.value st f
 
 let lang : (program, core) Lang.t =
   {
@@ -302,7 +292,6 @@ let lang : (program, core) Lang.t =
          from is the built-in [print] (ret = None); [step] has already
          installed the continuation core. *)
       (fun c ret -> match ret with None -> Some c | Some _ -> None);
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

@@ -220,9 +220,7 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with temps; waiting = None }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
-(* Streamed state hash in [fingerprint_core]'s classes: printed fields
+(* Streamed state hash in [pp_core]'s classes: printed fields
    only ([pending]/[genv] stay out, [waiting] contributes its outermost
    option). One tag char per constructor keeps the token stream
    injective on the syntax without building the string. *)
@@ -325,22 +323,7 @@ let hash_core st c =
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
-  | Some f ->
-    Hashx.string st f.fname;
-    List.iter
-      (fun x ->
-        Hashx.char st ',';
-        Hashx.string st x)
-      f.fparams;
-    Hashx.char st '|';
-    List.iter
-      (fun (x, size) ->
-        Hashx.string st x;
-        Hashx.char st '@';
-        Hashx.int st size)
-      f.fvars;
-    Hashx.char st '|';
-    hash_stmt st f.fbody
+  | Some f -> Hashx.value st f
 
 let lang : (program, core) Lang.t =
   {
@@ -348,7 +331,6 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

@@ -192,54 +192,9 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with locs; waiting = None }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
-(* Streamed state hash in [fingerprint_core]'s classes: printed fields
-   only (the derived [code] array, [need_frame] and [genv] stay out,
+(* Streamed state hash in [pp_core]'s classes: printed fields only
+   (the derived [code] array, [need_frame] and [genv] stay out,
    [waiting] contributes its outermost option). *)
-let hash_instr st = function
-  | Lop (op, d) ->
-    Hashx.char st '1';
-    Mreg.hash_gop Mreg.hash_loc st op;
-    Mreg.hash_loc st d
-  | Lload (d, ofs, r) ->
-    Hashx.char st '2';
-    Mreg.hash_loc st d;
-    Hashx.int st ofs;
-    Mreg.hash_loc st r
-  | Lstore (r, ofs, s) ->
-    Hashx.char st '3';
-    Mreg.hash_loc st r;
-    Hashx.int st ofs;
-    Mreg.hash_loc st s
-  | Lcall (f, args, dst) ->
-    Hashx.char st '4';
-    Hashx.string st f;
-    List.iter (Mreg.hash_loc st) args;
-    (match dst with
-    | None -> Hashx.char st '-'
-    | Some d ->
-      Hashx.char st '=';
-      Mreg.hash_loc st d)
-  | Ltailcall (f, args) ->
-    Hashx.char st '5';
-    Hashx.string st f;
-    List.iter (Mreg.hash_loc st) args
-  | Llabel l ->
-    Hashx.char st 'L';
-    Hashx.int st l
-  | Lgoto l ->
-    Hashx.char st 'G';
-    Hashx.int st l
-  | Lcond (r, l) ->
-    Hashx.char st '6';
-    Mreg.hash_loc st r;
-    Hashx.int st l
-  | Lreturn None -> Hashx.char st '7'
-  | Lreturn (Some l) ->
-    Hashx.char st 'R';
-    Mreg.hash_loc st l
-
 let hash_core st c =
   Hashx.string st c.fn.fname;
   Hashx.int st c.pc;
@@ -259,12 +214,7 @@ let hash_core st c =
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
-  | Some f ->
-    Hashx.string st f.fname;
-    List.iter (Mreg.hash_loc st) f.fparams;
-    Hashx.char st '|';
-    Hashx.int st f.stacksize;
-    List.iter (hash_instr st) f.code
+  | Some f -> Hashx.value st f
 
 let lang : (program, core) Lang.t =
   {
@@ -272,7 +222,6 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

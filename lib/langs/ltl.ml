@@ -179,57 +179,10 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with locs; waiting = None }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
-(* Streamed state hash in [fingerprint_core]'s classes: printed fields
-   only ([need_frame]/[genv] stay out, [waiting] contributes its
-   outermost option). Location and operator streamers are shared with
-   Linear and Mach ([Mreg.hash_loc]/[Mreg.hash_gop]). *)
-let hash_instr st = function
-  | Lnop n ->
-    Hashx.char st '0';
-    Hashx.int st n
-  | Lop (op, d, n) ->
-    Hashx.char st '1';
-    Mreg.hash_gop Mreg.hash_loc st op;
-    Mreg.hash_loc st d;
-    Hashx.int st n
-  | Lload (d, ofs, r, n) ->
-    Hashx.char st '2';
-    Mreg.hash_loc st d;
-    Hashx.int st ofs;
-    Mreg.hash_loc st r;
-    Hashx.int st n
-  | Lstore (r, ofs, s, n) ->
-    Hashx.char st '3';
-    Mreg.hash_loc st r;
-    Hashx.int st ofs;
-    Mreg.hash_loc st s;
-    Hashx.int st n
-  | Lcall (f, args, dst, n) ->
-    Hashx.char st '4';
-    Hashx.string st f;
-    List.iter (Mreg.hash_loc st) args;
-    (match dst with
-    | None -> Hashx.char st '-'
-    | Some d ->
-      Hashx.char st '=';
-      Mreg.hash_loc st d);
-    Hashx.int st n
-  | Ltailcall (f, args) ->
-    Hashx.char st '5';
-    Hashx.string st f;
-    List.iter (Mreg.hash_loc st) args
-  | Lcond (r, n1, n2) ->
-    Hashx.char st '6';
-    Mreg.hash_loc st r;
-    Hashx.int st n1;
-    Hashx.int st n2
-  | Lreturn None -> Hashx.char st '7'
-  | Lreturn (Some l) ->
-    Hashx.char st 'R';
-    Mreg.hash_loc st l
-
+(* Streamed state hash in [pp_core]'s classes: printed fields only
+   ([need_frame]/[genv] stay out, [waiting] contributes its outermost
+   option). The location streamer is shared with Linear
+   ([Mreg.hash_loc]). *)
 let hash_core st c =
   Hashx.string st c.fn.fname;
   Hashx.int st c.pc;
@@ -250,17 +203,9 @@ let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
   | Some f ->
-    Hashx.string st f.fname;
-    List.iter (Mreg.hash_loc st) f.fparams;
-    Hashx.char st '|';
-    Hashx.int st f.stacksize;
-    Hashx.int st f.entry;
-    IMap.iter
-      (fun n i ->
-        Hashx.int st n;
-        Hashx.char st ':';
-        hash_instr st i)
-      f.code
+    (* a map's marshalled bytes depend on its insertion order *)
+    Hashx.value st
+      (f.fname, f.fparams, f.stacksize, f.entry, IMap.bindings f.code)
 
 let lang : (program, core) Lang.t =
   {
@@ -268,7 +213,6 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

@@ -216,57 +216,9 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with regs; waiting = None }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
-(* Streamed state hash in [fingerprint_core]'s classes: printed fields
-   only (the derived [code] array, [need_frame] and [genv] stay out,
+(* Streamed state hash in [pp_core]'s classes: printed fields only
+   (the derived [code] array, [need_frame] and [genv] stay out,
    [waiting] contributes its outermost option). *)
-let hash_instr st = function
-  | Mop (op, d) ->
-    Hashx.char st '1';
-    Mreg.hash_gop Mreg.hash st op;
-    Mreg.hash st d
-  | Mload (d, ofs, r) ->
-    Hashx.char st '2';
-    Mreg.hash st d;
-    Hashx.int st ofs;
-    Mreg.hash st r
-  | Mstore (r, ofs, s) ->
-    Hashx.char st '3';
-    Mreg.hash st r;
-    Hashx.int st ofs;
-    Mreg.hash st s
-  | Mgetstack (i, r) ->
-    Hashx.char st 'g';
-    Hashx.int st i;
-    Mreg.hash st r
-  | Msetstack (r, i) ->
-    Hashx.char st 's';
-    Mreg.hash st r;
-    Hashx.int st i
-  | Mcall (f, arity, has_res) ->
-    Hashx.char st '4';
-    Hashx.string st f;
-    Hashx.int st arity;
-    Hashx.bool st has_res
-  | Mtailcall (f, arity) ->
-    Hashx.char st '5';
-    Hashx.string st f;
-    Hashx.int st arity
-  | Mlabel l ->
-    Hashx.char st 'L';
-    Hashx.int st l
-  | Mgoto l ->
-    Hashx.char st 'G';
-    Hashx.int st l
-  | Mcond (r, l) ->
-    Hashx.char st '6';
-    Mreg.hash st r;
-    Hashx.int st l
-  | Mreturn has_res ->
-    Hashx.char st '7';
-    Hashx.bool st has_res
-
 let hash_core st c =
   Hashx.string st c.fn.fname;
   Hashx.int st c.pc;
@@ -286,13 +238,7 @@ let hash_core st c =
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
-  | Some f ->
-    Hashx.string st f.fname;
-    Hashx.int st f.arity;
-    Hashx.char st '|';
-    Hashx.int st f.stacksize;
-    Hashx.int st f.nslots;
-    List.iter (hash_instr st) f.code
+  | Some f -> Hashx.value st f
 
 let lang : (program, core) Lang.t =
   {
@@ -300,7 +246,6 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

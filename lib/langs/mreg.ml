@@ -94,10 +94,11 @@ let map_gop f = function
   | Gbinop_imm (op, a, n) -> Gbinop_imm (op, f a, n)
   | Gunop (op, a) -> Gunop (op, f a)
 
-(* Hash streamers shared by the location-based IRs (LTL, Linear, Mach):
-   one tag char per constructor, so the token stream is injective on the
-   syntax. [Hashtbl.hash] is safe on [t] and [Ops.binop]/[Ops.unop]
-   because they are flat enums — never use it on recursive structures. *)
+(* Core-hash streamers shared by the IRs over machine registers: LTL's
+   and Linear's [hash_core] stream locations, Mach's registers. One tag
+   char per location constructor keeps the token stream injective.
+   [Hashtbl.hash] is safe on [t] because it is a flat enum — never use
+   it on recursive structures. *)
 
 let hash st (r : t) = Hashx.int st (Hashtbl.hash r)
 
@@ -108,31 +109,3 @@ let hash_loc st = function
   | S i ->
     Hashx.char st 's';
     Hashx.int st i
-
-let hash_gop hash_r st = function
-  | Gmove r ->
-    Hashx.char st 'm';
-    hash_r st r
-  | Gconst n ->
-    Hashx.char st 'c';
-    Hashx.int st n
-  | Gaddrglobal s ->
-    Hashx.char st 'g';
-    Hashx.string st s
-  | Gaddrstack ofs ->
-    Hashx.char st 'a';
-    Hashx.int st ofs
-  | Gbinop (op, a, b) ->
-    Hashx.char st 'b';
-    Hashx.int st (Hashtbl.hash op);
-    hash_r st a;
-    hash_r st b
-  | Gbinop_imm (op, a, n) ->
-    Hashx.char st 'i';
-    Hashx.int st (Hashtbl.hash op);
-    hash_r st a;
-    Hashx.int st n
-  | Gunop (op, a) ->
-    Hashx.char st 'u';
-    Hashx.int st (Hashtbl.hash op);
-    hash_r st a

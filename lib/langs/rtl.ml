@@ -207,85 +207,9 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with regs; waiting = None }
 
-let fingerprint_core c = Fmt.str "%a" pp_core c
-
-(* Streamed state hash in [fingerprint_core]'s classes: printed fields
-   only ([need_frame]/[genv] stay out, [waiting] contributes its
-   outermost option). One tag char per constructor keeps the token
-   stream injective on the syntax without building the string. *)
-let hash_op st = function
-  | Omove r ->
-    Hashx.char st 'm';
-    Hashx.int st r
-  | Oconst n ->
-    Hashx.char st 'c';
-    Hashx.int st n
-  | Oaddrglobal s ->
-    Hashx.char st 'g';
-    Hashx.string st s
-  | Oaddrstack ofs ->
-    Hashx.char st 's';
-    Hashx.int st ofs
-  | Obinop (op, a, b) ->
-    Hashx.char st 'b';
-    Hashx.int st (Hashtbl.hash op);
-    Hashx.int st a;
-    Hashx.int st b
-  | Obinop_imm (op, a, n) ->
-    Hashx.char st 'i';
-    Hashx.int st (Hashtbl.hash op);
-    Hashx.int st a;
-    Hashx.int st n
-  | Ounop (op, a) ->
-    Hashx.char st 'u';
-    Hashx.int st (Hashtbl.hash op);
-    Hashx.int st a
-
-let hash_instr st = function
-  | Inop n ->
-    Hashx.char st '0';
-    Hashx.int st n
-  | Iop (op, d, n) ->
-    Hashx.char st '1';
-    hash_op st op;
-    Hashx.int st d;
-    Hashx.int st n
-  | Iload (d, ofs, r, n) ->
-    Hashx.char st '2';
-    Hashx.int st d;
-    Hashx.int st ofs;
-    Hashx.int st r;
-    Hashx.int st n
-  | Istore (r, ofs, s, n) ->
-    Hashx.char st '3';
-    Hashx.int st r;
-    Hashx.int st ofs;
-    Hashx.int st s;
-    Hashx.int st n
-  | Icall (f, args, dst, n) ->
-    Hashx.char st '4';
-    Hashx.string st f;
-    List.iter (Hashx.int st) args;
-    (match dst with
-    | None -> Hashx.char st '-'
-    | Some d ->
-      Hashx.char st '=';
-      Hashx.int st d);
-    Hashx.int st n
-  | Itailcall (f, args) ->
-    Hashx.char st '5';
-    Hashx.string st f;
-    List.iter (Hashx.int st) args
-  | Icond (r, n1, n2) ->
-    Hashx.char st '6';
-    Hashx.int st r;
-    Hashx.int st n1;
-    Hashx.int st n2
-  | Ireturn None -> Hashx.char st '7'
-  | Ireturn (Some r) ->
-    Hashx.char st 'R';
-    Hashx.int st r
-
+(* Streamed state hash in [pp_core]'s classes: printed fields only
+   ([need_frame]/[genv] stay out, [waiting] contributes its outermost
+   option). *)
 let hash_core st c =
   Hashx.string st c.fn.fname;
   Hashx.int st c.pc;
@@ -306,17 +230,9 @@ let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
   | Some f ->
-    Hashx.string st f.fname;
-    List.iter (Hashx.int st) f.fparams;
-    Hashx.char st '|';
-    Hashx.int st f.stacksize;
-    Hashx.int st f.entry;
-    IMap.iter
-      (fun n i ->
-        Hashx.int st n;
-        Hashx.char st ':';
-        hash_instr st i)
-      f.code
+    (* a map's marshalled bytes depend on its insertion order *)
+    Hashx.value st
+      (f.fname, f.fparams, f.stacksize, f.entry, IMap.bindings f.code)
 
 let lang : (program, core) Lang.t =
   {
@@ -324,7 +240,6 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    fingerprint_core;
     hash_core;
     hash_fundef;
     pp_core;

@@ -26,6 +26,9 @@ type error =
     }
   | Incompatible_global of { name : string; obj1 : string; obj2 : string }
   | Missing_entry of { entry : string }
+  | Entry_arity of { entry : string; obj : string; arity : int }
+      (** a thread entry point defined with parameters: a thread starts
+          with no arguments, so no command could load the image *)
 
 let pp_error ppf = function
   | Duplicate_export { sym; obj1; obj2 } ->
@@ -41,6 +44,12 @@ let pp_error ppf = function
       obj1 obj2
   | Missing_entry { entry } ->
     Fmt.pf ppf "entry point %s is not defined by any object" entry
+  | Entry_arity { entry; obj; arity } ->
+    Fmt.pf ppf
+      "entry point %s, defined by %s, takes %d argument%s; a thread entry \
+       takes none"
+      entry obj arity
+      (if arity = 1 then "" else "s")
 
 type resolution = {
   r_objects : Objfile.t list;  (** canonical link order *)
@@ -119,10 +128,13 @@ let resolve ?(entries = []) ?(label = fun (o : Objfile.t) -> o.o_name)
                    { name = g.gname; obj1 = first; obj2 = label o }))
         o.o_asm.globals)
     objs;
-  (* thread entry points must be defined somewhere *)
+  (* thread entry points must be defined somewhere, without parameters *)
   List.iter
     (fun entry ->
-      if not (Hashtbl.mem defs entry) then err (Missing_entry { entry }))
+      match Hashtbl.find_opt defs entry with
+      | None -> err (Missing_entry { entry })
+      | Some (obj, arity) ->
+        if arity <> 0 then err (Entry_arity { entry; obj; arity }))
     entries;
   match List.rev !errors with
   | [] ->

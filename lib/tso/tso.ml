@@ -35,7 +35,7 @@ type world = {
 
 type load_error = Cas_conc.World.load_error
 
-(** Two-lane hash of one frame, in [Asm.fingerprint_core]'s classes. *)
+(** Two-lane hash of one frame, in [Asm.pp_core]'s classes. *)
 let core_hash (c : Asm.core) =
   let st = Hashx.create () in
   Asm.hash_core st c;
@@ -43,9 +43,8 @@ let core_hash (c : Asm.core) =
 
 let load (modules : Asm.program list) (entries : string list) :
     (world, load_error) result =
-  match
-    Lang.duplicate_def (List.map (fun p -> Lang.Mod (Asm.lang, p)) modules)
-  with
+  let packed = List.map (fun p -> Lang.Mod (Asm.lang, p)) modules in
+  match Lang.duplicate_def packed with
   | Some f -> Error (Cas_conc.World.Duplicate_fundef f)
   | None ->
   match Genv.link (List.map (fun (p : Asm.program) -> p.Asm.globals) modules) with
@@ -66,7 +65,7 @@ let load (modules : Asm.program list) (entries : string list) :
         | [], _ -> Ok acc
         | e :: es, fl :: fls -> (
           match resolve e with
-          | None -> Error (Cas_conc.World.Unresolved_entry e)
+          | None -> Error (Cas_conc.World.entry_error packed e)
           | Some core ->
             build (tid + 1) es fls
               (IMap.add tid
@@ -106,7 +105,7 @@ let fingerprint w =
       Buffer.add_char buf ':';
       List.iter
         (fun c ->
-          Buffer.add_string buf (Asm.fingerprint_core c);
+          Buffer.add_string buf (Fmt.str "%a" Asm.pp_core c);
           Buffer.add_char buf '/')
         t.stack;
       Buffer.add_char buf '[';

@@ -52,7 +52,6 @@ let test_audit_reports_collision () =
       init_core = (fun ~genv:_ () ~entry:_ ~args:_ -> None);
       step = (fun _ _ _ -> []);
       after_external = (fun _ _ -> None);
-      fingerprint_core = string_of_int;
       hash_core = (fun st _ -> Hashx.int st 0);
       hash_fundef = (fun _ () _ -> ());
       pp_core = Fmt.int;
@@ -74,6 +73,45 @@ let test_audit_reports_collision () =
 
 (* ------------------------------------------------------------------ *)
 (* Footprint                                                           *)
+(* ------------------------------------------------------------------ *)
+(* Streaming a value                                                   *)
+(* ------------------------------------------------------------------ *)
+
+let value_key v =
+  let st = Hashx.create () in
+  Hashx.value st v;
+  Hashx.key_of (Hashx.out st)
+
+(* Every bit of the marshalled bytes reaches the lanes: a string whose
+   bytes fill several seven-byte steps and a tail, changed in any one
+   bit, streams apart from the original. *)
+let test_value_every_bit () =
+  let s = String.init 40 (fun i -> Char.chr (i * 37 land 0xff)) in
+  let k = value_key s in
+  for i = 0 to String.length s - 1 do
+    for b = 0 to 7 do
+      let s' =
+        String.mapi
+          (fun j c ->
+            if j = i then Char.chr (Char.code c lxor (1 lsl b)) else c)
+          s
+      in
+      if value_key s' = k then Alcotest.failf "bit %d of byte %d is lost" b i
+    done
+  done
+
+(* The stream depends on the value, not on how its parts share memory;
+   a value larger than the marshalling buffer streams whole. *)
+let test_value_sharing_and_size () =
+  let x = String.make 3 'x' in
+  check tbool "sharing" true
+    (value_key (x, x) = value_key (x, String.make 3 'x'));
+  let big = String.make 10_000 'b' in
+  let big' = String.mapi (fun i c -> if i = 9_999 then 'c' else c) big in
+  check tbool "a large value streams alike" true
+    (value_key big = value_key (String.make 10_000 'b'));
+  check tbool "its last byte counts" false (value_key big = value_key big')
+
 (* ------------------------------------------------------------------ *)
 
 let fp_r l = Footprint.reads l
@@ -804,6 +842,13 @@ let () =
         [
           Alcotest.test_case "reports a collision" `Quick
             test_audit_reports_collision;
+        ] );
+      ( "hashx",
+        [
+          Alcotest.test_case "value streams every bit" `Quick
+            test_value_every_bit;
+          Alcotest.test_case "value ignores sharing, takes any size" `Quick
+            test_value_sharing_and_size;
         ] );
       ( "footprint",
         [

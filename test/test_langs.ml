@@ -467,7 +467,6 @@ let evil_lang ~(mode : [ `Hidden_write | `Hidden_read ]) :
               [ Lang.Next (Msg.Tau, Footprint.empty, { c with epc = 1 }, m) ]
             | Error _ -> [ Lang.Stuck_abort ]));
     after_external = (fun _ _ -> None);
-    fingerprint_core = (fun c -> string_of_int c.epc);
     hash_core = (fun st c -> Hashx.int st c.epc);
     hash_fundef = (fun _ () _ -> ());
     pp_core = (fun ppf c -> Fmt.pf ppf "evil@%d" c.epc);

@@ -246,6 +246,47 @@ let test_missing_entry () =
            | Resolve.Missing_entry { entry = "main" } -> true | _ -> false)
          es)
 
+(* A thread starts with no arguments, so an entry point with parameters
+   is refused at resolution, before any certificate is composed. *)
+let test_entry_arity () =
+  fresh_cache ();
+  let o_f = build "f" f_src and o_g = build "g" g_src in
+  let names_g =
+    List.exists (function
+      | Resolve.Entry_arity { entry = "g"; obj = "g"; arity = 1 } -> true
+      | _ -> false)
+  in
+  (match Resolve.resolve ~entries:[ "g" ] [ o_f; o_g ] with
+  | Ok _ -> Alcotest.fail "entry with parameters resolved"
+  | Error es -> check tbool "names entry, object and arity" true (names_g es));
+  match Linker.link ~certify:true ~entries:[ "g" ] [ o_f; o_g ] with
+  | Error (Linker.Resolve_errors es) ->
+    check tbool "the certified link stops at resolution" true (names_g es)
+  | Error e -> Alcotest.failf "wrong error: %a" Linker.pp_error e
+  | Ok _ -> Alcotest.fail "linked an entry with parameters"
+
+(* Load tells an entry defined with parameters from an undefined one,
+   under SC and on the x86-TSO machine. *)
+let test_load_entry_arity () =
+  let g = Parse.clight g_src in
+  let asm = Cas_compiler.Driver.compile g in
+  let expect what = function
+    | Error (Cas_conc.World.Entry_arity ("g", 1)) -> ()
+    | Error e ->
+      Alcotest.failf "%s: wrong error: %a" what Cas_conc.World.pp_load_error e
+    | Ok _ -> Alcotest.failf "%s: loaded an entry with parameters" what
+  in
+  expect "SC"
+    (Cas_conc.World.load (Lang.prog [ Lang.Mod (Clight.lang, g) ] [ "g" ])
+       ~args:[]);
+  expect "TSO" (Cas_tso.Tso.load [ asm ] [ "g" ]);
+  match
+    Cas_conc.World.load (Lang.prog [ Lang.Mod (Clight.lang, g) ] [ "h" ])
+      ~args:[]
+  with
+  | Error (Cas_conc.World.Unresolved_entry "h") -> ()
+  | _ -> Alcotest.fail "an undefined entry is unresolved"
+
 let test_world_rejects_duplicate_def () =
   let g = Parse.clight g_src in
   let p =
@@ -573,6 +614,9 @@ let () =
           Alcotest.test_case "missing import" `Quick test_missing_import;
           Alcotest.test_case "arity mismatch" `Quick test_arity_mismatch;
           Alcotest.test_case "missing entry" `Quick test_missing_entry;
+          Alcotest.test_case "entry with parameters" `Quick test_entry_arity;
+          Alcotest.test_case "Load names an entry's arity" `Quick
+            test_load_entry_arity;
           Alcotest.test_case "World.load rejects duplicate defs" `Quick
             test_world_rejects_duplicate_def;
         ] );

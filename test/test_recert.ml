@@ -241,6 +241,214 @@ let test_fundef_digests () =
   check tbool "two absent names digest differently" false
     (Lang.digest_fundef m1 "nope" = Lang.digest_fundef m1 "also_nope")
 
+(* A function of loop.c's shape: parameters, locals, a loop and a call,
+   so every IR's definition of [sum] has code in every field. *)
+let loop_src =
+  {|
+  int g = 3;
+  int sum(int n) {
+    int s;
+    int t;
+    s = 0;
+    while (0 < n) {
+      t = g;
+      s = s + n;
+      n = n - 1;
+    }
+    print(s);
+    return s;
+  }
+|}
+
+(* [f'] in place of the function of the same name *)
+let replace fname funcs f' =
+  List.map (fun f -> if fname f = fname f' then f' else f) funcs
+
+(* [code] with its first instruction replaced by [x], or by [y] when it
+   is [x] *)
+let first_replaced x y = function
+  | i :: rest -> (if i = x then y else x) :: rest
+  | [] -> [ x ]
+
+(* [name]'s definition in [lang] digests apart from each variant, a copy
+   of the program whose [name] differs in the one field named. *)
+let digests_apart ?(name = "sum") (type code) (lang : (code, _) Lang.t)
+    (p : code) (variants : (string * code) list) =
+  let digest q = Lang.digest_fundef (Lang.Mod (lang, q)) name in
+  List.iter
+    (fun (field, q) ->
+      check tbool
+        (Fmt.str "%s: %s changes the digest" lang.Lang.name field)
+        false
+        (digest q = digest p))
+    variants
+
+(* Every IR's digest covers every field of a definition: parameters,
+   frame size or locals, entry node, and the code. *)
+let test_fundef_digest_fields () =
+  let module D = Cas_compiler.Driver in
+  let a = D.compile_artifacts (Parse.clight loop_src) in
+  let find fname funcs = List.find (fun f -> fname f = "sum") funcs in
+  (let p = a.D.clight in
+   let fn (f : Clight.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   digests_apart Clight.lang p
+     [
+       ("parameters", v { f with fparams = f.fparams @ [ "m" ] });
+       ("locals", v { f with fvars = ("u", 1) :: f.fvars });
+       ("statement", v { f with fbody = Clight.Sseq (Sskip, f.fbody) });
+     ]);
+  (let p = a.D.csharpminor in
+   let fn (f : Csharpminor.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   digests_apart Csharpminor.lang p
+     [
+       ("parameters", v { f with fparams = f.fparams @ [ "m" ] });
+       ("locals", v { f with fvars = ("u", 1) :: f.fvars });
+       ("statement", v { f with fbody = Csharpminor.Sseq (Sskip, f.fbody) });
+     ]);
+  List.iter
+    (fun (lang, (p : Cminor.program)) ->
+      let fn (f : Cminor.func) = f.fname in
+      let f = find fn p.funcs in
+      let v f' = { p with funcs = replace fn p.funcs f' } in
+      digests_apart lang p
+        [
+          ("parameters", v { f with fparams = f.fparams @ [ "m" ] });
+          ("frame size", v { f with stacksize = f.stacksize + 1 });
+          ("statement", v { f with fbody = Cminor.Sseq (Sskip, f.fbody) });
+        ])
+    [ (Cminor.lang, a.D.cminor); (Cminor.sel_lang, a.D.cminorsel) ];
+  (let p = a.D.rtl in
+   let fn (f : Rtl.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   let n, i = Rtl.IMap.max_binding f.code in
+   let other = fst (Rtl.IMap.min_binding f.code) in
+   digests_apart Rtl.lang p
+     [
+       ("parameters", v { f with fparams = f.fparams @ [ 99 ] });
+       ("frame size", v { f with stacksize = f.stacksize + 1 });
+       ("entry node", v { f with entry = (if f.entry = n then other else n) });
+       ( "instruction",
+         v
+           {
+             f with
+             code =
+               Rtl.IMap.add n
+                 (if i = Rtl.Inop n then Rtl.Ireturn None else Rtl.Inop n)
+                 f.code;
+           } );
+     ]);
+  (let p = a.D.ltl in
+   let fn (f : Ltl.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   let n, i = Ltl.IMap.max_binding f.code in
+   let other = fst (Ltl.IMap.min_binding f.code) in
+   digests_apart Ltl.lang p
+     [
+       ("parameters", v { f with fparams = f.fparams @ [ Mreg.S 9 ] });
+       ("frame size", v { f with stacksize = f.stacksize + 1 });
+       ("entry node", v { f with entry = (if f.entry = n then other else n) });
+       ( "instruction",
+         v
+           {
+             f with
+             code =
+               Ltl.IMap.add n
+                 (if i = Ltl.Lnop n then Ltl.Lreturn None else Ltl.Lnop n)
+                 f.code;
+           } );
+     ]);
+  (let p = a.D.linear in
+   let fn (f : Linearl.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   digests_apart Linearl.lang p
+     [
+       ("parameters", v { f with fparams = f.fparams @ [ Mreg.S 9 ] });
+       ("frame size", v { f with stacksize = f.stacksize + 1 });
+       ( "instruction",
+         v { f with code = first_replaced (Linearl.Lgoto 99) (Lgoto 98) f.code }
+       );
+     ]);
+  (let p = a.D.mach in
+   let fn (f : Machl.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   digests_apart Machl.lang p
+     [
+       ("parameters", v { f with arity = f.arity + 1 });
+       ("frame size", v { f with stacksize = f.stacksize + 1 });
+       ("spill slots", v { f with nslots = f.nslots + 1 });
+       ( "instruction",
+         v { f with code = first_replaced (Machl.Mgoto 99) (Mgoto 98) f.code }
+       );
+     ]);
+  (let p = a.D.asm in
+   let fn (f : Asm.func) = f.fname in
+   let f = find fn p.funcs in
+   let v f' = { p with funcs = replace fn p.funcs f' } in
+   digests_apart Asm.lang p
+     [
+       ("parameters", v { f with arity = f.arity + 1 });
+       ("frame size", v { f with framesize = f.framesize + 1 });
+       ("object marking", v { f with is_object = not f.is_object });
+       ( "instruction",
+         v { f with code = first_replaced (Asm.Pjmp 99) (Pjmp 98) f.code } );
+     ]);
+  let p = Cimp.gamma_lock () in
+  let fn (f : Cimp.func) = f.fname in
+  let f = List.find (fun f -> f.Cimp.fname = "lock") p.funcs in
+  let v f' = { p with funcs = replace fn p.funcs f' } in
+  digests_apart ~name:"lock" Cimp.lang p
+    [
+      ("parameters", v { f with fparams = [ "m" ] });
+      ("statement", v { f with fbody = Cimp.Sseq (Sskip, f.fbody) });
+    ]
+
+(* A code map's shape depends on the order its keys were inserted, and
+   so do its marshalled bytes; the digest does not. RTL and LTL share
+   the map type ([Map.Make (Int)]). *)
+let test_fundef_digest_map_order () =
+  let module D = Cas_compiler.Driver in
+  let module M = Rtl.IMap in
+  let a = D.compile_artifacts (Parse.clight loop_src) in
+  (* [p], whose [sum] has [code], against copies with [code] rebuilt in
+     ascending and in descending key order *)
+  let key_orders lang p code with_code =
+    let rebuild order =
+      List.fold_left (fun m (n, i) -> M.add n i m) M.empty
+        (order (M.bindings code))
+    in
+    let up = rebuild Fun.id and down = rebuild List.rev in
+    let bytes m = Marshal.to_string m [ Marshal.No_sharing ] in
+    let name = lang.Lang.name in
+    check tbool (name ^ ": equal maps") true (M.equal ( = ) up down);
+    check tbool (name ^ ": marshalled apart") false (bytes up = bytes down);
+    let digest q = Lang.digest_fundef (Lang.Mod (lang, q)) "sum" in
+    List.iter
+      (fun m ->
+        check tbool
+          (name ^ ": key order leaves the digest")
+          true
+          (digest (with_code m) = digest p))
+      [ up; down ]
+  in
+  (let p = a.D.rtl in
+   let fn (f : Rtl.func) = f.fname in
+   let f = List.find (fun f -> fn f = "sum") p.funcs in
+   key_orders Rtl.lang p f.code (fun code ->
+       { p with funcs = replace fn p.funcs { f with code } }));
+  let p = a.D.ltl in
+  let fn (f : Ltl.func) = f.fname in
+  let f = List.find (fun f -> fn f = "sum") p.funcs in
+  key_orders Ltl.lang p f.code (fun code ->
+      { p with funcs = replace fn p.funcs { f with code } })
+
 (* Across the whole compile trace (all ten IRs): the source-level edit is
    visible at the Clight stage, and the untouched [main]'s digest is
    stable at *every* stage — per-function compilation independence, the
@@ -409,6 +617,10 @@ let () =
       ( "digests",
         [
           Alcotest.test_case "fundef digest basics" `Quick test_fundef_digests;
+          Alcotest.test_case "fundef digests cover every field" `Quick
+            test_fundef_digest_fields;
+          Alcotest.test_case "fundef digests ignore map key order" `Quick
+            test_fundef_digest_map_order;
           Alcotest.test_case "digests along the compile trace" `Quick
             test_fundef_digests_along_trace;
           Alcotest.test_case "verdict key digests ignore sharing" `Quick
