@@ -756,8 +756,9 @@ let test_dpor_reduction () =
    sets to source-DPOR with wakeup sequences — every value strictly
    dropped or held (259→161, 2328→362, 118→94; the rescue coverage
    filter prunes redundant spin-retry subtrees), and dpor-par must
-   reproduce them exactly: the visited-world set may not depend on steal
-   interleaving. Each count holds under both state keys
+   reproduce them exactly on these searches, whatever the steals (on TSO
+   trace enumeration it need not: see [prop_dpor_par_traces_tso]). Each
+   count holds under both state keys
    ([Engine.selection Hash] and [Fingerprint], as [--paranoid-fp]
    explores), and so do the TSO counter's. *)
 let test_world_counts_pinned () =
@@ -1057,6 +1058,78 @@ let prop_dpor_matches_reference =
             dpor_differences ~collect Engine.selection_system [ w ] = [])
           [ true; false ])
 
+(* Clients of the fuzzer's generator at size 3, with and without the
+   lock, as casbench's tso-lemma16 pool draws them (two threads): a seed
+   and a lock flag pick the program, the first of that shape in the
+   seed's stream. *)
+let gen_tso_client ~threads : Cas_fuzz.Gen.t QCheck.Gen.t =
+  let* seed = int_bound 1_000_000 in
+  let* lock = bool in
+  let master = Rng.make ~seed in
+  let rec draw () =
+    let g = Cas_fuzz.Gen.clight (Rng.split master) ~size:3 in
+    if List.length g.g_entries = threads && g.g_with_lock = lock then g
+    else draw ()
+  in
+  return (draw ())
+
+let arb_tso_client ~threads =
+  QCheck.make
+    ~print:(fun (g : Cas_fuzz.Gen.t) -> g.g_source)
+    (gen_tso_client ~threads)
+
+(* The client compiled and loaded on the x86-TSO machine against the
+   TTAS lock, as every Lemma 16 check of casbench loads it. *)
+let tso_client (g : Cas_fuzz.Gen.t) =
+  let asm = Cas_compiler.Driver.compile (Parse.clight g.g_source) in
+  Result.to_option (Cas_tso.Tso.load [ asm; Cas_tso.Locks.pi_lock ] g.g_entries)
+
+let tso_matches_reference g =
+  match tso_client g with
+  | None -> QCheck.assume_fail ()
+  | Some w ->
+    dpor_differences ~max_depth:3000 ~max_paths:10_000 Cas_tso.Tso.mc_system
+      [ w ]
+    = []
+
+let prop_dpor_matches_reference_tso =
+  QCheck.Test.make ~name:"dpor matches the reference on random TSO clients"
+    ~count:300 (arb_tso_client ~threads:2) tso_matches_reference
+
+(* With three threads a wakeup sequence can hold steps of two threads,
+   so only its head is sure to be a weak initial: an engine that takes
+   any of its threads for one explores differently here, and passes
+   with two threads. *)
+let prop_dpor_matches_reference_tso3 =
+  QCheck.Test.make
+    ~name:"dpor matches the reference on random three-thread TSO clients"
+    ~count:100 (arb_tso_client ~threads:3) tso_matches_reference
+
+(* Stealing moves branches between workers, each with its own on-path
+   marks. Where sequential dpor completes, dpor-par must find the same
+   traces at every jobs count. The world count is not compared: on TSO
+   it depends on the steal schedule (the dpor-par item of ROADMAP.md). *)
+let prop_dpor_par_traces_tso =
+  QCheck.Test.make ~name:"dpor-par traces match dpor on random TSO clients"
+    ~count:150 (arb_tso_client ~threads:2) (fun g ->
+      match tso_client g with
+      | None -> QCheck.assume_fail ()
+      | Some w ->
+        let traces engine jobs =
+          fst
+            (Cas_tso.Tso.mc_traces ~engine ~jobs ~max_steps:3000
+               ~max_paths:200_000 w)
+        in
+        let seq = traces Engine.Dpor 1 in
+        if not seq.Explore.complete then QCheck.assume_fail ()
+        else
+          List.for_all
+            (fun jobs ->
+              let par = traces Engine.Dpor_par jobs in
+              par.Explore.complete
+              && Explore.TraceSet.equal seq.Explore.traces par.Explore.traces)
+            [ 2; 4 ])
+
 let prop_fig7_matches_selection =
   QCheck.Test.make
     ~name:"Fig. 7 matches the selection view on random 2-thread programs"
@@ -1139,5 +1212,8 @@ let () =
              prop_fig7_matches_selection;
              prop_naive_matches_reference;
              prop_dpor_matches_reference;
+             prop_dpor_matches_reference_tso;
+             prop_dpor_matches_reference_tso3;
+             prop_dpor_par_traces_tso;
            ]) );
     ]
