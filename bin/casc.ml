@@ -638,11 +638,12 @@ let run_cmd =
     Term.(const run $ file_arg $ entries_arg $ with_lock_arg $ compiled_arg)
 
 let drf_cmd =
-  (* --json emits only the steal-invariant facts of a run: verdict,
-     engine, distinct-world count, and the canonical (minimal-key)
-     witness.  Steal counts and wall time are deliberately absent —
-     three runs of [casc drf --json] at any jobs count must be
-     byte-identical, and CI holds us to that. *)
+  (* --json emits only the facts of a run that should not depend on
+     the steal schedule: verdict, engine, distinct-world count, and the
+     canonical (minimal-key) witness.  Steal counts and wall time are
+     deliberately absent — three runs of [casc drf --json] at any jobs
+     count must be byte-identical, and CI holds us to that (it has held
+     on the corpus and on casbench's drf pools; it is not proven). *)
   let drf_json (r : Race.drf_report) : Cas_diag.Json.t =
     let open Cas_diag.Json in
     let st = r.Race.engine_stats in
@@ -664,9 +665,10 @@ let drf_cmd =
       value & flag
       & info [ "json" ]
           ~doc:
-            "print the verdict as a JSON object of steal-invariant fields \
-             (drf, engine, worlds, witness key) instead of the human \
-             report; byte-identical across runs at any $(b,--jobs) count")
+            "print the verdict as a JSON object (drf, engine, worlds, \
+             witness key), without steal counts or wall time, instead of \
+             the human report; CI requires it to be byte-identical across \
+             runs at any $(b,--jobs) count")
   in
   let run file entries with_lock engine jobs json witness_out paranoid =
     let jobs = validate_jobs jobs in
@@ -1071,8 +1073,9 @@ let fuzz_cmd =
           ~doc:
             "add a fourth oracle lane: re-run every program under \
              $(b,dpor-par) on $(i,N) domains and require the same verdict \
-             and the same world count as sequential dpor (the visited \
-             world set is steal-invariant)")
+             and the same world count as sequential dpor (an equality \
+             observed on the corpus and on casbench's drf pools, not a \
+             proven invariant)")
   in
   let inject_arg =
     Arg.(

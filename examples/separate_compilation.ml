@@ -48,6 +48,7 @@ let dir =
   d
 
 let path name = Filename.concat dir name
+let read_file file = In_channel.with_open_bin file In_channel.input_all
 
 let or_die = function
   | Ok v -> v
@@ -74,11 +75,11 @@ let () =
 
   Fmt.pr "@.== Link them, composing the certificates (Lem. 6) ==@.";
   let link () =
+    let files = [ f_cao; g_cao ] in
     or_die
-      (Result.map_error
-         (Fmt.str "%a" Cas_link.Linker.pp_error)
-         (Cas_link.Linker.link_files ~certify:true ~entries:[ "f" ]
-            [ f_cao; g_cao ]))
+      (Result.map_error Cas_cmd.message
+         (Cas_cmd.link ~files ~certify:true ~entries:[ "f" ]
+            (List.map read_file files)))
   in
   let out = link () in
   Option.iter
@@ -115,14 +116,7 @@ let () =
 
   Fmt.pr "@.== Tampering is detected ==@.";
   let tamper name tweak =
-    let s =
-      let ic = open_in_bin f_cao in
-      let n = in_channel_length ic in
-      let s = really_input_string ic n in
-      close_in ic;
-      s
-    in
-    match Cas_link.Objfile.of_string (tweak s) with
+    match Cas_link.Objfile.of_string (tweak (read_file f_cao)) with
     | Ok _ -> Fmt.pr "  %s: NOT detected (bug!)@." name
     | Error e -> Fmt.pr "  %s rejected:@.    %s@." name e
   in

@@ -53,23 +53,26 @@ module Bits = struct
     let w = id / bpw in
     w < Array.length b.words && b.words.(w) land (1 lsl (id mod bpw)) <> 0
 
+  (* The word loops here and below are top-level functions of the
+     arrays and bounds: a local [let rec] capturing them would allocate
+     a closure per call. *)
+  let rec disjoint_words a b i n =
+    i >= n || (a.(i) land b.(i) = 0 && disjoint_words a b (i + 1) n)
+
   let disjoint a b =
     a.summary land b.summary = 0
-    ||
-    let n = min (Array.length a.words) (Array.length b.words) in
-    let rec go i = i >= n || (a.words.(i) land b.words.(i) = 0 && go (i + 1)) in
-    go 0
+    || disjoint_words a.words b.words 0
+         (Int.min (Array.length a.words) (Array.length b.words))
+
+  let rec subset_words a b i =
+    i >= Array.length a
+    || (a.(i) land lnot b.(i) = 0 && subset_words a b (i + 1))
 
   let subset a b =
     (* normalized: a strictly longer than b has a high set bit outside b *)
     Array.length a.words <= Array.length b.words
     && a.summary land lnot b.summary = 0
-    &&
-    let rec go i =
-      i >= Array.length a.words
-      || (a.words.(i) land lnot b.words.(i) = 0 && go (i + 1))
-    in
-    go 0
+    && subset_words a.words b.words 0
 
   let union a b =
     if is_empty a then b
@@ -171,22 +174,23 @@ let mem_ws d a =
 let word (b : Bits.t) i =
   if i < Array.length b.Bits.words then b.Bits.words.(i) else 0
 
+let rec for_all_bits p base w j =
+  w = 0
+  || ((w land 1 = 0 || p (Addr.Interner.addr (base + j)))
+     && for_all_bits p base (w lsr 1) (j + 1))
+
+let rec for_all_words p d i n =
+  i >= n
+  || (for_all_bits p (i * Bits.bpw) (word d.rs i lor word d.ws i) 0
+     && for_all_words p d (i + 1) n)
+
 (** Every location of δ (rs ∪ ws) satisfies [p]: [Addr.Set.for_all p
     (locs d)], walking the bits in place instead of building the view.
     The scope checks of Def. 3 and Def. 4 and the linker's confinement
     check run it on every step they inspect. *)
 let for_all p d =
-  let n = max (Array.length d.rs.Bits.words) (Array.length d.ws.Bits.words) in
-  let rec bits base w j =
-    w = 0
-    || ((w land 1 = 0 || p (Addr.Interner.addr (base + j)))
-       && bits base (w lsr 1) (j + 1))
-  in
-  let rec go i =
-    i >= n
-    || (bits (i * Bits.bpw) (word d.rs i lor word d.ws i) 0 && go (i + 1))
-  in
-  go 0
+  for_all_words p d 0
+    (Int.max (Array.length d.rs.Bits.words) (Array.length d.ws.Bits.words))
 
 (** A fixed set of locations (the shared region S of Def. 3), as a
     bitset for [fpmatch]. *)
@@ -194,20 +198,19 @@ type region = Bits.t
 
 let region (s : Addr.Set.t) : region = bits_of_addrs (Addr.Set.elements s)
 
+let rec fpmatch_words shared src tgt i =
+  i >= Array.length shared
+  ||
+  let s = shared.(i) in
+  word tgt.rs i land s land lnot (word src.rs i lor word src.ws i) = 0
+  && word tgt.ws i land s land lnot (word src.ws i) = 0
+  && fpmatch_words shared src tgt (i + 1)
+
 (** FPmatch(µ, ∆, δ) of Fig. 8 with φ = id on the region [shared]: the
     target's shared reads are source reads or writes, and its shared
     writes are source writes. Word by word, without allocating. *)
 let fpmatch ~(shared : region) ~src ~tgt =
-  let n = Array.length shared.Bits.words in
-  let rec go i =
-    i >= n
-    ||
-    let s = shared.Bits.words.(i) in
-    word tgt.rs i land s land lnot (word src.rs i lor word src.ws i) = 0
-    && word tgt.ws i land s land lnot (word src.ws i) = 0
-    && go (i + 1)
-  in
-  go 0
+  fpmatch_words shared.Bits.words src tgt 0
 
 let pp ppf d =
   Fmt.pf ppf "(rs=%a, ws=%a)" Addr.Set.pp (rs_set d) Addr.Set.pp (ws_set d)

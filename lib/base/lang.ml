@@ -24,7 +24,9 @@ type ('code, 'core) t = {
   hash_core : Hashx.t -> 'core -> unit;
       (** stream the same state into a hash accumulator, for the cheap
           fixed-width world keys; must refine the equality of [pp_core]'s
-          text. Every IR has a dedicated streamer. *)
+          text. Clight, CImp and x86, the languages every explored world
+          is keyed through, stream their cores by hand; the mid-pipeline
+          IRs stream their printed text ([hash_printed]). *)
   hash_fundef : Hashx.t -> 'code -> string -> unit;
       (** stream the *definition* of one named function — its body,
           parameters and frame layout, nothing else — so a function's
@@ -55,6 +57,11 @@ type xcore = XCore : ('code, 'core) t * 'core -> xcore
 let xcore_fingerprint (XCore (l, c)) = l.name ^ "|" ^ Fmt.str "%a" l.pp_core c
 let pp_xcore ppf (XCore (l, c)) = Fmt.pf ppf "%s:%a" l.name l.pp_core c
 
+(** A [hash_core] that streams [pp]'s text, so that its classes are
+    [pp]'s by construction: for the IRs whose cores key no world outside
+    tests and are hashed only by [audit_core]. *)
+let hash_printed pp st c = Hashx.string st (Fmt.str "%a" pp c)
+
 (** Two-lane hash of a packed core, in [xcore_fingerprint]'s classes. *)
 let xcore_hash (XCore (l, c)) =
   let st = Hashx.create () in
@@ -83,14 +90,14 @@ let digest_fundef (Mod (l, code)) (name : string) : string =
 (* Collision audit (--paranoid-fp)                                     *)
 (* ------------------------------------------------------------------ *)
 
-(** Empirical collision audit for the dedicated [hash_core] streamers,
-    scoped to one certification: every core fed to [audit_core] is
-    hashed *and* fingerprinted, and a 16-byte hash key observed with two
-    distinct canonical fingerprints is recorded as a collision. The
-    simulation checker audits every core it visits when it is given an
-    audit, so the sweep covers all ten IRs, not just the
-    exploration-hot ones. An audit has no lock: one certification uses
-    it at a time. *)
+(** Empirical collision audit for the [hash_core] streamers, scoped to
+    one certification: every core fed to [audit_core] is hashed *and*
+    fingerprinted, and a 16-byte hash key observed with two distinct
+    canonical fingerprints is recorded as a collision. The simulation
+    checker audits every core it visits when it is given an audit; of
+    the pipeline's stages, Clight and x86 have hand-written streamers
+    for it to cross-check, the others hash their printed text. An audit
+    has no lock: one certification uses it at a time. *)
 type audit = {
   seen : (string, string) Hashtbl.t;  (** hash key -> fingerprint *)
   mutable bad : (string * string) list;  (** newest first *)

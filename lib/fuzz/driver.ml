@@ -1,4 +1,4 @@
-(** Differential fuzz campaigns (ISSUE 9 tentpole, part 3).
+(** Differential fuzz campaigns.
 
     [run] generates [count] programs from one seeded splittable stream
     and pushes each through the differential oracles:
@@ -9,7 +9,10 @@
       the reduction); with
       [engine_par = Some jobs] a fourth lane runs [dpor-par] on [jobs]
       domains and must reproduce dpor's verdict *and* world count
-      exactly (the visited-world set is steal-invariant);
+      exactly. The lane requires that equality, it is not proven: it
+      has held on the corpus and on casbench's drf pools, while on TSO
+      trace enumeration the visited-world set depends on the steal
+      schedule;
     - compiler oracle (Clight campaigns, DRF programs only — racy
       source voids the compiler's guarantee, exactly as in the paper):
       the bounded trace sets of the source Clight world and the compiled

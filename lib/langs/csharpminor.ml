@@ -220,106 +220,6 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with temps; waiting = None }
 
-(* Streamed state hash in [pp_core]'s classes: printed fields
-   only ([pending]/[genv] stay out, [waiting] contributes its outermost
-   option). One tag char per constructor keeps the token stream
-   injective on the syntax without building the string. *)
-let rec hash_expr st = function
-  | Econst n ->
-    Hashx.char st 'c';
-    Hashx.int st n
-  | Etemp x ->
-    Hashx.char st 't';
-    Hashx.string st x
-  | Eaddr_local x ->
-    Hashx.char st '&';
-    Hashx.string st x
-  | Eaddr_global x ->
-    Hashx.char st 'g';
-    Hashx.string st x
-  | Eload e ->
-    Hashx.char st '*';
-    hash_expr st e
-  | Ebinop (op, a, b) ->
-    Hashx.char st 'b';
-    Hashx.int st (Hashtbl.hash op);
-    hash_expr st a;
-    hash_expr st b
-  | Eunop (op, a) ->
-    Hashx.char st 'u';
-    Hashx.int st (Hashtbl.hash op);
-    hash_expr st a
-
-let rec hash_stmt st = function
-  | Sskip -> Hashx.char st '0'
-  | Sset (x, e) ->
-    Hashx.char st '1';
-    Hashx.string st x;
-    hash_expr st e
-  | Sstore (e1, e2) ->
-    Hashx.char st '2';
-    hash_expr st e1;
-    hash_expr st e2
-  | Scall (dst, f, args) ->
-    Hashx.char st '3';
-    (match dst with
-    | None -> Hashx.char st '-'
-    | Some x ->
-      Hashx.char st '=';
-      Hashx.string st x);
-    Hashx.string st f;
-    List.iter (hash_expr st) args
-  | Sseq (a, b) ->
-    Hashx.char st '4';
-    hash_stmt st a;
-    hash_stmt st b
-  | Sif (e, a, b) ->
-    Hashx.char st '5';
-    hash_expr st e;
-    hash_stmt st a;
-    hash_stmt st b
-  | Swhile (e, s) ->
-    Hashx.char st '6';
-    hash_expr st e;
-    hash_stmt st s
-  | Sreturn None -> Hashx.char st '7'
-  | Sreturn (Some e) ->
-    Hashx.char st 'R';
-    hash_expr st e
-
-let rec hash_kont st = function
-  | Kstop -> Hashx.char st '.'
-  | Kseq (s, k) ->
-    Hashx.char st 'S';
-    hash_stmt st s;
-    hash_kont st k
-  | Kwhile (e, s, k) ->
-    Hashx.char st 'W';
-    hash_expr st e;
-    hash_stmt st s;
-    hash_kont st k
-
-let hash_core st c =
-  Hashx.string st c.fn.fname;
-  SMap.iter
-    (fun x b ->
-      Hashx.string st x;
-      Hashx.char st '@';
-      Hashx.int st b)
-    c.blocks;
-  Hashx.char st '|';
-  SMap.iter
-    (fun x v ->
-      Hashx.string st x;
-      Hashx.char st '=';
-      Hashx.int st (Value.hash v))
-    c.temps;
-  Hashx.char st '|';
-  hash_stmt st c.cur;
-  Hashx.char st '|';
-  hash_kont st c.k;
-  Hashx.bool st (c.waiting <> None)
-
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
@@ -331,7 +231,7 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    hash_core;
+    hash_core = Lang.hash_printed pp_core;
     hash_fundef;
     pp_core;
     globals_of = (fun p -> p.globals);

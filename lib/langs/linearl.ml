@@ -192,25 +192,6 @@ let after_external (c : core) (ret : Value.t option) : core option =
     in
     Some { c with locs; waiting = None }
 
-(* Streamed state hash in [pp_core]'s classes: printed fields only
-   (the derived [code] array, [need_frame] and [genv] stay out,
-   [waiting] contributes its outermost option). *)
-let hash_core st c =
-  Hashx.string st c.fn.fname;
-  Hashx.int st c.pc;
-  (match c.sp with
-  | None -> Hashx.char st '-'
-  | Some b ->
-    Hashx.char st '@';
-    Hashx.int st b);
-  Mreg.LocMap.iter
-    (fun l v ->
-      Mreg.hash_loc st l;
-      Hashx.char st '=';
-      Hashx.int st (Value.hash v))
-    c.locs;
-  Hashx.bool st (c.waiting <> None)
-
 let hash_fundef st (p : program) name =
   match List.find_opt (fun f -> String.equal f.fname name) p.funcs with
   | None -> ()
@@ -222,7 +203,7 @@ let lang : (program, core) Lang.t =
     init_core;
     step;
     after_external;
-    hash_core;
+    hash_core = Lang.hash_printed pp_core;
     hash_fundef;
     pp_core;
     globals_of = (fun p -> p.globals);

@@ -93,19 +93,3 @@ let map_gop f = function
   | Gbinop (op, a, b) -> Gbinop (op, f a, f b)
   | Gbinop_imm (op, a, n) -> Gbinop_imm (op, f a, n)
   | Gunop (op, a) -> Gunop (op, f a)
-
-(* Core-hash streamers shared by the IRs over machine registers: LTL's
-   and Linear's [hash_core] stream locations, Mach's registers. One tag
-   char per location constructor keeps the token stream injective.
-   [Hashtbl.hash] is safe on [t] because it is a flat enum — never use
-   it on recursive structures. *)
-
-let hash st (r : t) = Hashx.int st (Hashtbl.hash r)
-
-let hash_loc st = function
-  | R r ->
-    Hashx.char st 'r';
-    hash st r
-  | S i ->
-    Hashx.char st 's';
-    Hashx.int st i

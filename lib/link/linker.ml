@@ -72,8 +72,8 @@ let compose_digest ~(entries : string list) (objs : Objfile.t list) : string =
         objs )
 
 (** Link already-loaded (and integrity-verified) objects. [label] names
-    objects in resolver errors (defaults to the module name; [link_files]
-    passes the on-disk file name). *)
+    objects in resolver errors (defaults to the module name;
+    [Cas_cmd.link] passes the on-disk file name). *)
 let link ?(jobs = 1) ?(certify = false) ?label ~(entries : string list)
     (objs : Objfile.t list) : (outcome, error) result =
   let t0 = Unix.gettimeofday () in
@@ -150,24 +150,3 @@ let link ?(jobs = 1) ?(certify = false) ?label ~(entries : string list)
         else
           finish ~compose ~certified:true
             ~cert_digest:(compose_digest ~entries objs) ())
-
-(** Load, verify and link object files from disk. *)
-let link_files ?jobs ?certify ~entries (files : string list) :
-    (outcome, error) result =
-  let rec load acc = function
-    | [] -> Ok (List.rev acc)
-    | file :: rest -> (
-      match Objfile.load ~file with
-      | Error msg -> Error (Load_error (file, msg))
-      | Ok o -> load (o :: acc) rest)
-  in
-  match load [] files with
-  | Error e -> Error e
-  | Ok objs ->
-    (* attribute resolver errors to file names: two files may well carry
-       the same module name, and "defined by both g and g" helps nobody *)
-    let labels = List.combine objs files in
-    let label o =
-      match List.assq_opt o labels with Some f -> f | None -> o.Objfile.o_name
-    in
-    link ?jobs ?certify ~label ~entries objs

@@ -68,8 +68,8 @@ let canonical_order (objs : Objfile.t list) : Objfile.t list =
     resolution or the full list of errors (not just the first).
 
     [label] names an object in error messages — it defaults to the
-    module name, and [Linker.link_files] passes the on-disk file name so
-    two files carrying the same module attribute precisely. *)
+    module name, and [Cas_cmd.link] passes the on-disk file name so two
+    files carrying the same module attribute precisely. *)
 let resolve ?(entries = []) ?(label = fun (o : Objfile.t) -> o.o_name)
     (objs : Objfile.t list) : (resolution, error list) result =
   let objs = canonical_order objs in

@@ -72,8 +72,6 @@ let test_audit_reports_collision () =
     (Lang.audit_collisions (Lang.audit ()))
 
 (* ------------------------------------------------------------------ *)
-(* Footprint                                                           *)
-(* ------------------------------------------------------------------ *)
 (* Streaming a value                                                   *)
 (* ------------------------------------------------------------------ *)
 
@@ -113,6 +111,8 @@ let test_value_sharing_and_size () =
   check tbool "its last byte counts" false (value_key big = value_key big')
 
 (* ------------------------------------------------------------------ *)
+(* Footprint                                                           *)
+(* ------------------------------------------------------------------ *)
 
 let fp_r l = Footprint.reads l
 let fp_w l = Footprint.writes l
@@ -137,6 +137,28 @@ let test_fp_subset_union () =
   check tbool "subset" true (subset f1 f2);
   check tbool "not subset" false (subset f2 f1);
   check tbool "union idempotent" true (equal (union f1 f1) f1)
+
+(* DPOR's dependence checks call [conflict] and [subset] per pair of
+   transitions, so their word loops must not allocate. Every id below
+   sits in word 0 or 1, so all summaries meet and every loop runs. *)
+let test_fp_no_alloc () =
+  let open Footprint in
+  let fp rs ws = { rs = Bits.of_ids rs; ws = Bits.of_ids ws } in
+  let d1 = fp [ 0; 63 ] [ 1; 64 ] and d2 = fp [ 2; 65 ] [ 3; 66 ] in
+  let d12 = union d1 d2 in
+  check tbool "conflict walks every word" false (conflict d1 d2);
+  check tbool "subset walks every word" true (subset d1 d12);
+  let calls = 10_000 in
+  let words_per_call name f =
+    let before = Gc.minor_words () in
+    for _ = 1 to calls do
+      ignore (Sys.opaque_identity (f ()))
+    done;
+    let w = (Gc.minor_words () -. before) /. float_of_int calls in
+    check tbool (Fmt.str "%s: %.2f minor words per call" name w) true (w < 1.)
+  in
+  words_per_call "conflict" (fun () -> conflict d1 d2);
+  words_per_call "subset" (fun () -> subset d1 d12)
 
 (* qcheck generators *)
 let gen_addr =
@@ -855,6 +877,8 @@ let () =
           Alcotest.test_case "conflict" `Quick test_fp_conflict;
           Alcotest.test_case "conflict bits" `Quick test_fp_conflict_bits;
           Alcotest.test_case "subset/union" `Quick test_fp_subset_union;
+          Alcotest.test_case "conflict and subset allocate nothing" `Quick
+            test_fp_no_alloc;
         ] );
       ( "flist",
         [

@@ -749,6 +749,10 @@ let test_dpor_reduction () =
   check tbool "corpus aggregate >=5x reduction" true
     (5 * !total_dpor <= !total_naive)
 
+let key_name = function
+  | Cas_mc.Mcsys.Hash -> "hash"
+  | Cas_mc.Mcsys.Fingerprint -> "fingerprint"
+
 (* Distinct-world counts pinned per engine. The naive values count the
    selection view's reachable worlds (the fixed-width keys must induce
    exactly the same state partition as the fingerprint strings); the
@@ -773,10 +777,6 @@ let test_world_counts_pinned () =
   let worlds sys e w =
     (Cas_mc.Engine.reachable ~engine:e sys [ w ] ~visit:ignore)
       .Cas_mc.Stats.worlds
-  in
-  let key_name = function
-    | Cas_mc.Mcsys.Hash -> "hash"
-    | Cas_mc.Mcsys.Fingerprint -> "fingerprint"
   in
   List.iter
     (fun keys ->
@@ -808,6 +808,48 @@ let test_world_counts_pinned () =
             (worlds (Cas_tso.Tso.system keys) e w))
         [ Cas_mc.Mcsys.Hash; Cas_mc.Mcsys.Fingerprint ])
     [ (Engine.Naive, 1723); (Engine.Dpor, 305) ]
+
+(* Only Clight, CImp and x86 stream their cores by hand; a world of
+   another IR is keyed by its cores' printed text ([Lang.hash_printed]).
+   The lock counter at the last stage of each mid-pipeline language,
+   against γ_lock, is DRF under naive and dpor, with the same world
+   count under hash and fingerprint keys. *)
+let test_mid_pipeline_worlds () =
+  let a = Cas_compiler.Driver.compile_artifacts (Corpus.counter ()) in
+  let open Cas_compiler.Driver in
+  let stages =
+    [
+      ("C#minor", Lang.Mod (Csharpminor.lang, a.csharpminor), 974, 156);
+      ("Cminor", Lang.Mod (Cminor.lang, a.cminor), 974, 156);
+      ("RTL", Lang.Mod (Rtl.lang, a.rtl_deadcode), 815, 147);
+      ("LTL", Lang.Mod (Ltl.lang, a.ltl_tunneled), 987, 155);
+      ("Linear", Lang.Mod (Linearl.lang, a.linear_clean), 987, 155);
+      ("Mach", Lang.Mod (Machl.lang, a.mach), 1065, 160);
+    ]
+  in
+  List.iter
+    (fun (stage, m, exp_naive, exp_dpor) ->
+      let w =
+        load
+          (Lang.prog
+             [ m; Lang.Mod (Cimp.lang, Corpus.gamma_lock ()) ]
+             [ "inc"; "inc" ])
+      in
+      List.iter
+        (fun keys ->
+          List.iter
+            (fun (engine, expected) ->
+              let r = Race.drf ~engine ~keys w in
+              let name =
+                Fmt.str "%s (%s keys, %a)" stage (key_name keys) Engine.pp
+                  engine
+              in
+              check tbool (name ^ ": DRF") true r.Race.drf;
+              check tint (name ^ ": worlds") expected
+                r.Race.engine_stats.Cas_mc.Stats.worlds)
+            [ (Engine.Naive, exp_naive); (Engine.Dpor, exp_dpor) ])
+        [ Cas_mc.Mcsys.Hash; Cas_mc.Mcsys.Fingerprint ])
+    stages
 
 (* Naive trace enumeration's transitions, trace count and completeness,
    at the values of the path-per-visit enumerator it replaced: the state
@@ -1187,6 +1229,8 @@ let () =
           Alcotest.test_case "dpor >=5x on corpus" `Slow test_dpor_reduction;
           Alcotest.test_case "world counts pinned across key change" `Slow
             test_world_counts_pinned;
+          Alcotest.test_case "mid-pipeline worlds under both keys" `Quick
+            test_mid_pipeline_worlds;
           Alcotest.test_case "naive trace counters pinned" `Quick
             test_naive_trace_counters_pinned;
           Alcotest.test_case "dpor trace counters pinned" `Quick

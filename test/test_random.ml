@@ -110,11 +110,12 @@ let prop_every_stage_refines =
           run_one Asm.lang a.asm;
         ])
 
-(* The streamed per-IR hashes must refine fingerprint equality: with a
+(* The per-IR core hashes must refine fingerprint equality: with a
    collision audit (--paranoid-fp) the checker cross-checks the 16-byte
    key against the canonical fingerprint string on every core it visits,
    and it co-executes every pipeline stage, so one check_passes run
-   sweeps all ten IRs' streamers over live states. *)
+   sweeps the hand-written Clight and x86 streamers, and the printed
+   hashes of the mid-pipeline IRs, over live states. *)
 let prop_hash_refines_fingerprint_on_random =
   QCheck.Test.make
     ~name:"streamed hash refines fingerprint on every IR (paranoid sweep)"
